@@ -1,4 +1,4 @@
-.PHONY: build test bench bench-json bench-journal bench-parallel bench-fuzz bench-scale bench-incremental bench-serve bench-diff fuzz perf profile serve-smoke ci clean
+.PHONY: build test bench bench-json bench-journal bench-parallel bench-fuzz bench-scale bench-incremental bench-serve bench-diff fuzz perf profile serve-smoke perfbench-smoke ci clean
 
 build:
 	dune build @all
@@ -93,6 +93,20 @@ serve-smoke:
 	! grep -q '"error"' serve-smoke.jsonl
 	rm -f serve-smoke.jsonl
 
+# Correctness smoke of the end-to-end benchmark (see perfbench/README.md):
+# every workload for 2 s at seed 1, untraced. The benchmark exits 0 even
+# when an output check fails, so the gate reads its JSON result lines
+# instead: one per workload listed in BENCHMARK.json, each with
+# "correct": true.
+perfbench-smoke:
+	python3 perfbench/run.py --workload all --seed 1 --seconds 2 --trace 0 > perfbench-smoke.jsonl
+	python3 -c 'import json, sys; \
+	  rs = [json.loads(l) for l in open("perfbench-smoke.jsonl") if l.startswith("{")]; \
+	  n = len(json.load(open("BENCHMARK.json"))["workloads"]); \
+	  print("perfbench smoke: %d/%d workloads correct" % (sum(r.get("correct") is True for r in rs), n)); \
+	  sys.exit(0 if len(rs) == n and all(r.get("correct") is True for r in rs) else 1)'
+	rm -f perfbench-smoke.jsonl
+
 # Re-measure the performance sections — the evaluation-cache on/off
 # comparison and the parallel batch curves (see docs/PERFORMANCE.md) —
 # preserving the other BENCH_pipeline.json sections.
@@ -104,9 +118,10 @@ perf:
 # (all bundled programs at --jobs 4), a 200-iteration fuzz smoke at the
 # pinned seed (all ten oracles, serve and incremental included), a
 # non-interactive `argus watch --once` smoke, the serve stdio-transport
-# smoke, the bench smokes that regenerate BENCH_pipeline.json (1 timed
-# run, 1 warmup — correctness of the harness, not statistics), and the
-# perf-regression gate against the committed baseline.
+# smoke, the end-to-end benchmark's correctness smoke, the bench smokes
+# that regenerate BENCH_pipeline.json (1 timed run, 1 warmup —
+# correctness of the harness, not statistics), and the perf-regression
+# gate against the committed baseline.
 ci:
 	dune build @all
 	dune runtest
@@ -114,6 +129,7 @@ ci:
 	dune exec bin/argus_cli.exe -- fuzz --iters 200 --seed 42
 	dune exec bin/argus_cli.exe -- watch --once examples/timer.trait; test $$? -eq 1
 	$(MAKE) serve-smoke
+	$(MAKE) perfbench-smoke
 	cp BENCH_pipeline.json bench-baseline.json
 	dune exec bench/main.exe -- --json-only --runs 1 --warmup 1
 	dune exec bench/main.exe -- --parallel-only --runs 1 --warmup 1

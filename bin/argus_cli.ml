@@ -433,7 +433,7 @@ let inertia_cmd =
               | Argus.Proof_tree.Goal g ->
                   Printf.printf "  %d. %s\n" i (Trait_lang.Pretty.predicate g.pred)
               | _ -> ())
-            (Argus.Inertia.sorted_leaves tree)
+            (Argus.Inertia.leaves_of_ranking tree ranking)
         end)
       report.reports
   in

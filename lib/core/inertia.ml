@@ -164,11 +164,10 @@ let rank (tree : Proof_tree.t) : ranking =
   Telemetry.end_ sp_rank tok;
   { sets; leaves }
 
-(** The bottom-up ordering of failing leaf nodes under inertia.  Leaves
-    that never appear in any MCS (e.g. only below stateful nodes) are
-    appended at the end in tree order. *)
-let sorted_leaves (tree : Proof_tree.t) : Proof_tree.node list =
-  let ranking = rank tree in
+(** The bottom-up ordering of failing leaf nodes under a ranking of the
+    same tree.  Leaves that never appear in any MCS (e.g. only below
+    stateful nodes) are appended at the end in tree order. *)
+let leaves_of_ranking (tree : Proof_tree.t) (ranking : ranking) : Proof_tree.node list =
   let ranked = List.map fst ranking.leaves in
   let all_leaves = Proof_tree.failed_leaves tree in
   let in_ranked =
@@ -182,3 +181,7 @@ let sorted_leaves (tree : Proof_tree.t) : Proof_tree.node list =
       all_leaves
   in
   in_ranked @ rest
+
+(** The bottom-up ordering of failing leaf nodes under inertia. *)
+let sorted_leaves (tree : Proof_tree.t) : Proof_tree.node list =
+  leaves_of_ranking tree (rank tree)

@@ -48,6 +48,12 @@ type ranking = {
 
 val rank : Proof_tree.t -> ranking
 
-(** The bottom-up ordering of failing leaf nodes under inertia; leaves
-    appearing in no MCS are appended in tree order. *)
+(** The failing leaf nodes of [tree] in the order [ranking] (a ranking
+    of that same tree) gives them; leaves appearing in no MCS are
+    appended in tree order.  Lets a caller that already holds a
+    {!rank} result order the leaves without ranking again. *)
+val leaves_of_ranking : Proof_tree.t -> ranking -> Proof_tree.node list
+
+(** [leaves_of_ranking tree (rank tree)]: the bottom-up ordering of
+    failing leaf nodes under inertia. *)
 val sorted_leaves : Proof_tree.t -> Proof_tree.node list

@@ -33,7 +33,17 @@ type t = {
       (** bottom-up roots beyond this rank fold under "Other failures ..."
           (Fig. 9a) *)
   others_expanded : bool;
+  ranked : Proof_tree.node list Lazy.t;
+      (** [ranker.rank tree]: depends only on the tree and the ranker, so
+          it is computed once per (tree, ranker), not on every render *)
 }
+
+let c_rankings = Telemetry.counter "view.rankings"
+
+let rank_lazily (ranker : Heuristics.ranker) tree =
+  lazy
+    (Telemetry.incr c_rankings;
+     ranker.rank tree)
 
 let create ?(direction = Bottom_up) ?(ranker = Heuristics.by_inertia)
     ?(others_threshold = 3) tree =
@@ -48,6 +58,7 @@ let create ?(direction = Bottom_up) ?(ranker = Heuristics.by_inertia)
     ranker;
     others_threshold;
     others_expanded = false;
+    ranked = rank_lazily ranker tree;
   }
 
 let is_expanded t id = IntSet.mem id t.expanded
@@ -72,7 +83,7 @@ let expand_all t =
 let collapse_all t = { t with expanded = IntSet.empty }
 
 let set_direction t direction = { t with direction }
-let set_ranker t ranker = { t with ranker }
+let set_ranker t ranker = { t with ranker; ranked = rank_lazily ranker t.tree }
 
 let is_ty_expanded t id = IntSet.mem id t.ty_expanded
 
@@ -133,7 +144,7 @@ let rec visible_children t (n : Proof_tree.node) : Proof_tree.node list =
 let roots t : Proof_tree.node list =
   match t.direction with
   | Top_down -> [ Proof_tree.root t.tree ]
-  | Bottom_up -> t.ranker.rank t.tree |> List.filter (node_visible t)
+  | Bottom_up -> List.filter (node_visible t) (Lazy.force t.ranked)
 
 (** Bottom-up roots split into (shown, folded-behind-"Other failures").
     Everything is shown when the fold is open, the view is top-down, or

@@ -15,7 +15,10 @@
 
 type direction = Bottom_up | Top_down
 
-type t = {
+(** A view state.  The record is [private]: build one with {!create} and
+    change it only through this module's operations, so the cached root
+    order below can never go stale. *)
+type t = private {
   tree : Proof_tree.t;
   direction : direction;
   expanded : Set.Make(Int).t;
@@ -28,6 +31,14 @@ type t = {
       (** bottom-up roots beyond this rank fold under "Other failures ..."
           (Fig. 9a) *)
   others_expanded : bool;
+  ranked : Proof_tree.node list Lazy.t;
+      (** The bottom-up root order, [ranker.rank tree], before the
+          visibility filter.  It is per (tree, ranker): {!create} and
+          {!set_ranker} set it, every other operation carries it over, and
+          it is forced on the first bottom-up {!roots} call.  A [Lazy.t]
+          must not be forced from two domains at once; the serve daemon
+          forces it only under the session lock ([ss_lock], held by
+          [Server.handle_view_op]). *)
 }
 
 val create :
@@ -52,6 +63,9 @@ val toggle_others : t -> t
 (** {1 TreeData} *)
 
 val set_direction : t -> direction -> t
+
+(** Replace the ranker; the bottom-up order is recomputed (once, lazily)
+    under the new one. *)
 val set_ranker : t -> Heuristics.ranker -> t
 
 (** {1 ShortTys} *)
@@ -89,7 +103,9 @@ val visible_children : t -> Proof_tree.node -> Proof_tree.node list
 
 (** The roots of the current view: the tree root for top-down, the
     ranked failing leaves for bottom-up (before the Other-failures
-    fold). *)
+    fold).  Bottom-up filters the cached order with {!node_visible}; the
+    ranker itself runs only on the first bottom-up call after {!create}
+    or {!set_ranker}. *)
 val roots : t -> Proof_tree.node list
 
 (** Bottom-up roots split into (shown, folded behind "Other failures"). *)

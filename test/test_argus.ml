@@ -471,6 +471,139 @@ let test_other_failures_fold () =
   check_int "no 1-element fold" n_roots (List.length (Argus.Render.view vs2))
 
 (* ------------------------------------------------------------------ *)
+(* The cached bottom-up order *)
+
+(* A ranker that delegates to [r] and counts its calls. *)
+let counting (r : Argus.Heuristics.ranker) =
+  let calls = ref 0 in
+  let rank tree =
+    incr calls;
+    r.rank tree
+  in
+  ({ r with rank } : Argus.Heuristics.ranker), calls
+
+(* One seeded view operation, drawn against the currently rendered rows
+   (a bottom-up view whose every failing leaf is hidden has none). *)
+let random_view_op rng (lines : Argus.Render.line list) :
+    Argus.View_state.t -> Argus.View_state.t =
+  let module V = Argus.View_state in
+  let flip vs =
+    V.set_direction vs (if vs.V.direction = V.Bottom_up then V.Top_down else V.Bottom_up)
+  in
+  let k = Random.State.int rng 10 in
+  if lines = [] then if k < 5 then V.toggle_all_predicates else flip
+  else
+    let line = List.nth lines (Random.State.int rng (List.length lines)) in
+    match k with
+    | 0 -> V.toggle_others
+    | 1 -> V.toggle_all_predicates
+    | 2 -> flip
+    | _ when line.node = Argus.Render.others_row -> V.toggle_others
+    | 3 | 4 -> fun vs -> V.hover vs line.node
+    | _ -> fun vs -> V.toggle_expand vs line.node
+
+let test_view_ranks_once_per_state () =
+  let _, tree = bevy_tree () in
+  Telemetry.reset ();
+  Telemetry.enable ();
+  Fun.protect ~finally:Telemetry.disable @@ fun () ->
+  let inertia, inertia_calls = counting Argus.Heuristics.by_inertia in
+  let vs = ref (Argus.View_state.create ~ranker:inertia tree) in
+  check_int "create does not rank" 0 !inertia_calls;
+  let lines = ref (Argus.Render.view !vs) in
+  let rng = Random.State.make [| 13 |] in
+  for _ = 1 to 50 do
+    vs := random_view_op rng !lines !vs;
+    lines := Argus.Render.view !vs
+  done;
+  check_int "one ranking across 50 round trips" 1 !inertia_calls;
+  check_int "view.rankings counted it" 1 (Telemetry.counter_value "view.rankings");
+  let bu = Argus.View_state.set_direction !vs Argus.View_state.Bottom_up in
+  let ids = List.map (fun (n : Argus.Proof_tree.node) -> n.id) in
+  let before = ids (Argus.View_state.roots bu) in
+  let depth, depth_calls = counting Argus.Heuristics.by_depth in
+  let bu = Argus.View_state.set_ranker bu depth in
+  ignore (Argus.Render.view bu);
+  ignore (Argus.Render.view (Argus.View_state.toggle_others bu));
+  let after = ids (Argus.View_state.roots bu) in
+  check_int "set_ranker ranks exactly once more" 1 !depth_calls;
+  check_int "the old ranker is not called again" 1 !inertia_calls;
+  check_int "view.rankings after set_ranker" 2 (Telemetry.counter_value "view.rankings");
+  check_bool "by_depth reorders the roots" true (before <> after);
+  check_bool "same roots, new order" true (List.sort compare before = List.sort compare after)
+
+let identity_corpus = Corpus.Suite.entries @ Corpus.Suite.extended @ Corpus.Suite.extras
+
+(* Every failing goal's tree in the corpus, plus two Fig. 12b sizes and
+   a tree whose only failing leaves are hidden internal predicates (so the
+   bottom-up view is empty until the predicate toggle). *)
+let identity_trees () =
+  List.concat_map
+    (fun (e : Corpus.Harness.entry) ->
+      let _, report = Corpus.Harness.solve e in
+      List.map
+        (fun r -> (e.id, Argus.Extract.of_report r))
+        (Solver.Obligations.errors report))
+    identity_corpus
+  @ List.map
+      (fun n -> (Printf.sprintf "synthetic-%d" n, Argus.Synthetic.of_size n))
+      [ 500; 2554 ]
+  @ [
+      ( "hidden-leaves",
+        let _, _, tree =
+          failed_tree
+            {|
+            struct A;
+            trait T { type Out; }
+            struct W<X>;
+            trait V {}
+            impl V for W<<A as T>::Out> {}
+            goal W<<A as T>::Out>: V;
+          |}
+        in
+        tree );
+    ]
+
+let test_view_cached_order_renders_identically () =
+  let trees = identity_trees () in
+  let failing_entries =
+    List.filter
+      (fun (e : Corpus.Harness.entry) -> e.root_cause <> "")
+      identity_corpus
+  in
+  check_bool "every failing entry contributes a tree" true
+    (List.length trees >= List.length failing_entries + 3);
+  List.iteri
+    (fun i (name, tree) ->
+      let rng = Random.State.make [| 0x7673; i |] in
+      let fresh_replay ops =
+        List.fold_left (fun vs op -> op vs) (Argus.View_state.create tree) (List.rev ops)
+      in
+      let ids = List.map (fun (n : Argus.Proof_tree.node) -> n.id) in
+      let rec go step ops vs lines =
+        if step < 20 then begin
+          let op = random_view_op rng lines in
+          let vs = op vs and ops = op :: ops in
+          let lines = Argus.Render.view vs in
+          let msg what = Printf.sprintf "%s step %d: %s" name step what in
+          check_bool (msg "render = fresh replay") true
+            (lines = Argus.Render.view (fresh_replay ops));
+          (* the roots as defined before the order was cached *)
+          let reference =
+            match vs.direction with
+            | Argus.View_state.Top_down -> [ Argus.Proof_tree.root tree ]
+            | Bottom_up -> List.filter (Argus.View_state.node_visible vs) (vs.ranker.rank tree)
+          in
+          check_bool (msg "roots = ranker output, filtered") true
+            (ids (Argus.View_state.roots vs) = ids reference);
+          go (step + 1) ops vs lines
+        end
+      in
+      let vs = Argus.View_state.create tree in
+      go 0 [] vs (Argus.Render.view vs))
+    trees
+
+(* ------------------------------------------------------------------ *)
 (* DOT rendering *)
 
 let test_dot_valid () =
@@ -650,6 +783,9 @@ let () =
           Alcotest.test_case "render markers" `Quick test_render_markers;
           Alcotest.test_case "line indices" `Quick test_render_line_indices_sequential;
           Alcotest.test_case "Other failures fold" `Quick test_other_failures_fold;
+          Alcotest.test_case "ranks once per view state" `Quick test_view_ranks_once_per_state;
+          Alcotest.test_case "cached order renders identically" `Quick
+            test_view_cached_order_renders_identically;
         ] );
       ( "dot",
         [

@@ -32,9 +32,9 @@ bench-parallel:
 bench-fuzz:
 	dune exec bench/main.exe -- --fuzz-only
 
-# Re-measure only the mega-library scale section (per-goal solve cost
-# at 100/1000/10000 impls, fast-reject index on vs off), preserving
-# the other BENCH_pipeline.json sections.
+# Re-measure only the mega-library scale section (per-goal solve cost,
+# unify attempts and fast-reject rates at 100/1000/10000 impls, cache
+# off), preserving the other BENCH_pipeline.json sections.
 bench-scale:
 	dune exec bench/main.exe -- --scale-only
 
@@ -114,14 +114,15 @@ perf:
 	dune exec bench/main.exe -- --cache-only
 	dune exec bench/main.exe -- --parallel-only
 
-# What CI runs: full build, full test suite, a parallel corpus smoke
-# (all bundled programs at --jobs 4), a 200-iteration fuzz smoke at the
-# pinned seed (all ten oracles, serve and incremental included), a
-# non-interactive `argus watch --once` smoke, the serve stdio-transport
-# smoke, the end-to-end benchmark's correctness smoke, the bench smokes
-# that regenerate BENCH_pipeline.json (1 timed run, 1 warmup —
-# correctness of the harness, not statistics), and the perf-regression
-# gate against the committed baseline.
+# What CI runs (.github/workflows/ci.yml, step for step): full build,
+# full test suite, a parallel corpus smoke (all bundled programs at
+# --jobs 4), a 200-iteration fuzz smoke at the pinned seed (all nine
+# oracles, serve and incremental included), a non-interactive
+# `argus watch --once` smoke, the serve stdio-transport smoke, the
+# end-to-end benchmark's correctness smoke, the bench smokes that
+# regenerate BENCH_pipeline.json (1 timed run, 1 warmup — correctness
+# of the harness, not statistics), the perf-regression gate against
+# the committed baseline, and the `argus profile` artifact smoke.
 ci:
 	dune build @all
 	dune runtest
@@ -132,11 +133,15 @@ ci:
 	$(MAKE) perfbench-smoke
 	cp BENCH_pipeline.json bench-baseline.json
 	dune exec bench/main.exe -- --json-only --runs 1 --warmup 1
+	dune exec bench/main.exe -- --journal-only --runs 1 --warmup 1
+	dune exec bench/main.exe -- --cache-only --runs 1 --warmup 1
 	dune exec bench/main.exe -- --parallel-only --runs 1 --warmup 1
 	dune exec bench/main.exe -- --scale-only --runs 1 --warmup 1
 	dune exec bench/main.exe -- --incremental-only --runs 1 --warmup 1
 	dune exec bench/main.exe -- --serve-only --runs 1 --warmup 1
 	dune exec bench/main.exe -- --diff bench-baseline.json BENCH_pipeline.json --warn-above 1.5 --fail-above 25
+	dune exec bin/argus_cli.exe -- profile --corpus diesel-missing-join \
+	  --flame argus-profile.folded --speedscope argus-profile.speedscope.json
 
 clean:
 	dune clean

@@ -14,6 +14,7 @@
       heuristic ranking cost, inertia weight sensitivity. *)
 
 open Trait_lang
+module Json = Argus_json.Json
 
 let section title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
@@ -251,7 +252,7 @@ let ablation_depth_limit () =
   let program = Resolve.program_of_string ~file:"sweep.rs" src in
   List.iter
     (fun depth_limit ->
-      let cfg = { Solver.Solve.default_config with depth_limit } in
+      let cfg = { Solver.Solve.depth_limit } in
       let ns = time_median (fun () -> Solver.Obligations.solve_program ~cfg program) in
       let report = Solver.Obligations.solve_program ~cfg program in
       let tree_size = Solver.Trace.size (List.hd report.reports).final in
@@ -355,7 +356,7 @@ let bench_journal_entries () =
         (Some
            (fun en ->
              output_string devnull
-               (Argus_json.Json.to_string (Argus_json.Journal_codec.entry_to_json en));
+               (Json.to_string (Argus_json.Journal_codec.entry_to_json en));
              output_char devnull '\n'));
       let ns_enabled =
         time_median (fun () -> Solver.Obligations.solve_program program)
@@ -369,18 +370,32 @@ let bench_journal_entries () =
       let overhead_pct = (ns_enabled -. ns_disabled) /. ns_disabled *. 100.0 in
       Printf.printf "  %-28s %9.2f us %9.2f us %8d %+8.1f%%\n" e.id (ns_disabled /. 1e3)
         (ns_enabled /. 1e3) !events overhead_pct;
-      Argus_json.Json.Obj
+      Json.Obj
         [
-          ("name", Argus_json.Json.String e.id);
-          ("ns_disabled", Argus_json.Json.Float ns_disabled);
-          ("ns_enabled", Argus_json.Json.Float ns_enabled);
-          ("events", Argus_json.Json.Int !events);
-          ("overhead_pct", Argus_json.Json.Float overhead_pct);
+          ("name", Json.String e.id);
+          ("ns_disabled", Json.Float ns_disabled);
+          ("ns_enabled", Json.Float ns_enabled);
+          ("events", Json.Int !events);
+          ("overhead_pct", Json.Float overhead_pct);
         ])
     Corpus.Suite.entries
   in
   Solver.Eval_cache.set_enabled true;
   rows
+
+(** Median cache speedup over the diesel_lite rows of a cache section —
+    the paper-facing headline recorded at the top of the document. *)
+let diesel_median rows =
+  let speedups =
+    List.filter_map
+      (fun row ->
+        match (Json.member "library" row, Json.member "speedup" row) with
+        | Some (Json.String "diesel_lite"), Some (Json.Float s) -> Some s
+        | Some (Json.String "diesel_lite"), Some (Json.Int s) -> Some (float_of_int s)
+        | _ -> None)
+      rows
+  in
+  if speedups = [] then 0.0 else Stats.Descriptive.median speedups
 
 (** Evaluation-cache on/off comparison per 17-program suite entry.  The
     program is loaded once, so its interner stamp is stable and warm-up
@@ -415,34 +430,23 @@ let bench_cache_entries () =
         let speedup = ns_off /. ns_on in
         Printf.printf "  %-28s %9.2f us %9.2f us %7.2fx %7d %7d\n" e.id (ns_off /. 1e3)
           (ns_on /. 1e3) speedup hits misses;
-        let row =
-          Argus_json.Json.Obj
+        Json.Obj
             [
-              ("name", Argus_json.Json.String e.id);
-              ("library", Argus_json.Json.String e.library);
-              ("ns_cache_off", Argus_json.Json.Float ns_off);
-              ("ns_cache_on", Argus_json.Json.Float ns_on);
-              ("speedup", Argus_json.Json.Float speedup);
-              ("tree_hits", Argus_json.Json.Int tree_hits);
-              ("tree_misses", Argus_json.Json.Int tree_misses);
-              ("result_hits", Argus_json.Json.Int result_hits);
-              ("result_misses", Argus_json.Json.Int result_misses);
-              ("hit_rate", Argus_json.Json.Float hit_rate);
-            ]
-        in
-        (e.library, speedup, row))
+              ("name", Json.String e.id);
+              ("library", Json.String e.library);
+              ("ns_cache_off", Json.Float ns_off);
+              ("ns_cache_on", Json.Float ns_on);
+              ("speedup", Json.Float speedup);
+              ("tree_hits", Json.Int tree_hits);
+              ("tree_misses", Json.Int tree_misses);
+              ("result_hits", Json.Int result_hits);
+              ("result_misses", Json.Int result_misses);
+              ("hit_rate", Json.Float hit_rate);
+            ])
       Corpus.Suite.entries
   in
-  let diesel =
-    List.filter_map
-      (fun (lib, s, _) -> if lib = "diesel_lite" then Some s else None)
-      rows
-  in
-  let diesel_median =
-    if diesel = [] then 0.0 else Stats.Descriptive.median diesel
-  in
-  Printf.printf "  diesel_lite median speedup: %.2fx\n" diesel_median;
-  (List.map (fun (_, _, row) -> row) rows, diesel_median)
+  Printf.printf "  diesel_lite median speedup: %.2fx\n" (diesel_median rows);
+  rows
 
 (** Parallel batch solving over the 17-program suite: corpus wall-clock
     at jobs ∈ {1, 2, 4, 8} (cache off, so the curve measures work
@@ -482,12 +486,12 @@ let bench_parallel_entries () =
         if jobs = 1 then ns_seq := ns;
         let speedup = !ns_seq /. ns in
         Printf.printf "  %-8d %9.2f us %8.2fx\n" jobs (ns /. 1e3) speedup;
-        Argus_json.Json.Obj
+        Json.Obj
           [
-            ("jobs", Argus_json.Json.Int jobs);
-            ("programs", Argus_json.Json.Int n);
-            ("ns_batch", Argus_json.Json.Float ns);
-            ("speedup_vs_jobs1", Argus_json.Json.Float speedup);
+            ("jobs", Json.Int jobs);
+            ("programs", Json.Int n);
+            ("ns_batch", Json.Float ns);
+            ("speedup_vs_jobs1", Json.Float speedup);
           ])
       [ 1; 2; 4; 8 ]
   in
@@ -519,15 +523,15 @@ let bench_parallel_entries () =
     "  cache-on --jobs 4 batch: %d hits, %d misses (%.1f%% hit rate), %d contended locks\n"
     hits misses (hit_rate *. 100.0) contention;
   let summary =
-    Argus_json.Json.Obj
+    Json.Obj
       [
-        ("jobs", Argus_json.Json.Int 4);
-        ("cache_hits", Argus_json.Json.Int hits);
-        ("cache_misses", Argus_json.Json.Int misses);
-        ("hit_rate", Argus_json.Json.Float hit_rate);
-        ("shard_contention", Argus_json.Json.Int contention);
+        ("jobs", Json.Int 4);
+        ("cache_hits", Json.Int hits);
+        ("cache_misses", Json.Int misses);
+        ("hit_rate", Json.Float hit_rate);
+        ("shard_contention", Json.Int contention);
         ( "recommended_domains",
-          Argus_json.Json.Int (Domain.recommended_domain_count ()) );
+          Json.Int (Domain.recommended_domain_count ()) );
       ]
   in
   rows @ [ summary ]
@@ -551,11 +555,11 @@ let bench_fuzz_entries () =
   in
   Printf.printf "  %-12s %9.2f us/program\n" "generate" (ns_gen /. 1e3);
   let gen_row =
-    Argus_json.Json.Obj
+    Json.Obj
       [
-        ("stage", Argus_json.Json.String "generate");
-        ("programs", Argus_json.Json.Int bank_size);
-        ("ns_per_program", Argus_json.Json.Float ns_gen);
+        ("stage", Json.String "generate");
+        ("programs", Json.Int bank_size);
+        ("ns_per_program", Json.Float ns_gen);
       ]
   in
   let pool = Pool.create ~jobs:2 in
@@ -572,11 +576,11 @@ let bench_fuzz_entries () =
       /. float_of_int bank_size
     in
     Printf.printf "  %-12s %9.2f us/check\n" (Fuzz.Oracle.to_string name) (ns /. 1e3);
-    Argus_json.Json.Obj
+    Json.Obj
       [
-        ("stage", Argus_json.Json.String (Fuzz.Oracle.to_string name));
-        ("programs", Argus_json.Json.Int bank_size);
-        ("ns_per_program", Argus_json.Json.Float ns);
+        ("stage", Json.String (Fuzz.Oracle.to_string name));
+        ("programs", Json.Int bank_size);
+        ("ns_per_program", Json.Float ns);
       ]
   in
   let rows = gen_row :: List.map oracle_row Fuzz.Oracle.all in
@@ -584,63 +588,46 @@ let bench_fuzz_entries () =
   rows
 
 (** The [scale] suite: per-goal solve cost over generated mega
-    libraries ({!Fuzz.Gen.generate_mega}) at growing impl counts, with
-    the fast-reject index on vs off ([--no-index]'s linear scan).  The
-    cache is off so every goal re-runs candidate assembly; the index is
-    cleared per mode so the "on" warm-up pays the lazy build.  The
-    headline is the ns/goal curve staying flat with the index on while
-    the scan side grows linearly; unify attempts per goal are identical
-    in both modes (head-compatibility is the assembly semantics either
-    way) and flat — the attempts the scan wastes are simplify-and-skip,
-    never unifications. *)
+    libraries ({!Fuzz.Gen.generate_mega}) at growing impl counts.  The
+    cache is off so every goal re-runs candidate assembly.  Unify
+    attempts per goal stay flat as the library grows: fast reject
+    drops head-incompatible impls before any unification, so the
+    per-goal cost that grows with the library is the linear
+    simplify-and-skip pass, never unifications. *)
 let bench_scale_entries () =
   let goals = 32 and seed = 42 in
   let fg = float_of_int goals in
-  Printf.printf "  %-8s %12s %12s %9s %14s %9s\n" "impls" "idx on" "idx off" "speedup"
-    "attempts/goal" "rejects";
+  Printf.printf "  %-8s %12s %14s %9s\n" "impls" "per goal" "attempts/goal" "rejects";
   Solver.Eval_cache.set_enabled false;
   let rows =
     List.map
       (fun impls ->
         let src = Fuzz.Gen.render (Fuzz.Gen.generate_mega ~goals ~seed ~impls) in
         let program = Resolve.program_of_string ~file:"scale.trait" src in
-        let measure use_index =
-          Solver.Fast_reject.set_enabled use_index;
-          Solver.Fast_reject.clear ();
-          let ns = time_median (fun () -> Solver.Obligations.solve_program program) in
-          Telemetry.reset ();
-          Telemetry.enable ();
-          ignore (Solver.Obligations.solve_program program);
-          Telemetry.disable ();
-          ( ns /. fg,
-            float_of_int (Telemetry.counter_value "unify.attempts") /. fg,
-            Telemetry.counter_value "index.hits",
-            Telemetry.counter_value "index.rejects",
-            Telemetry.counter_value "index.wildcard" )
-        in
-        let ns_on, att_on, hits, rejects, wildcard = measure true in
-        let ns_off, att_off, _, _, _ = measure false in
-        Solver.Fast_reject.set_enabled true;
-        let speedup = ns_off /. ns_on in
+        let ns = time_median (fun () -> Solver.Obligations.solve_program program) /. fg in
+        Telemetry.reset ();
+        Telemetry.enable ();
+        ignore (Solver.Obligations.solve_program program);
+        Telemetry.disable ();
+        let attempts = float_of_int (Telemetry.counter_value "unify.attempts") /. fg in
+        let hits = Telemetry.counter_value "index.hits" in
+        let rejects = Telemetry.counter_value "index.rejects" in
         let reject_rate =
           if hits + rejects = 0 then 0.0
           else float_of_int rejects /. float_of_int (hits + rejects)
         in
-        Printf.printf "  %-8d %9.2f us %9.2f us %8.2fx %14.1f %8.0f%%\n" impls
-          (ns_on /. 1e3) (ns_off /. 1e3) speedup att_on (reject_rate *. 100.0);
-        Argus_json.Json.Obj
+        Printf.printf "  %-8d %9.2f us %14.1f %8.0f%%\n" impls (ns /. 1e3) attempts
+          (reject_rate *. 100.0);
+        Json.Obj
           [
-            ("impls", Argus_json.Json.Int impls);
-            ("goals", Argus_json.Json.Int goals);
-            ("ns_per_goal_on", Argus_json.Json.Float ns_on);
-            ("ns_per_goal_off", Argus_json.Json.Float ns_off);
-            ("speedup", Argus_json.Json.Float speedup);
-            ("unify_attempts_per_goal_on", Argus_json.Json.Float att_on);
-            ("unify_attempts_per_goal_off", Argus_json.Json.Float att_off);
-            ("index_hits", Argus_json.Json.Int hits);
-            ("index_rejects", Argus_json.Json.Int rejects);
-            ("index_wildcard", Argus_json.Json.Int wildcard);
-            ("reject_rate", Argus_json.Json.Float reject_rate);
+            ("impls", Json.Int impls);
+            ("goals", Json.Int goals);
+            ("ns_per_goal", Json.Float ns);
+            ("unify_attempts_per_goal", Json.Float attempts);
+            ("index_hits", Json.Int hits);
+            ("index_rejects", Json.Int rejects);
+            ("index_wildcard", Json.Int (Telemetry.counter_value "index.wildcard"));
+            ("reject_rate", Json.Float reject_rate);
           ])
       [ 100; 1000; 10000 ]
   in
@@ -651,8 +638,8 @@ let bench_scale_entries () =
     then restore it) re-solved through a warm {!Solver.Session} —
     fingerprint diff, reverse-index eviction, stamp rebase, then a solve
     in which green goals replay from the cache — vs the same program
-    solved from scratch with a cold cache and cold fast-reject index
-    (what a fresh argus invocation pays).  Each timed incremental run is
+    solved from scratch with a cold cache (what a fresh argus
+    invocation pays).  Each timed incremental run is
     one full edit→resolve cycle, alternating the two versions so every
     run revalidates against a genuinely different predecessor.
 
@@ -668,18 +655,15 @@ let bench_incremental_entries () =
   Printf.printf "  %-28s %12s %12s %9s %8s %9s\n" "program" "scratch" "incr" "speedup"
     "evicted" "survived";
   Solver.Eval_cache.set_enabled true;
-  Solver.Fast_reject.set_enabled true;
   let measure ?(edit_at = 0) name program =
     let edited = Fuzz.Edit.drop_impl program edit_at in
     let n_impls = List.length (Program.impls program) in
     let ns_scratch =
       time_median (fun () ->
           Solver.Eval_cache.clear ();
-          Solver.Fast_reject.clear ();
           Solver.Obligations.solve_program program)
     in
     Solver.Eval_cache.clear ();
-    Solver.Fast_reject.clear ();
     let session = Solver.Session.create () in
     (* warm both versions so every timed run revalidates a warm cache *)
     ignore (Solver.Session.load session program);
@@ -698,16 +682,15 @@ let bench_incremental_entries () =
     Printf.printf "  %-28s %9.2f us %9.2f us %8.2fx %8d %9d\n" name (ns_scratch /. 1e3)
       (ns_incr /. 1e3) speedup delta.Solver.Session.d_evicted
       delta.Solver.Session.d_survived;
-    Argus_json.Json.Obj
+    Json.Obj
       [
-        ("name", Argus_json.Json.String name);
-        ("impls", Argus_json.Json.Int n_impls);
-        ("ns_scratch", Argus_json.Json.Float ns_scratch);
-        ("ns_incr", Argus_json.Json.Float ns_incr);
-        ("speedup", Argus_json.Json.Float speedup);
-        ("evicted", Argus_json.Json.Int delta.Solver.Session.d_evicted);
-        ("survived", Argus_json.Json.Int delta.Solver.Session.d_survived);
-        ("rebased", Argus_json.Json.Int delta.Solver.Session.d_rebased);
+        ("name", Json.String name);
+        ("impls", Json.Int n_impls);
+        ("ns_scratch", Json.Float ns_scratch);
+        ("ns_incr", Json.Float ns_incr);
+        ("speedup", Json.Float speedup);
+        ("evicted", Json.Int delta.Solver.Session.d_evicted);
+        ("survived", Json.Int delta.Solver.Session.d_survived);
       ]
   in
   let corpus_rows =
@@ -727,7 +710,6 @@ let bench_incremental_entries () =
       [ 100; 1000 ]
   in
   Solver.Eval_cache.clear ();
-  Solver.Fast_reject.clear ();
   corpus_rows @ mega_rows
 
 (** The [serve] suite: the seeded load generator ({!Fuzz.Serve_load})
@@ -737,7 +719,7 @@ let bench_incremental_entries () =
     [jobs = 1] (sequential baseline) and on a 4-worker domain pool.
     The warm-phase cache hit rate strictly above the cold rate is the
     daemon's reason to exist: the eval cache survives across requests
-    and sessions, rebased through every reload. *)
+    and sessions, revalidated through every reload. *)
 let bench_serve_entries () =
   let seed = 42 and clients = 1000 in
   Printf.printf "  %-10s %8s %9s %14s %12s %12s %9s %9s\n" "name" "clients"
@@ -754,106 +736,33 @@ let bench_serve_entries () =
       (float_of_int stats.Fuzz.Serve_load.ls_p99_ns /. 1e3)
       (stats.Fuzz.Serve_load.ls_cold_hit_rate *. 100.0)
       (stats.Fuzz.Serve_load.ls_warm_hit_rate *. 100.0);
-    Argus_json.Json.Obj
+    Json.Obj
       [
-        ("name", Argus_json.Json.String name);
-        ("jobs", Argus_json.Json.Int jobs);
-        ("clients", Argus_json.Json.Int stats.Fuzz.Serve_load.ls_clients);
-        ("requests", Argus_json.Json.Int stats.Fuzz.Serve_load.ls_requests);
-        ("errors", Argus_json.Json.Int stats.Fuzz.Serve_load.ls_errors);
+        ("name", Json.String name);
+        ("jobs", Json.Int jobs);
+        ("clients", Json.Int stats.Fuzz.Serve_load.ls_clients);
+        ("requests", Json.Int stats.Fuzz.Serve_load.ls_requests);
+        ("errors", Json.Int stats.Fuzz.Serve_load.ls_errors);
         ( "throughput_rps",
-          Argus_json.Json.Float stats.Fuzz.Serve_load.ls_throughput_rps );
-        ("p50_ns", Argus_json.Json.Int stats.Fuzz.Serve_load.ls_p50_ns);
-        ("p99_ns", Argus_json.Json.Int stats.Fuzz.Serve_load.ls_p99_ns);
+          Json.Float stats.Fuzz.Serve_load.ls_throughput_rps );
+        ("p50_ns", Json.Int stats.Fuzz.Serve_load.ls_p50_ns);
+        ("p99_ns", Json.Int stats.Fuzz.Serve_load.ls_p99_ns);
         ( "cold_hit_rate",
-          Argus_json.Json.Float stats.Fuzz.Serve_load.ls_cold_hit_rate );
+          Json.Float stats.Fuzz.Serve_load.ls_cold_hit_rate );
         ( "warm_hit_rate",
-          Argus_json.Json.Float stats.Fuzz.Serve_load.ls_warm_hit_rate );
+          Json.Float stats.Fuzz.Serve_load.ls_warm_hit_rate );
       ]
   in
   let j1 = row "serve-j1" 1 in
   let j4 = row "serve-j4" 4 in
   let rows = [ j1; j4 ] in
   Solver.Eval_cache.clear ();
-  Solver.Fast_reject.clear ();
   rows
-
-let write_pipeline_doc ~entries ~journal ~cache ~parallel ~fuzz ~scale ~incremental
-    ~serve ~diesel_speedup =
-  let doc =
-    Argus_json.Json.Obj
-      [
-        ("schema", Argus_json.Json.String "argus.bench.pipeline/v8");
-        ("runs", Argus_json.Json.Int !bench_runs);
-        ("warmup", Argus_json.Json.Int !bench_warmup);
-        ("ocaml_version", Argus_json.Json.String Sys.ocaml_version);
-        ("git_commit", Argus_json.Json.String (git_commit ()));
-        ("diesel_lite_median_speedup", Argus_json.Json.Float diesel_speedup);
-        ("entries", Argus_json.Json.List entries);
-        ("journal", Argus_json.Json.List journal);
-        ("cache", Argus_json.Json.List cache);
-        ("parallel", Argus_json.Json.List parallel);
-        ("fuzz", Argus_json.Json.List fuzz);
-        ("scale", Argus_json.Json.List scale);
-        ("incremental", Argus_json.Json.List incremental);
-        ("serve", Argus_json.Json.List serve);
-      ]
-  in
-  let oc = open_out "BENCH_pipeline.json" in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (Argus_json.Json.to_string_pretty doc);
-      output_char oc '\n');
-  Printf.printf
-    "wrote BENCH_pipeline.json (%d entries, %d journal rows, %d cache rows, %d parallel \
-     rows, %d fuzz rows, %d scale rows, %d incremental rows, %d serve rows)\n"
-    (List.length entries) (List.length journal) (List.length cache)
-    (List.length parallel) (List.length fuzz) (List.length scale)
-    (List.length incremental) (List.length serve)
-
-(** A section of the existing BENCH_pipeline.json, so partial re-runs
-    ([--journal-only], [--cache-only]) keep the other sections intact. *)
-let existing_section name =
-  try
-    let ic = open_in "BENCH_pipeline.json" in
-    let txt =
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    match Argus_json.Json.member name (Argus_json.Json.of_string txt) with
-    | Some (Argus_json.Json.List es) -> es
-    | _ -> []
-  with Sys_error _ | Argus_json.Json.Parse_error _ -> []
-
-let existing_diesel_speedup () =
-  try
-    let ic = open_in "BENCH_pipeline.json" in
-    let txt =
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    match Argus_json.Json.member "diesel_lite_median_speedup" (Argus_json.Json.of_string txt) with
-    | Some (Argus_json.Json.Float f) -> f
-    | Some (Argus_json.Json.Int i) -> float_of_int i
-    | _ -> 0.0
-  with Sys_error _ | Argus_json.Json.Parse_error _ -> 0.0
 
 (** One benchmark entry per corpus program, across every suite: median
     end-to-end solve time, inference-tree size, and the headline solver
     counters from a telemetry-enabled run. *)
-let bench_pipeline_json () =
-  section "Machine-readable pipeline benchmark (BENCH_pipeline.json)";
-  let suites =
-    [
-      ("entries", Corpus.Suite.entries);
-      ("extended", Corpus.Suite.extended);
-      ("extras", Corpus.Suite.extras);
-      ("extended-ok", Corpus.Suite.extended_ok);
-    ]
-  in
+let bench_corpus_entries () =
   let entry_json suite (e : Corpus.Harness.entry) =
     let program = Corpus.Harness.load e in
     let ns = time_median (fun () -> Solver.Obligations.solve_program program) in
@@ -868,145 +777,53 @@ let bench_pipeline_json () =
         0 report.reports
     in
     Printf.printf "  %-28s %10.2f us/run %7d tree nodes\n" e.id (ns /. 1e3) tree_nodes;
-    Argus_json.Json.Obj
+    Json.Obj
       [
-        ("name", Argus_json.Json.String e.id);
-        ("suite", Argus_json.Json.String suite);
-        ("library", Argus_json.Json.String e.library);
-        ("ns_per_run", Argus_json.Json.Float ns);
-        ("tree_nodes", Argus_json.Json.Int tree_nodes);
-        ("solver_goals", Argus_json.Json.Int (Telemetry.counter_value "solver.goals"));
-        ("unify_attempts", Argus_json.Json.Int (Telemetry.counter_value "unify.attempts"));
+        ("name", Json.String e.id);
+        ("suite", Json.String suite);
+        ("library", Json.String e.library);
+        ("ns_per_run", Json.Float ns);
+        ("tree_nodes", Json.Int tree_nodes);
+        ("solver_goals", Json.Int (Telemetry.counter_value "solver.goals"));
+        ("unify_attempts", Json.Int (Telemetry.counter_value "unify.attempts"));
       ]
   in
-  let entries =
-    List.concat_map (fun (suite, es) -> List.map (entry_json suite) es) suites
-  in
-  print_endline "journal overhead (17-program suite):";
-  let journal = bench_journal_entries () in
-  print_endline "evaluation cache on/off (17-program suite):";
-  let cache, diesel_speedup = bench_cache_entries () in
-  print_endline "parallel batch solving (17-program suite, cache off):";
-  let parallel = bench_parallel_entries () in
-  print_endline "differential fuzzing (generation + oracle bank, seed 42):";
-  let fuzz = bench_fuzz_entries () in
-  print_endline "scale: mega-library per-goal cost, index on/off (seed 42):";
-  let scale = bench_scale_entries () in
-  print_endline "incremental: single-decl edit re-solve vs from-scratch (seed 42):";
-  let incremental = bench_incremental_entries () in
-  print_endline "serve: 1000-client session scripts against one live server (seed 42):";
-  let serve = bench_serve_entries () in
-  write_pipeline_doc ~entries ~journal ~cache ~parallel ~fuzz ~scale ~incremental
-    ~serve ~diesel_speedup
+  List.concat_map
+    (fun (suite, es) -> List.map (entry_json suite) es)
+    [
+      ("entries", Corpus.Suite.entries);
+      ("extended", Corpus.Suite.extended);
+      ("extras", Corpus.Suite.extras);
+      ("extended-ok", Corpus.Suite.extended_ok);
+    ]
 
-(** Re-measure only the journal section, keeping the other sections of
-    BENCH_pipeline.json (if any) intact. *)
-let bench_journal_json () =
-  section "Journal overhead benchmark (BENCH_pipeline.json, journal section)";
-  let journal = bench_journal_entries () in
-  write_pipeline_doc ~entries:(existing_section "entries") ~journal
-    ~cache:(existing_section "cache")
-    ~parallel:(existing_section "parallel")
-    ~fuzz:(existing_section "fuzz")
-    ~scale:(existing_section "scale")
-    ~incremental:(existing_section "incremental")
-    ~serve:(existing_section "serve")
-    ~diesel_speedup:(existing_diesel_speedup ())
+(** The sections of BENCH_pipeline.json, in document order: the JSON
+    key (also the [--NAME-only] flag that re-measures just it, except
+    for [entries]), the banner printed before it, and the measurement
+    producing its rows. *)
+let bench_sections =
+  [
+    ("entries", "pipeline entries (every corpus suite)", bench_corpus_entries);
+    ("journal", "journal overhead (17-program suite)", bench_journal_entries);
+    ("cache", "evaluation cache on/off (17-program suite)", bench_cache_entries);
+    ( "parallel",
+      "parallel batch solving (17-program suite, cache off)",
+      bench_parallel_entries );
+    ( "fuzz",
+      "differential fuzzing (generation + oracle bank, seed 42)",
+      bench_fuzz_entries );
+    ( "scale",
+      "scale: mega-library per-goal cost (seed 42, cache off)",
+      bench_scale_entries );
+    ( "incremental",
+      "incremental: single-decl edit re-solve vs from-scratch (seed 42)",
+      bench_incremental_entries );
+    ( "serve",
+      "serve: 1000-client session scripts against one live server (seed 42)",
+      bench_serve_entries );
+  ]
 
-(** Re-measure only the cache section, keeping the other sections of
-    BENCH_pipeline.json (if any) intact. *)
-let bench_cache_json () =
-  section "Evaluation-cache benchmark (BENCH_pipeline.json, cache section)";
-  let cache, diesel_speedup = bench_cache_entries () in
-  write_pipeline_doc ~entries:(existing_section "entries")
-    ~journal:(existing_section "journal") ~cache
-    ~parallel:(existing_section "parallel")
-    ~fuzz:(existing_section "fuzz")
-    ~scale:(existing_section "scale")
-    ~incremental:(existing_section "incremental")
-    ~serve:(existing_section "serve")
-    ~diesel_speedup
-
-(** Re-measure only the parallel section, keeping the other sections of
-    BENCH_pipeline.json (if any) intact. *)
-let bench_parallel_json () =
-  section "Parallel batch benchmark (BENCH_pipeline.json, parallel section)";
-  let parallel = bench_parallel_entries () in
-  write_pipeline_doc ~entries:(existing_section "entries")
-    ~journal:(existing_section "journal")
-    ~cache:(existing_section "cache")
-    ~parallel
-    ~fuzz:(existing_section "fuzz")
-    ~scale:(existing_section "scale")
-    ~incremental:(existing_section "incremental")
-    ~serve:(existing_section "serve")
-    ~diesel_speedup:(existing_diesel_speedup ())
-
-(** Re-measure only the fuzzing section, keeping the other sections of
-    BENCH_pipeline.json (if any) intact. *)
-let bench_fuzz_json () =
-  section "Differential-fuzzing benchmark (BENCH_pipeline.json, fuzz section)";
-  let fuzz = bench_fuzz_entries () in
-  write_pipeline_doc ~entries:(existing_section "entries")
-    ~journal:(existing_section "journal")
-    ~cache:(existing_section "cache")
-    ~parallel:(existing_section "parallel")
-    ~fuzz
-    ~scale:(existing_section "scale")
-    ~incremental:(existing_section "incremental")
-    ~serve:(existing_section "serve")
-    ~diesel_speedup:(existing_diesel_speedup ())
-
-(** Re-measure only the scale section, keeping the other sections of
-    BENCH_pipeline.json (if any) intact. *)
-let bench_scale_json () =
-  section "Mega-library scale benchmark (BENCH_pipeline.json, scale section)";
-  let scale = bench_scale_entries () in
-  write_pipeline_doc ~entries:(existing_section "entries")
-    ~journal:(existing_section "journal")
-    ~cache:(existing_section "cache")
-    ~parallel:(existing_section "parallel")
-    ~fuzz:(existing_section "fuzz")
-    ~scale
-    ~incremental:(existing_section "incremental")
-    ~serve:(existing_section "serve")
-    ~diesel_speedup:(existing_diesel_speedup ())
-
-(** Re-measure only the incremental section, keeping the other sections
-    of BENCH_pipeline.json (if any) intact. *)
-let bench_incremental_json () =
-  section "Incremental re-solving benchmark (BENCH_pipeline.json, incremental section)";
-  let incremental = bench_incremental_entries () in
-  write_pipeline_doc ~entries:(existing_section "entries")
-    ~journal:(existing_section "journal")
-    ~cache:(existing_section "cache")
-    ~parallel:(existing_section "parallel")
-    ~fuzz:(existing_section "fuzz")
-    ~scale:(existing_section "scale")
-    ~incremental
-    ~serve:(existing_section "serve")
-    ~diesel_speedup:(existing_diesel_speedup ())
-
-(** Re-measure only the serve section, keeping the other sections of
-    BENCH_pipeline.json (if any) intact. *)
-let bench_serve_json () =
-  section "Serve load benchmark (BENCH_pipeline.json, serve section)";
-  let serve = bench_serve_entries () in
-  write_pipeline_doc ~entries:(existing_section "entries")
-    ~journal:(existing_section "journal")
-    ~cache:(existing_section "cache")
-    ~parallel:(existing_section "parallel")
-    ~fuzz:(existing_section "fuzz")
-    ~scale:(existing_section "scale")
-    ~incremental:(existing_section "incremental")
-    ~serve
-    ~diesel_speedup:(existing_diesel_speedup ())
-
-(* ------------------------------------------------------------------ *)
-(* --diff OLD NEW: the perf-regression gate.  Compares two
-   BENCH_pipeline.json files metric by metric (Profile.Bench_diff) and
-   exits 1 when any ratio breaches the fail threshold — CI runs this
-   against the committed baseline. *)
+let pipeline_path = "BENCH_pipeline.json"
 
 let read_whole_file path =
   let ic = open_in_bin path in
@@ -1014,13 +831,68 @@ let read_whole_file path =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
+(** The sections of the existing BENCH_pipeline.json (none if it is
+    missing or unreadable), so a partial re-run keeps the others. *)
+let existing_sections () =
+  match Json.of_string (read_whole_file pipeline_path) with
+  | Json.Obj fields ->
+      List.filter_map (function name, Json.List rows -> Some (name, rows) | _ -> None) fields
+  | _ -> []
+  | exception (Sys_error _ | Json.Parse_error _) -> []
+
+(** Re-measure the sections [selected] picks and rewrite
+    BENCH_pipeline.json, carrying every other section over from the
+    existing file. *)
+let run_sections selected =
+  let existing = existing_sections () in
+  let sections =
+    List.map
+      (fun (name, title, measure) ->
+        if selected name then begin
+          section title;
+          (name, measure ())
+        end
+        else (name, Option.value ~default:[] (List.assoc_opt name existing)))
+      bench_sections
+  in
+  let doc =
+    Json.Obj
+      ([
+         ("schema", Json.String "argus.bench.pipeline/v9");
+         ("runs", Json.Int !bench_runs);
+         ("warmup", Json.Int !bench_warmup);
+         ("ocaml_version", Json.String Sys.ocaml_version);
+         ("git_commit", Json.String (git_commit ()));
+         ( "diesel_lite_median_speedup",
+           Json.Float (diesel_median (List.assoc "cache" sections)) );
+       ]
+      @ List.map (fun (name, rows) -> (name, Json.List rows)) sections)
+  in
+  let oc = open_out pipeline_path in
+  Fun.protect
+    ~finally:(fun () -> close_out oc)
+    (fun () ->
+      output_string oc (Json.to_string_pretty doc);
+      output_char oc '\n');
+  Printf.printf "wrote %s (%s)\n" pipeline_path
+    (String.concat ", "
+       (List.map
+          (fun (name, rows) -> Printf.sprintf "%d %s rows" (List.length rows) name)
+          sections))
+
+(* ------------------------------------------------------------------ *)
+(* --diff OLD NEW: the perf-regression gate.  Compares two
+   BENCH_pipeline.json files metric by metric (Profile.Bench_diff) and
+   exits 1 when any ratio breaches the fail threshold — CI runs this
+   against the committed baseline. *)
+
 let bench_diff ~warn_above ~fail_above old_path new_path =
   let load which path =
-    try Argus_json.Json.of_string (read_whole_file path) with
+    try Json.of_string (read_whole_file path) with
     | Sys_error m ->
         Printf.eprintf "error: cannot read %s file: %s\n" which m;
         exit 2
-    | Argus_json.Json.Parse_error (m, off) ->
+    | Json.Parse_error (m, off) ->
         Printf.eprintf "error: %s is not valid JSON: %s (byte %d)\n" path m off;
         exit 2
   in
@@ -1080,22 +952,12 @@ let () =
           match next_int () with Some n when n >= 0 -> bench_warmup := n | _ -> ())
       | _ -> ())
     argv;
-  let json_only = Array.exists (( = ) "--json-only") Sys.argv in
-  let journal_only = Array.exists (( = ) "--journal-only") Sys.argv in
-  let cache_only = Array.exists (( = ) "--cache-only") Sys.argv in
-  let parallel_only = Array.exists (( = ) "--parallel-only") Sys.argv in
-  let fuzz_only = Array.exists (( = ) "--fuzz-only") Sys.argv in
-  let scale_only = Array.exists (( = ) "--scale-only") Sys.argv in
-  let incremental_only = Array.exists (( = ) "--incremental-only") Sys.argv in
-  let serve_only = Array.exists (( = ) "--serve-only") Sys.argv in
-  if journal_only then bench_journal_json ()
-  else if cache_only then bench_cache_json ()
-  else if parallel_only then bench_parallel_json ()
-  else if fuzz_only then bench_fuzz_json ()
-  else if scale_only then bench_scale_json ()
-  else if incremental_only then bench_incremental_json ()
-  else if serve_only then bench_serve_json ()
-  else if json_only then bench_pipeline_json ()
+  let flag f = Array.exists (( = ) f) argv in
+  (* [entries] has no flag of its own: [--json-only] re-measures it
+     together with every other section. *)
+  let only name = name <> "entries" && flag ("--" ^ name ^ "-only") in
+  if flag "--json-only" then run_sections (fun _ -> true)
+  else if List.exists (fun (name, _, _) -> only name) bench_sections then run_sections only
   else begin
     print_endline "Argus-ML benchmark harness — regenerating every paper table/figure";
     fig_motivating ();
@@ -1108,6 +970,7 @@ let () =
     ablation_depth_limit ();
     ablation_ranking_cost ();
     ablation_inertia_weight_sensitivity ();
-    bench_pipeline_json ();
+    section "Machine-readable pipeline benchmark (BENCH_pipeline.json)";
+    run_sections (fun _ -> true);
     print_endline "\ndone."
   end

@@ -90,17 +90,6 @@ let no_cache_arg =
            memoization). Every goal is re-evaluated from scratch; useful for \
            timing comparisons and for isolating cache-related behavior.")
 
-let no_index_arg =
-  Arg.(
-    value & flag
-    & info [ "no-index" ]
-        ~doc:
-          "Disable the fast-reject candidate index (per-trait buckets keyed \
-           by simplified self-type head). Candidate assembly falls back to a \
-           linear scan over every impl of the trait, computing the same \
-           head-compatibility filter — output is byte-identical, only the \
-           per-goal lookup cost changes. Useful for timing comparisons.")
-
 let trace_buffer_arg =
   Arg.(
     value
@@ -135,9 +124,8 @@ let write_event oc e =
    [check] handles --events-out itself (it buffers per-file journal
    streams and concatenates them deterministically); the single-file
    subcommands stream straight to the file. *)
-let observability_setup profile trace_out no_cache no_index trace_buffer =
+let observability_setup profile trace_out no_cache trace_buffer =
   if no_cache then Solver.Eval_cache.set_enabled false;
-  if no_index then Solver.Fast_reject.set_enabled false;
   Option.iter Telemetry.set_max_events trace_buffer;
   if profile || trace_out <> None then begin
     Telemetry.enable ();
@@ -159,18 +147,21 @@ let observability_setup profile trace_out no_cache no_index trace_buffer =
         if profile then prerr_string (Telemetry.report_to_string sn))
   end
 
-let telemetry_setup profile trace_out events_out no_cache no_index trace_buffer =
-  observability_setup profile trace_out no_cache no_index trace_buffer;
+let telemetry_setup profile trace_out events_out no_cache trace_buffer =
+  observability_setup profile trace_out no_cache trace_buffer;
   match events_out with
   | None -> ()
   | Some path ->
       let oc = open_events_file path in
       Journal.set_sink (Some (write_event oc))
 
+let observability_term =
+  Term.(const observability_setup $ profile_arg $ trace_out_arg $ no_cache_arg $ trace_buffer_arg)
+
 let telemetry_term =
   Term.(
     const telemetry_setup $ profile_arg $ trace_out_arg $ events_out_arg $ no_cache_arg
-    $ no_index_arg $ trace_buffer_arg)
+    $ trace_buffer_arg)
 
 (* ------------------------------------------------------------------ *)
 (* --jobs *)
@@ -178,20 +169,20 @@ let telemetry_term =
 let jobs_arg =
   Arg.(
     value
-    & opt (some int) None
+    & opt int 1
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
-          "Solve inputs in parallel on $(docv) worker domains (default: the \
-           machine's recommended domain count). $(b,--jobs 1) is the exact \
-           sequential code path — no domain is ever spawned — and parallel \
-           output is byte-identical to it.")
+          "Solve inputs in parallel on $(docv) worker domains (default 1). \
+           $(b,--jobs 1) is the exact sequential code path — no domain is \
+           ever spawned — and parallel output is byte-identical to it. \
+           Parallelism only pays off on batches of large inputs.")
 
-let resolve_jobs = function
-  | None -> Domain.recommended_domain_count ()
-  | Some n when n >= 1 -> n
-  | Some n ->
-      Printf.eprintf "error: --jobs must be at least 1 (got %d)\n" n;
-      exit 2
+let resolve_jobs n =
+  if n < 1 then begin
+    Printf.eprintf "error: --jobs must be at least 1 (got %d)\n" n;
+    exit 2
+  end;
+  n
 
 (* ------------------------------------------------------------------ *)
 (* Common arguments *)
@@ -341,11 +332,6 @@ let check_cmd =
              instead of normalizing them to 0. Needed for $(b,argus profile) \
              and $(b,argus explain --timings) on the journal; the journal is \
              then no longer byte-identical across $(b,--jobs) counts.")
-  in
-  let observability_term =
-    Term.(
-      const observability_setup $ profile_arg $ trace_out_arg $ no_cache_arg $ no_index_arg
-      $ trace_buffer_arg)
   in
   let exits =
     Cmd.Exit.info 1 ~doc:"on trait-solving or type-checking failures."
@@ -931,11 +917,6 @@ let profile_cmd =
             "Print each failing goal's proof tree with per-node cost \
              annotations. Live inputs only.")
   in
-  let observability_term =
-    Term.(
-      const observability_setup $ profile_arg $ trace_out_arg $ no_cache_arg $ no_index_arg
-      $ trace_buffer_arg)
-  in
   let exits =
     Cmd.Exit.info 2 ~doc:"on unreadable or malformed inputs, or unwritable outputs."
     :: Cmd.Exit.defaults
@@ -1128,11 +1109,9 @@ let watch_cmd =
             ms;
           if first then print_string "  initial load (cold resolve)\n"
           else
-            Printf.printf
-              "  edit: %d decl(s) changed; cache: %d evicted, %d survived; \
-               index: %d bucket(s) carried over\n"
+            Printf.printf "  edit: %d decl(s) changed; cache: %d evicted, %d survived\n"
               delta.Solver.Session.d_changed delta.Solver.Session.d_evicted
-              delta.Solver.Session.d_survived delta.Solver.Session.d_rebased;
+              delta.Solver.Session.d_survived;
           List.iter
             (fun (r : Solver.Obligations.goal_report) ->
               print_string
@@ -1262,20 +1241,15 @@ let serve_cmd =
       & info [ "tcp" ] ~docv:"PORT"
           ~doc:"Listen on 127.0.0.1:$(docv) instead of stdio.")
   in
-  let observability_term =
-    Term.(
-      const observability_setup $ profile_arg $ trace_out_arg $ no_cache_arg $ no_index_arg
-      $ trace_buffer_arg)
-  in
   Cmd.v
     (Cmd.info "serve"
        ~doc:
          "Run the persistent session daemon: newline-delimited JSON-RPC 2.0 \
           over stdio (default), a Unix socket, or TCP. Verbs: open, reload, \
           solve, tree, expand, hover, explain, profile, shutdown. The \
-          interner, evaluation cache, and fast-reject indexes stay warm \
-          across requests; solve/tree/explain responses are byte-identical \
-          to the equivalent one-shot subcommand. See docs/SERVE.md.")
+          interner and evaluation cache stay warm across requests; \
+          solve/tree/explain responses are byte-identical to the \
+          equivalent one-shot subcommand. See docs/SERVE.md.")
     Term.(const run $ observability_term $ socket_arg $ tcp_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -1370,8 +1344,8 @@ let fuzz_cmd =
       & info [ "oracle" ] ~docv:"NAME"
           ~doc:
             "Oracle(s) to run (repeatable; default: all). Known: wellformed, \
-             cache, jobs, journal, roundtrip, intern, determinism, index, \
-             incremental.")
+             cache, jobs, journal, roundtrip, intern, determinism, \
+             incremental, serve.")
   in
   let shrink_arg =
     Arg.(
@@ -1395,11 +1369,6 @@ let fuzz_cmd =
       value & opt (some string) None
       & info [ "replay" ] ~docv:"FILE"
           ~doc:"Re-run the oracle matrix over a saved repro instead of generating.")
-  in
-  let observability_term =
-    Term.(
-      const observability_setup $ profile_arg $ trace_out_arg $ no_cache_arg $ no_index_arg
-      $ trace_buffer_arg)
   in
   let exits =
     Cmd.Exit.info 1 ~doc:"when a counterexample is found (or a replayed repro still fails)."

@@ -383,21 +383,20 @@ let gadget_ambiguity _ctx =
 (* ------------------------------------------------------------------ *)
 (* Mega-library generation (the `scale` bench suite) *)
 
-(* A big-crate impl population with the shape candidate indexing is
-   built for, in controlled proportions:
+(* A big-crate impl population with the shape fast reject is built
+   for, in controlled proportions:
 
    - ~75% {e head-distinct} impls ([impl MgTk for MgSi]) — every impl
-     its own struct, so buckets are singletons and a linear scan's cost
-     is pure waste;
+     its own struct, so all but one are rejected by head before any
+     unification;
    - ~20% {e overlapping same-head} impls in constant-width families:
      8 impls share one family head ([impl MgTk for MgFf<MgSa>], the
      [SystemParam] shape), and the {e number of families} grows with
-     [impls] while each bucket stays 8 wide — so in-bucket probing
+     [impls] while each family stays 8 wide — so same-head probing
      stays honest but per-goal work does not grow with crate size;
    - a constant-size {e generic-self chain} ([impl<T> MgBlk for
      MgW<T> where T: MgBlk] over a base case) that deep goals recurse
-     through; its head is rigid ([MgW]), so it lives in a bucket, not
-     the wildcard list;
+     through; its head is rigid ([MgW]), so it is never a wildcard;
    - exactly three {e true blanket impls} (parameter-headed, wildcard)
      whose count does not grow with [impls]: two bounded by a trait
      nothing implements (probed and quickly refuted by every [MgT0] /
@@ -517,7 +516,7 @@ let generate_mega ~goals ~seed ~impls : spec =
         Goal (P_trait (Name (mgs i, []), tb (mgt ((distinct_trait.(i) + 1) mod nt))))
     | 2 ->
         (* provable overlapping-family hit: probes its whole
-           constant-width family bucket, exactly one member matches *)
+           constant-width family, exactly one member matches *)
         let i = (g / 4 * 17) mod n_overlap in
         Goal (P_trait (overlap_self i, tb (mgt family_trait.(i / family_width))))
     | _ -> Goal (P_trait (wrap 8 (Name (mgs 0, [])), tb "MgBlk"))

@@ -62,7 +62,7 @@ val default_size : int
 
 (** Deterministic mega-library generation for the [scale] bench suite:
     a program with [impls] impl blocks shaped like a big real crate —
-    ~75% head-distinct impls (singleton fast-reject buckets), ~20%
+    ~75% head-distinct impls (one rigid self head each), ~20%
     overlapping same-head impls in constant-width families of 8 whose
     family count grows with [impls], a constant-size generic-self
     chain, and exactly three true blanket (wildcard) impls regardless

@@ -13,7 +13,6 @@ type name =
   | Roundtrip
   | Intern
   | Determinism
-  | Index
   | Incremental
   | Serve
 
@@ -26,7 +25,6 @@ let all =
     Roundtrip;
     Intern;
     Determinism;
-    Index;
     Incremental;
     Serve;
   ]
@@ -39,7 +37,6 @@ let to_string = function
   | Roundtrip -> "roundtrip"
   | Intern -> "intern"
   | Determinism -> "determinism"
-  | Index -> "index"
   | Incremental -> "incremental"
   | Serve -> "serve"
 
@@ -54,7 +51,6 @@ let describe = function
   | Roundtrip -> "pretty-print, re-parse, re-solve reaches the same result"
   | Intern -> "structural copies intern to physically identical terms"
   | Determinism -> "two cold runs of the same source are byte-identical"
-  | Index -> "fast-reject index on and --no-index runs are byte-identical"
   | Incremental ->
       "incremental re-solve after each edit-script step equals from-scratch"
   | Serve ->
@@ -454,40 +450,8 @@ let check_intern source =
       in
       (match mismatch with None -> Pass | Some m -> Fail m)
 
-(* Candidate assembly through the fast-reject bucket index must be
-   observationally identical to the --no-index linear scan: same
-   reports, same journal streams, same byte fingerprints.  The cache is
-   held off so every goal actually reaches candidate assembly both
-   times; the index is cleared first so the on-run exercises a cold
-   lazy build. *)
-let check_index source =
-  with_cache_state @@ fun () ->
-  let was = Solver.Fast_reject.enabled () in
-  Fun.protect
-    ~finally:(fun () ->
-      Solver.Fast_reject.set_enabled was;
-      Solver.Fast_reject.clear ())
-    (fun () ->
-      let e = entry source in
-      Solver.Eval_cache.set_enabled false;
-      Solver.Fast_reject.set_enabled true;
-      Solver.Fast_reject.clear ();
-      let on = Corpus.Harness.solve_unit ~journal:true e in
-      Solver.Fast_reject.set_enabled false;
-      let off = Corpus.Harness.solve_unit ~journal:true e in
-      let ( <|> ) a b = match a with Some _ -> a | None -> b in
-      let mismatch =
-        reports_agree ~what:"index: on vs off" on.b_report off.b_report
-        <|> streams_agree ~what:"index: on vs off journal" on.b_journal off.b_journal
-      in
-      match mismatch with
-      | Some m -> Fail m
-      | None ->
-          if String.equal (fingerprint on) (fingerprint off) then Pass
-          else Fail "index: byte fingerprints differ between index on and --no-index")
-
 (* Incremental ≡ from-scratch.  Drive a deterministic edit script
-   through one warm [Session] (cache + index on, revalidated across each
+   through one warm [Session] (cache on, revalidated across each
    version) and, at every step, re-solve the same program value from
    scratch with the cache disabled.  Reports, proof trees, diagnostics,
    and the consumed journal-ID count must be byte-identical — the
@@ -500,78 +464,70 @@ let check_index source =
    every output stream but not in the raw serial counter. *)
 let check_incremental source =
   with_cache_state @@ fun () ->
-  let was_fr = Solver.Fast_reject.enabled () in
-  Fun.protect
-    ~finally:(fun () ->
-      Solver.Fast_reject.set_enabled was_fr;
-      Solver.Fast_reject.clear ())
-    (fun () ->
-      match load source with
-      | Error m -> Fail m
-      | Ok base ->
-          let fp (program : Program.t) (report : Solver.Obligations.report) ids =
-            let buf = Buffer.create 4096 in
-            Buffer.add_string buf
-              (Argus_json.Json.to_string (Argus_json.Encode.report report));
-            List.iter
-              (fun (r : Solver.Obligations.goal_report) ->
-                Solver.Trace.fold_goals
-                  (fun () (g : Solver.Trace.goal_node) ->
-                    Printf.bprintf buf "g%d d%d %s;" g.gid g.depth (Pretty.predicate g.pred))
-                  () r.final;
-                if r.status <> Solver.Obligations.Proved then begin
-                  let tree = Argus.Extract.of_report r in
-                  let goal = { r.goal with Program.goal_pred = r.final.pred } in
-                  Buffer.add_string buf
-                    (Rustc_diag.Diagnostic.to_string
-                       (Rustc_diag.Diagnostic.of_tree program goal tree))
-                end)
-              report.reports;
-            Printf.bprintf buf "ids=%d" ids;
-            Buffer.contents buf
-          in
-          let scratch program =
-            Solver.Eval_cache.set_enabled false;
-            Journal.reset ();
-            Solver.Infer_ctx.reset_snapshot_serial ();
-            let report = Solver.Obligations.solve_program program in
-            Solver.Eval_cache.set_enabled true;
-            (report, Journal.peek_id ())
-          in
-          Solver.Eval_cache.set_enabled true;
-          Solver.Eval_cache.clear ();
-          Solver.Fast_reject.set_enabled true;
-          Solver.Fast_reject.clear ();
-          let session = Solver.Session.create () in
-          let check_version what program =
-            ignore (Solver.Session.edit session program);
-            let incr_report = Solver.Session.resolve session in
-            let incr_ids = Journal.peek_id () in
-            let ref_report, ref_ids = scratch program in
-            match reports_agree ~what incr_report ref_report with
-            | Some m -> Some m
-            | None ->
-                if String.equal (fp program incr_report incr_ids) (fp program ref_report ref_ids)
-                then None
-                else Some (what ^ ": byte fingerprints differ (incremental vs scratch)")
-          in
-          let seed = Hashtbl.hash source in
-          let steps = Edit.script ~seed ~steps:4 base in
-          let rec go i = function
-            | [] -> Pass
-            | (op, version) :: rest -> (
-                match
-                  check_version
-                    (Printf.sprintf "incremental: step %d (%s)" i (Edit.describe op))
-                    version
-                with
-                | Some m -> Fail m
-                | None -> go (i + 1) rest
-            )
-          in
-          (match check_version "incremental: base" base with
-          | Some m -> Fail m
-          | None -> go 1 steps))
+  match load source with
+  | Error m -> Fail m
+  | Ok base ->
+      let fp (program : Program.t) (report : Solver.Obligations.report) ids =
+        let buf = Buffer.create 4096 in
+        Buffer.add_string buf
+          (Argus_json.Json.to_string (Argus_json.Encode.report report));
+        List.iter
+          (fun (r : Solver.Obligations.goal_report) ->
+            Solver.Trace.fold_goals
+              (fun () (g : Solver.Trace.goal_node) ->
+                Printf.bprintf buf "g%d d%d %s;" g.gid g.depth (Pretty.predicate g.pred))
+              () r.final;
+            if r.status <> Solver.Obligations.Proved then begin
+              let tree = Argus.Extract.of_report r in
+              let goal = { r.goal with Program.goal_pred = r.final.pred } in
+              Buffer.add_string buf
+                (Rustc_diag.Diagnostic.to_string
+                   (Rustc_diag.Diagnostic.of_tree program goal tree))
+            end)
+          report.reports;
+        Printf.bprintf buf "ids=%d" ids;
+        Buffer.contents buf
+      in
+      let scratch program =
+        Solver.Eval_cache.set_enabled false;
+        Journal.reset ();
+        Solver.Infer_ctx.reset_snapshot_serial ();
+        let report = Solver.Obligations.solve_program program in
+        Solver.Eval_cache.set_enabled true;
+        (report, Journal.peek_id ())
+      in
+      Solver.Eval_cache.set_enabled true;
+      Solver.Eval_cache.clear ();
+      let session = Solver.Session.create () in
+      let check_version what program =
+        ignore (Solver.Session.edit session program);
+        let incr_report = Solver.Session.resolve session in
+        let incr_ids = Journal.peek_id () in
+        let ref_report, ref_ids = scratch program in
+        match reports_agree ~what incr_report ref_report with
+        | Some m -> Some m
+        | None ->
+            if String.equal (fp program incr_report incr_ids) (fp program ref_report ref_ids)
+            then None
+            else Some (what ^ ": byte fingerprints differ (incremental vs scratch)")
+      in
+      let seed = Hashtbl.hash source in
+      let steps = Edit.script ~seed ~steps:4 base in
+      let rec go i = function
+        | [] -> Pass
+        | (op, version) :: rest -> (
+            match
+              check_version
+                (Printf.sprintf "incremental: step %d (%s)" i (Edit.describe op))
+                version
+            with
+            | Some m -> Fail m
+            | None -> go (i + 1) rest
+        )
+      in
+      (match check_version "incremental: base" base with
+      | Some m -> Fail m
+      | None -> go 1 steps)
 
 (* Serve-protocol equivalence.  Drive the generated program through a
    live in-process server and byte-compare every response payload
@@ -586,262 +542,254 @@ let check_incremental source =
      part of the stream and match the server's own cold solve.
 
    Then an edit script reloads printed versions through the session
-   (warm cache, rebased indexes) and re-compares the invariant
+   (warm cache) and re-compares the invariant
    payloads; a final reload of the unchanged source must be a
    stamp-equal no-op with an all-zero delta. *)
 let check_serve source =
   with_cache_state @@ fun () ->
-  let was_fr = Solver.Fast_reject.enabled () in
-  Fun.protect
-    ~finally:(fun () ->
-      Solver.Fast_reject.set_enabled was_fr;
-      Solver.Fast_reject.clear ())
-    (fun () ->
-      let module Json = Argus_json.Json in
-      let module Rpc = Argus_json.Rpc in
-      let ( let* ) = Result.bind in
-      let parse src =
-        match Trait_lang.Resolve.program_of_string ~file:"<serve>" src with
-        | p -> Ok p
-        | exception Parser.Error e -> Error e.message
-        | exception Trait_lang.Resolve.Error e ->
-            Error (Trait_lang.Resolve.error_message e)
-      in
-      match parse source with
-      | Error m -> Fail ("front-end: " ^ m)
-      | Ok p1 ->
-          Solver.Eval_cache.set_enabled true;
-          Solver.Eval_cache.clear ();
-          Solver.Fast_reject.set_enabled true;
-          Solver.Fast_reject.clear ();
-          let server = Serve.Server.create () in
-          let rpc m params =
-            let l =
-              Rpc.request_to_line
-                {
-                  Rpc.rpc_id = Some (Rpc.Int_id 0);
-                  rpc_method = m;
-                  rpc_params =
-                    Some (Json.Obj (("session", Json.String "fuzz") :: params));
-                }
-            in
-            match Serve.Server.handle_line server l with
-            | None -> Error (m ^ ": no response")
-            | Some resp -> (
-                match Rpc.response_of_line resp with
-                | Ok { Rpc.resp_result = Ok v; _ } -> Ok v
-                | Ok { Rpc.resp_result = Error e; _ } ->
-                    Error
-                      (Printf.sprintf "%s: rpc error %d: %s" m e.Rpc.code
-                         e.Rpc.message)
-                | Error e -> Error (m ^ ": bad response frame: " ^ e))
-          in
-          let str_member name v =
-            match Option.bind (Json.member name v) Json.to_string_opt with
-            | Some s -> Ok s
-            | None -> Error (Printf.sprintf "missing `%s` in response" name)
-          in
-          (* Fresh scratch solve + render of [program] with the cache as
-             currently switched; journal normalized like the server's. *)
-          let scratch program =
-            Journal.reset ();
-            Solver.Infer_ctx.reset_snapshot_serial ();
-            let (report, rendered), entries =
-              Journal.with_memory_sink (fun () ->
-                  let report = Solver.Obligations.solve_program program in
-                  (report, Serve.Check_render.run program report))
-            in
-            let entries =
-              List.mapi
-                (fun i (e : Journal.entry) ->
-                  Journal.shift_entry ~seq:i ~ids:0 ~snaps:0
-                    { e with Journal.ts_ns = 0 })
-                entries
-            in
-            (report, fst rendered, entries)
-          in
-          let scratch_off program =
-            Solver.Eval_cache.set_enabled false;
-            let r = scratch program in
-            Solver.Eval_cache.set_enabled true;
-            r
-          in
-          let failing_trees (report : Solver.Obligations.report) =
-            report.reports
-            |> List.filter (fun (r : Solver.Obligations.goal_report) ->
-                   r.status <> Solver.Obligations.Proved)
-            |> List.map Argus.Extract.of_report
-          in
-          let tree_page trees =
-            String.concat ""
-              (List.map
-                 (fun t ->
-                   Argus.Render.tree_to_string
-                     ~direction:Argus.View_state.Bottom_up t
-                   ^ "\n\n")
-                 trees)
-          in
-          (* solve / tree on the live session vs a cache-off scratch of
-             the same program value: these payloads are cache-invariant,
-             so they must match whether the session solved warm or cold *)
-          let check_invariant ~what program =
-            let ref_report, ref_out, _ = scratch_off program in
-            let* solved = rpc "solve" [] in
-            let* out = str_member "output" solved in
-            if not (String.equal out ref_out) then
-              Error (what ^ ": solve output differs from scratch")
-            else
-              let* treed = rpc "tree" [] in
-              let* tree_out = str_member "output" treed in
-              let ref_trees = failing_trees ref_report in
-              if not (String.equal tree_out (tree_page ref_trees)) then
-                Error (what ^ ": tree page differs from scratch")
-              else Ok ref_trees
-          in
-          (* explain/profile payloads are rendered from the journal, and
-             the journal carries cache events (the failure narrative
-             even references their seq numbers) — so compare a COLD
-             session re-solve against a cache-on-cold scratch, both of
-             which record the same miss events *)
-          let check_journal_payloads ~what program =
-            Solver.Eval_cache.clear ();
-            let _, _, cold_entries = scratch program in
-            let* cold_tree =
-              match Journal.replay cold_entries with
-              | Ok t -> Ok t
-              | Error m -> Error (what ^ ": cold scratch replay failed: " ^ m)
-            in
-            let failures_ref = Serve.Explain_render.failures cold_tree in
-            let summary_ref =
-              Serve.Explain_render.summary
-                ~entries:(List.length cold_entries) cold_tree
-            in
-            let profile_ref =
-              Profile.top_table ~top:10 (Profile.of_entries cold_entries)
-            in
-            Solver.Eval_cache.clear ();
-            let* _ = rpc "solve" [] in
-            let* expl_f = rpc "explain" [ ("failures", Json.Bool true) ] in
-            let* failures_out = str_member "output" expl_f in
-            if not (String.equal failures_out failures_ref) then
-              Error
-                (what ^ ": explain --failures differs from cache-on-cold scratch")
-            else
-              let* expl = rpc "explain" [] in
-              let* summary_out = str_member "output" expl in
-              if not (String.equal summary_out summary_ref) then
+  let module Json = Argus_json.Json in
+  let module Rpc = Argus_json.Rpc in
+  let ( let* ) = Result.bind in
+  let parse src =
+    match Trait_lang.Resolve.program_of_string ~file:"<serve>" src with
+    | p -> Ok p
+    | exception Parser.Error e -> Error e.message
+    | exception Trait_lang.Resolve.Error e ->
+        Error (Trait_lang.Resolve.error_message e)
+  in
+  match parse source with
+  | Error m -> Fail ("front-end: " ^ m)
+  | Ok p1 ->
+      Solver.Eval_cache.set_enabled true;
+      Solver.Eval_cache.clear ();
+      let server = Serve.Server.create () in
+      let rpc m params =
+        let l =
+          Rpc.request_to_line
+            {
+              Rpc.rpc_id = Some (Rpc.Int_id 0);
+              rpc_method = m;
+              rpc_params =
+                Some (Json.Obj (("session", Json.String "fuzz") :: params));
+            }
+        in
+        match Serve.Server.handle_line server l with
+        | None -> Error (m ^ ": no response")
+        | Some resp -> (
+            match Rpc.response_of_line resp with
+            | Ok { Rpc.resp_result = Ok v; _ } -> Ok v
+            | Ok { Rpc.resp_result = Error e; _ } ->
                 Error
-                  (what ^ ": explain summary differs from cache-on-cold scratch")
-              else
-                let* prof = rpc "profile" [] in
-                let* profile_out = str_member "output" prof in
-                if not (String.equal profile_out profile_ref) then
-                  Error
-                    (what ^ ": profile table differs from cache-on-cold scratch")
-                else Ok ()
-          in
-          let outcome =
-            (* ---- cold session ---- *)
-            let* _ = rpc "open" [ ("source", Json.String source) ] in
-            let* ref_trees = check_invariant ~what:"base" p1 in
-            let* () = check_journal_payloads ~what:"base" p1 in
-            (* ---- seeded expand/hover walk on goal 0 ---- *)
-            let seed = Hashtbl.hash source in
-            let* () =
-                  match ref_trees with
-                  | [] -> Ok ()
-                  | tree :: _ ->
-                      let rec walk k vs =
-                        if k > 5 then Ok ()
-                        else
-                          let rows = Argus.Render.view vs in
-                          let n = List.length rows in
-                          if n = 0 then Ok ()
-                          else
-                            let l = List.nth rows ((seed + (k * 7919)) mod n) in
-                            let verb = if k mod 2 = 0 then "expand" else "hover" in
-                            let vs' =
-                              if l.Argus.Render.node = Argus.Render.others_row
-                              then Argus.View_state.toggle_others vs
-                              else if k mod 2 = 0 then
-                                Argus.View_state.expand vs l.Argus.Render.node
-                              else Argus.View_state.hover vs l.Argus.Render.node
-                            in
-                            let expected =
-                              Json.to_string (Serve.Server.view_json ~goal:0 vs')
-                            in
-                            let* got =
-                              rpc verb [ ("row", Json.Int l.Argus.Render.index) ]
-                            in
-                            if not (String.equal (Json.to_string got) expected)
-                            then
-                              Error
-                                (Printf.sprintf
-                                   "walk step %d (%s row %d) differs from \
-                                    reference view state"
-                                   k verb l.Argus.Render.index)
-                            else walk (k + 1) vs'
-                      in
-                      walk 0 (Argus.View_state.create tree)
-                in
-                (* ---- edit-script reloads through the warm session ---- *)
-                let steps = Edit.script ~seed ~steps:2 p1 in
-                let rec go i last_src = function
-                  | [] -> Ok last_src
-                  | (_, version) :: rest ->
-                      let v_src = Printer.program version in
-                      let* _ =
-                        rpc "reload" [ ("source", Json.String v_src) ]
-                      in
-                      let* vp =
-                        match parse v_src with
-                        | Ok vp -> Ok vp
-                        | Error m ->
-                            Error
-                              (Printf.sprintf
-                                 "step %d: printed version does not re-parse \
-                                  (%s)"
-                                 i m)
-                      in
-                      let* _ =
-                        check_invariant ~what:(Printf.sprintf "step %d" i) vp
-                      in
-                      let* () =
-                        check_journal_payloads
-                          ~what:(Printf.sprintf "step %d" i) vp
-                      in
-                      go (i + 1) v_src rest
-                in
-                let* last_src = go 1 source steps in
-                (* ---- unchanged reload: stamp-equal no-op ---- *)
-                let* reloaded =
-                  rpc "reload" [ ("source", Json.String last_src) ]
-                in
-                let noop =
-                  match Json.member "noop" reloaded with
-                  | Some (Json.Bool b) -> b
-                  | _ -> false
-                in
-                let evicted =
-                  match
-                    Option.bind
-                      (Json.member "delta" reloaded)
-                      (Json.member "evicted")
-                  with
-                  | Some (Json.Int n) -> n
-                  | _ -> -1
-                in
-                if not noop then
-                  Error "unchanged reload is not a stamp-equal no-op"
-                else if evicted <> 0 then
-                  Error
-                    (Printf.sprintf "unchanged reload evicted %d entries"
-                       evicted)
-                else Ok ()
-          in
-          (match outcome with
-          | Ok () -> Pass
-          | Error m -> Fail ("serve: " ^ m)))
+                  (Printf.sprintf "%s: rpc error %d: %s" m e.Rpc.code
+                     e.Rpc.message)
+            | Error e -> Error (m ^ ": bad response frame: " ^ e))
+      in
+      let str_member name v =
+        match Option.bind (Json.member name v) Json.to_string_opt with
+        | Some s -> Ok s
+        | None -> Error (Printf.sprintf "missing `%s` in response" name)
+      in
+      (* Fresh scratch solve + render of [program] with the cache as
+         currently switched; journal normalized like the server's. *)
+      let scratch program =
+        Journal.reset ();
+        Solver.Infer_ctx.reset_snapshot_serial ();
+        let (report, rendered), entries =
+          Journal.with_memory_sink (fun () ->
+              let report = Solver.Obligations.solve_program program in
+              (report, Serve.Check_render.run program report))
+        in
+        let entries =
+          List.mapi
+            (fun i (e : Journal.entry) ->
+              Journal.shift_entry ~seq:i ~ids:0 ~snaps:0
+                { e with Journal.ts_ns = 0 })
+            entries
+        in
+        (report, fst rendered, entries)
+      in
+      let scratch_off program =
+        Solver.Eval_cache.set_enabled false;
+        let r = scratch program in
+        Solver.Eval_cache.set_enabled true;
+        r
+      in
+      let failing_trees (report : Solver.Obligations.report) =
+        report.reports
+        |> List.filter (fun (r : Solver.Obligations.goal_report) ->
+               r.status <> Solver.Obligations.Proved)
+        |> List.map Argus.Extract.of_report
+      in
+      let tree_page trees =
+        String.concat ""
+          (List.map
+             (fun t ->
+               Argus.Render.tree_to_string
+                 ~direction:Argus.View_state.Bottom_up t
+               ^ "\n\n")
+             trees)
+      in
+      (* solve / tree on the live session vs a cache-off scratch of
+         the same program value: these payloads are cache-invariant,
+         so they must match whether the session solved warm or cold *)
+      let check_invariant ~what program =
+        let ref_report, ref_out, _ = scratch_off program in
+        let* solved = rpc "solve" [] in
+        let* out = str_member "output" solved in
+        if not (String.equal out ref_out) then
+          Error (what ^ ": solve output differs from scratch")
+        else
+          let* treed = rpc "tree" [] in
+          let* tree_out = str_member "output" treed in
+          let ref_trees = failing_trees ref_report in
+          if not (String.equal tree_out (tree_page ref_trees)) then
+            Error (what ^ ": tree page differs from scratch")
+          else Ok ref_trees
+      in
+      (* explain/profile payloads are rendered from the journal, and
+         the journal carries cache events (the failure narrative
+         even references their seq numbers) — so compare a COLD
+         session re-solve against a cache-on-cold scratch, both of
+         which record the same miss events *)
+      let check_journal_payloads ~what program =
+        Solver.Eval_cache.clear ();
+        let _, _, cold_entries = scratch program in
+        let* cold_tree =
+          match Journal.replay cold_entries with
+          | Ok t -> Ok t
+          | Error m -> Error (what ^ ": cold scratch replay failed: " ^ m)
+        in
+        let failures_ref = Serve.Explain_render.failures cold_tree in
+        let summary_ref =
+          Serve.Explain_render.summary
+            ~entries:(List.length cold_entries) cold_tree
+        in
+        let profile_ref =
+          Profile.top_table ~top:10 (Profile.of_entries cold_entries)
+        in
+        Solver.Eval_cache.clear ();
+        let* _ = rpc "solve" [] in
+        let* expl_f = rpc "explain" [ ("failures", Json.Bool true) ] in
+        let* failures_out = str_member "output" expl_f in
+        if not (String.equal failures_out failures_ref) then
+          Error
+            (what ^ ": explain --failures differs from cache-on-cold scratch")
+        else
+          let* expl = rpc "explain" [] in
+          let* summary_out = str_member "output" expl in
+          if not (String.equal summary_out summary_ref) then
+            Error
+              (what ^ ": explain summary differs from cache-on-cold scratch")
+          else
+            let* prof = rpc "profile" [] in
+            let* profile_out = str_member "output" prof in
+            if not (String.equal profile_out profile_ref) then
+              Error
+                (what ^ ": profile table differs from cache-on-cold scratch")
+            else Ok ()
+      in
+      let outcome =
+        (* ---- cold session ---- *)
+        let* _ = rpc "open" [ ("source", Json.String source) ] in
+        let* ref_trees = check_invariant ~what:"base" p1 in
+        let* () = check_journal_payloads ~what:"base" p1 in
+        (* ---- seeded expand/hover walk on goal 0 ---- *)
+        let seed = Hashtbl.hash source in
+        let* () =
+              match ref_trees with
+              | [] -> Ok ()
+              | tree :: _ ->
+                  let rec walk k vs =
+                    if k > 5 then Ok ()
+                    else
+                      let rows = Argus.Render.view vs in
+                      let n = List.length rows in
+                      if n = 0 then Ok ()
+                      else
+                        let l = List.nth rows ((seed + (k * 7919)) mod n) in
+                        let verb = if k mod 2 = 0 then "expand" else "hover" in
+                        let vs' =
+                          if l.Argus.Render.node = Argus.Render.others_row
+                          then Argus.View_state.toggle_others vs
+                          else if k mod 2 = 0 then
+                            Argus.View_state.expand vs l.Argus.Render.node
+                          else Argus.View_state.hover vs l.Argus.Render.node
+                        in
+                        let expected =
+                          Json.to_string (Serve.Server.view_json ~goal:0 vs')
+                        in
+                        let* got =
+                          rpc verb [ ("row", Json.Int l.Argus.Render.index) ]
+                        in
+                        if not (String.equal (Json.to_string got) expected)
+                        then
+                          Error
+                            (Printf.sprintf
+                               "walk step %d (%s row %d) differs from \
+                                reference view state"
+                               k verb l.Argus.Render.index)
+                        else walk (k + 1) vs'
+                  in
+                  walk 0 (Argus.View_state.create tree)
+            in
+            (* ---- edit-script reloads through the warm session ---- *)
+            let steps = Edit.script ~seed ~steps:2 p1 in
+            let rec go i last_src = function
+              | [] -> Ok last_src
+              | (_, version) :: rest ->
+                  let v_src = Printer.program version in
+                  let* _ =
+                    rpc "reload" [ ("source", Json.String v_src) ]
+                  in
+                  let* vp =
+                    match parse v_src with
+                    | Ok vp -> Ok vp
+                    | Error m ->
+                        Error
+                          (Printf.sprintf
+                             "step %d: printed version does not re-parse \
+                              (%s)"
+                             i m)
+                  in
+                  let* _ =
+                    check_invariant ~what:(Printf.sprintf "step %d" i) vp
+                  in
+                  let* () =
+                    check_journal_payloads
+                      ~what:(Printf.sprintf "step %d" i) vp
+                  in
+                  go (i + 1) v_src rest
+            in
+            let* last_src = go 1 source steps in
+            (* ---- unchanged reload: stamp-equal no-op ---- *)
+            let* reloaded =
+              rpc "reload" [ ("source", Json.String last_src) ]
+            in
+            let noop =
+              match Json.member "noop" reloaded with
+              | Some (Json.Bool b) -> b
+              | _ -> false
+            in
+            let evicted =
+              match
+                Option.bind
+                  (Json.member "delta" reloaded)
+                  (Json.member "evicted")
+              with
+              | Some (Json.Int n) -> n
+              | _ -> -1
+            in
+            if not noop then
+              Error "unchanged reload is not a stamp-equal no-op"
+            else if evicted <> 0 then
+              Error
+                (Printf.sprintf "unchanged reload evicted %d entries"
+                   evicted)
+            else Ok ()
+      in
+      (match outcome with
+      | Ok () -> Pass
+      | Error m -> Fail ("serve: " ^ m))
 
 let check_determinism source =
   with_cache_state @@ fun () ->
@@ -865,7 +813,6 @@ let check ?pool name ~source =
     | Roundtrip -> check_roundtrip source
     | Intern -> check_intern source
     | Determinism -> check_determinism source
-    | Index -> check_index source
     | Incremental -> check_incremental source
     | Serve -> check_serve source
   in

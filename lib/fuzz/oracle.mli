@@ -27,9 +27,6 @@ type name =
           physically identical term; interning is idempotent *)
   | Determinism
       (** two cold runs of the same source are byte-identical *)
-  | Index
-      (** fast-reject index on ≡ [--no-index] linear scan: reports,
-          journal streams, and byte fingerprints all agree *)
   | Incremental
       (** drive a deterministic edit script through a warm
           {!Solver.Session}: after every step the incremental re-solve is

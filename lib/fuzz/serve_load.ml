@@ -78,7 +78,6 @@ let run ?pool ?(jobs = 1) ?(programs = 8) ~clients ~seed () =
   let sources = Array.of_list sources and edited = Array.of_list edited in
   let server = Serve.Server.create () in
   Solver.Eval_cache.clear ();
-  Solver.Fast_reject.clear ();
   let was_enabled = Telemetry.enabled () in
   Telemetry.enable ();
   Fun.protect

@@ -137,7 +137,6 @@ let delta_json (d : Solver.Session.delta) =
       ("changed", Json.Int d.d_changed);
       ("evicted", Json.Int d.d_evicted);
       ("survived", Json.Int d.d_survived);
-      ("rebased", Json.Int d.d_rebased);
     ]
 
 let expander_string = function

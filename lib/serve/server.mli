@@ -9,7 +9,7 @@
       (parse + {!Solver.Session.edit}; no solve yet);
     - [reload]: feed an edited version through the red-green rebase
       ({!Solver.Session.edit} + [Eval_cache.rebase]); reports the
-      [{changed, evicted, survived, rebased}] delta, and an unchanged
+      [{changed, evicted, survived}] delta, and an unchanged
       source is a stamp-equal no-op (zero evictions);
     - [solve]: resolve and render the [argus check] report (recording
       the search journal for [explain]/[profile]);
@@ -24,9 +24,9 @@
       [-32003]).
 
     {b Determinism contract}: one session's response stream is a pure
-    function of its request stream — the interner, eval cache, and
-    fast-reject indexes are shared across sessions and requests, but
-    cache warmth is response-invisible (the PR 3 replay contract), and
+    function of its request stream — the interner and eval cache are
+    shared across sessions and requests, but cache warmth is
+    response-invisible (the PR 3 replay contract), and
     journal/snapshot counters are domain-local and reset per solve.  So
     [solve]/[tree]/[explain] payloads are byte-identical to the
     equivalent one-shot CLI run, however many sessions interleave. *)

@@ -172,7 +172,7 @@ let check_impl_wf ?(cfg = Solve.default_config) (program : Program.t) : wf_failu
                          (observe-only) — re-derives the full tree, which a
                          failure keeps as [wf_tree]. *)
                       let key =
-                        if cfg.Solve.enable_cache && Eval_cache.enabled () then
+                        if Eval_cache.enabled () then
                           Some
                             (Eval_cache.result_key st.Solve.cache_ctx
                                (Canonical.canonicalize st.Solve.icx pred))

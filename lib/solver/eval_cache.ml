@@ -120,26 +120,25 @@ let reset_dep_scopes () = Domain.DLS.get dep_scopes := []
 type ctx = {
   x_stamp : int;  (** {!Program.stamp} — identifies the declaration set *)
   x_env : Predicate.t list;  (** elaborated param-env, interned *)
-  x_builtins : bool;
   x_depth_limit : int;
   x_hash : int;
 }
 
-let make_ctx ~stamp ~builtins ~depth_limit (env : Predicate.t list) : ctx =
+let make_ctx ~stamp ~depth_limit (env : Predicate.t list) : ctx =
   let env = List.map Interner.predicate env in
   let h =
     List.fold_left
       (fun h p -> (h * 31) + (Interner.predicate_info p).Interner.id)
-      (Hashtbl.hash (stamp, builtins, depth_limit))
+      (Hashtbl.hash (stamp, depth_limit))
       env
   in
-  { x_stamp = stamp; x_env = env; x_builtins = builtins; x_depth_limit = depth_limit; x_hash = h }
+  { x_stamp = stamp; x_env = env; x_depth_limit = depth_limit; x_hash = h }
 
 let ctx_env c = c.x_env
 
 let ctx_equal a b =
   a == b
-  || a.x_stamp = b.x_stamp && a.x_builtins = b.x_builtins
+  || a.x_stamp = b.x_stamp
      && a.x_depth_limit = b.x_depth_limit
      && List.length a.x_env = List.length b.x_env
      && List.for_all2 ( == ) a.x_env b.x_env

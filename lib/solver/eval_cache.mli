@@ -38,7 +38,7 @@ val stats : unit -> stats
     itself.  Built once per solver in {!Solve.create}. *)
 type ctx
 
-val make_ctx : stamp:int -> builtins:bool -> depth_limit:int -> Predicate.t list -> ctx
+val make_ctx : stamp:int -> depth_limit:int -> Predicate.t list -> ctx
 
 (** The interned elaborated param-env the context was built from — the
     solver reuses it so env candidates share interned predicates. *)

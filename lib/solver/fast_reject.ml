@@ -1,18 +1,11 @@
-(** Simplified-self-type fast-reject index.  See the interface for the
-    design; the invariant that everything below serves is
-
-    {[ lookup p trait self  ==  scan p trait self ]}
-
-    for every program, trait and self type — same impls, same
-    (declaration) order — so candidate assembly is observationally
-    independent of [use_index]. *)
+(** Simplified-self-type fast reject.  See the interface for the
+    design and the soundness argument. *)
 
 open Trait_lang
 
 let c_hits = Telemetry.counter "index.hits"
 let c_rejects = Telemetry.counter "index.rejects"
 let c_wildcard = Telemetry.counter "index.wildcard"
-let c_builds = Telemetry.counter "index.builds"
 
 (* ------------------------------------------------------------------ *)
 (* Simplified types *)
@@ -43,22 +36,6 @@ let equal_simplified a b =
   | S_param x, S_param y -> String.equal x y
   | _ -> false
 
-let hash_simplified = function
-  | S_unit -> 1
-  | S_bool -> 2
-  | S_int -> 3
-  | S_uint -> 4
-  | S_float -> 5
-  | S_str -> 6
-  | S_ref -> 7
-  | S_ref_mut -> 8
-  | S_adt p -> 11 + (31 * Path.hash p)
-  | S_tuple n -> 12 + (31 * n)
-  | S_fn_ptr n -> 13 + (31 * n)
-  | S_fn_item p -> 14 + (31 * Path.hash p)
-  | S_dyn p -> 15 + (31 * Path.hash p)
-  | S_param s -> 16 + (31 * Hashtbl.hash s)
-
 let simplified_to_string = function
   | S_unit -> "unit"
   | S_bool -> "bool"
@@ -79,8 +56,8 @@ let simplified_to_string = function
    An unresolved inference variable or an unnormalized projection head
    can become anything, so both are wildcards.  A parameter is rigid —
    it unifies only with itself or with an instantiated blanket impl —
-   and since no impl bucket is ever keyed [S_param] (see below), a
-   parameter-headed goal reaches exactly the wildcard impls. *)
+   and since no impl head is ever [S_param] (see below), a
+   parameter-headed goal keeps exactly the wildcard impls. *)
 let simplify_goal : Ty.t -> simplified option = function
   | Ty.Infer _ | Ty.Proj _ -> None
   | Ty.Unit -> Some S_unit
@@ -114,164 +91,21 @@ let compatible goal impl =
   | Some g, Some i -> equal_simplified g i
 
 (* ------------------------------------------------------------------ *)
-(* The index *)
+(* Candidate assembly *)
 
-module S_tbl = Hashtbl.Make (struct
-  type t = simplified
-
-  let equal = equal_simplified
-  let hash = hash_simplified
-end)
-
-(** One trait's impls, pre-bucketed by simplified self head.  Each
-    bucket already has the wildcard impls merged back in declaration
-    order, so a lookup is a single table probe. *)
-type trait_index = {
-  ti_buckets : Decl.impl list S_tbl.t;
-  ti_wildcard : Decl.impl list;  (** for goal heads with no bucket *)
-  ti_all : Decl.impl list;  (** for wildcard goal heads *)
-  ti_count : int;  (** [List.length ti_all] *)
-}
-
-let build_trait_index (impls : Decl.impl list) : trait_index =
-  Telemetry.incr c_builds;
-  let keyed = List.map (fun impl -> (simplify_impl impl, impl)) impls in
-  let wildcard = List.filter_map (function None, i -> Some i | _ -> None) keyed in
-  let buckets = S_tbl.create 64 in
-  (* Collect the distinct heads, then rebuild each bucket as one
-     ordered pass over the declaration list: bucket ∪ wildcard must be
-     interleaved exactly as a linear scan would visit them. *)
-  List.iter
-    (fun (head, _) ->
-      match head with
-      | Some s when not (S_tbl.mem buckets s) ->
-          let merged =
-            List.filter_map
-              (fun (h, impl) ->
-                match h with
-                | None -> Some impl
-                | Some s' -> if equal_simplified s s' then Some impl else None)
-              keyed
-          in
-          S_tbl.replace buckets s merged
-      | _ -> ())
-    keyed;
-  { ti_buckets = buckets; ti_wildcard = wildcard; ti_all = impls; ti_count = List.length impls }
-
-(* A program's per-trait indexes, built lazily: traits never asked
-   about are never indexed.  The map is swapped in with a CAS so
-   concurrent domains can extend it lock-free; a lost race rebuilds a
-   pure value and retries, so the result is identical either way. *)
-type prog_index = { px_traits : trait_index Path.Map.t Atomic.t }
-
-(* Stamp-keyed registry, shared across the domain pool like the eval
-   cache's shards.  Programs are immutable and freshly stamped per
-   load, so a bounded table with wholesale eviction is enough; index
-   contents never affect solver output, only lookup cost. *)
-let registry : (int, prog_index) Hashtbl.t = Hashtbl.create 32
-let registry_mu = Mutex.create ()
-let max_programs = 64
-let enabled_flag = Atomic.make true
-
-let set_enabled b = Atomic.set enabled_flag b
-let enabled () = Atomic.get enabled_flag
-
-let clear () =
-  Mutex.protect registry_mu (fun () -> Hashtbl.reset registry)
-
-let invalidate ~stamp =
-  Mutex.protect registry_mu (fun () -> Hashtbl.remove registry stamp)
-
-let c_incr_rebased = Telemetry.counter "incr.rebased"
-
-(* Carry the old program's already-built trait indexes over to the new
-   stamp, except for traits whose impl set the edit changed (the differ's
-   [dirty_traits]).  The carried indexes hold the old program's impl
-   values, which the fingerprint contract guarantees are bit-identical to
-   the new program's for non-dirty traits — so [lookup = scan] still
-   holds under the new stamp, and only dirty traits pay a lazy rebuild. *)
-let rebase ~old_stamp ~new_stamp ~(dirty_traits : Path.Set.t) : int =
-  Mutex.protect registry_mu (fun () ->
-      match Hashtbl.find_opt registry old_stamp with
-      | None -> 0
-      | Some px ->
-          let kept =
-            Path.Map.filter
-              (fun t _ -> not (Path.Set.mem t dirty_traits))
-              (Atomic.get px.px_traits)
-          in
-          Hashtbl.remove registry old_stamp;
-          if Hashtbl.length registry >= max_programs then Hashtbl.reset registry;
-          Hashtbl.replace registry new_stamp { px_traits = Atomic.make kept };
-          let n = Path.Map.cardinal kept in
-          Telemetry.add c_incr_rebased n;
-          n)
-
-let prog_index_of (p : Program.t) : prog_index =
-  let stamp = Program.stamp p in
-  Mutex.protect registry_mu (fun () ->
-      match Hashtbl.find_opt registry stamp with
-      | Some px -> px
-      | None ->
-          if Hashtbl.length registry >= max_programs then Hashtbl.reset registry;
-          let px = { px_traits = Atomic.make Path.Map.empty } in
-          Hashtbl.add registry stamp px;
-          px)
-
-let trait_index_of (p : Program.t) (trait_ : Path.t) : trait_index =
-  let px = prog_index_of p in
-  let rec get () =
-    let map = Atomic.get px.px_traits in
-    match Path.Map.find_opt trait_ map with
-    | Some ti -> ti
-    | None ->
-        let ti = build_trait_index (Program.impls_of_trait p trait_) in
-        if Atomic.compare_and_set px.px_traits map (Path.Map.add trait_ ti map) then ti
-        else get ()
-  in
-  get ()
-
-(* ------------------------------------------------------------------ *)
-(* Lookup *)
-
-let tally ~total ~kept ~wild =
-  Telemetry.add c_hits kept;
-  Telemetry.add c_rejects (total - kept);
-  if wild then Telemetry.incr c_wildcard
-
-let lookup_in (ti : trait_index) (self : Ty.t) : Decl.impl list =
-  match simplify_goal self with
-  | None ->
-      tally ~total:ti.ti_count ~kept:ti.ti_count ~wild:true;
-      ti.ti_all
-  | Some s ->
-      let found =
-        match S_tbl.find_opt ti.ti_buckets s with
-        | Some merged -> merged
-        | None -> ti.ti_wildcard
-      in
-      tally ~total:ti.ti_count ~kept:(List.length found) ~wild:false;
-      found
-
-let lookup (p : Program.t) (trait_ : Path.t) (self : Ty.t) : Decl.impl list =
-  lookup_in (trait_index_of p trait_) self
-
-let scan (p : Program.t) (trait_ : Path.t) (self : Ty.t) : Decl.impl list =
+let candidates (p : Program.t) (trait_ : Path.t) (self : Ty.t) : Decl.impl list =
   let impls = Program.impls_of_trait p trait_ in
   let total = List.length impls in
   match simplify_goal self with
   | None ->
-      tally ~total ~kept:total ~wild:true;
+      Telemetry.add c_hits total;
+      Telemetry.incr c_wildcard;
       impls
-  | Some s ->
-      let found = List.filter (fun impl -> compatible (Some s) (simplify_impl impl)) impls in
-      tally ~total ~kept:(List.length found) ~wild:false;
+  | Some _ as goal ->
+      let found = List.filter (fun impl -> compatible goal (simplify_impl impl)) impls in
+      let kept = List.length found in
+      Telemetry.add c_hits kept;
+      Telemetry.add c_rejects (total - kept);
       found
 
-let candidates ~use_index (p : Program.t) (trait_ : Path.t) (self : Ty.t) :
-    Decl.impl list =
-  if use_index then lookup p trait_ self else scan p trait_ self
-
-let bucket_stats (p : Program.t) (trait_ : Path.t) : int * int =
-  let ti = trait_index_of p trait_ in
-  (S_tbl.length ti.ti_buckets, List.length ti.ti_wildcard)
+let clear () = ()

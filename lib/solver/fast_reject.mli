@@ -1,23 +1,11 @@
-(** Simplified-self-type fast-reject index for impl candidate assembly.
+(** Simplified-self-type fast reject for impl candidate assembly.
 
     rustc prunes the impl set for a trait goal by "fast reject": the
     self type is collapsed to a {e simplified type} — its head
     constructor — and impls whose (simplified) self-type head cannot
     possibly unify with the goal's are never probed.  This module does
-    the same for L_TRAIT, in two interchangeable forms:
-
-    {ul
-    {- a {b per-goal linear scan} ([--no-index]) computing the
-       head-compatibility relation impl by impl, and}
-    {- a {b per-program, per-trait bucket index} built lazily on first
-       lookup, keyed by the program's {!Program.stamp} (like the
-       evaluation cache) so it is shared across the domain pool and
-       invalidated wholesale when a new program supersedes it.}}
-
-    Both forms return the {e same impl list in declaration order}, so
-    solver output is byte-identical with the index on or off — the
-    index is purely a sublinear data structure over the scan's
-    semantics, and the [index] fuzz oracle checks exactly that.
+    the same for L_TRAIT with one linear pass over the trait's impls
+    per goal, keeping the compatible ones in declaration order.
 
     Soundness is by construction: a simplified head is [None]
     ("matches everything") whenever unification could see through it —
@@ -67,40 +55,10 @@ val simplify_impl : Decl.impl -> simplified option
 val compatible : simplified option -> simplified option -> bool
 
 (** The candidate impls of [trait_] whose self-type head is compatible
-    with goal self type [self], in declaration order.  [use_index]
-    selects the prebuilt bucket index; [false] performs the linear
-    scan.  Both gather [index.{hits,rejects,wildcard}] telemetry. *)
-val candidates : use_index:bool -> Program.t -> Path.t -> Ty.t -> Decl.impl list
+    with goal self type [self], in declaration order.  Gathers
+    [index.{hits,rejects,wildcard}] telemetry. *)
+val candidates : Program.t -> Path.t -> Ty.t -> Decl.impl list
 
-(** {2 Global switch}
-
-    Mirrors {!Eval_cache.set_enabled}: the CLI's [--no-index] routes
-    every lookup through the linear scan. *)
-
-val set_enabled : bool -> unit
-val enabled : unit -> bool
-
-(** {2 Invalidation} *)
-
-(** Drop every built index. *)
+(** A no-op.  Candidate assembly keeps no state between calls; this
+    stays for callers that reset every solver-side table between runs. *)
 val clear : unit -> unit
-
-(** Drop the index for one program stamp (watch-mode hook). *)
-val invalidate : stamp:int -> unit
-
-(** Incremental rebase: carry [old_stamp]'s built trait indexes over to
-    [new_stamp], dropping exactly the traits whose impl set the edit
-    changed (they rebuild lazily on next lookup).  Returns the number of
-    trait indexes carried over; bumps the [incr.rebased] counter. *)
-val rebase : old_stamp:int -> new_stamp:int -> dirty_traits:Path.Set.t -> int
-
-(** {2 Introspection (tests, stats)} *)
-
-(** Forced index-path lookup. *)
-val lookup : Program.t -> Path.t -> Ty.t -> Decl.impl list
-
-(** Forced linear-scan lookup. *)
-val scan : Program.t -> Path.t -> Ty.t -> Decl.impl list
-
-(** (distinct head buckets, wildcard impls) of a trait's built index. *)
-val bucket_stats : Program.t -> Path.t -> int * int

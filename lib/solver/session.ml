@@ -8,8 +8,6 @@
    - {!Eval_cache.rebase} walks the reverse index, evicts exactly the
      entries that consulted a dirty declaration, and re-keys the rest
      under the new program stamp;
-   - {!Fast_reject.rebase} carries built trait indexes over, dropping
-     only traits whose impl set changed;
    - {!resolve} then runs an ordinary full solve: green goals resolve
      through a single root tree-tier hit (a bit-identical replay), red
      goals re-evaluate.  Byte-identity with a from-scratch solve follows
@@ -29,10 +27,9 @@ type delta = {
   d_changed : int;  (** declarations the differ classified as changed *)
   d_evicted : int;  (** cache entries invalidated (red) *)
   d_survived : int;  (** cache entries re-keyed to the new stamp (green) *)
-  d_rebased : int;  (** fast-reject trait indexes carried over *)
 }
 
-let no_delta = { d_changed = 0; d_evicted = 0; d_survived = 0; d_rebased = 0 }
+let no_delta = { d_changed = 0; d_evicted = 0; d_survived = 0 }
 
 type t = {
   cfg : Solve.config;
@@ -45,8 +42,7 @@ let create ?(cfg = Solve.default_config) () =
   { cfg; program = None; report = None; last_delta = no_delta }
 
 let ctx_of cfg program =
-  Eval_cache.make_ctx ~stamp:(Program.stamp program) ~builtins:cfg.Solve.enable_builtins
-    ~depth_limit:cfg.Solve.depth_limit []
+  Eval_cache.make_ctx ~stamp:(Program.stamp program) ~depth_limit:cfg.Solve.depth_limit []
 
 let edit t (next : Program.t) : delta =
   let delta =
@@ -62,15 +58,10 @@ let edit t (next : Program.t) : delta =
           Eval_cache.rebase ~old_ctx:(ctx_of t.cfg old_program) ~new_ctx:(ctx_of t.cfg next)
             ~dirty:diff.Fingerprint.dirty
         in
-        let rebased =
-          Fast_reject.rebase ~old_stamp:(Program.stamp old_program)
-            ~new_stamp:(Program.stamp next) ~dirty_traits:diff.Fingerprint.dirty_traits
-        in
         {
           d_changed = diff.Fingerprint.changed_decls;
           d_evicted = rb.Eval_cache.rb_evicted;
           d_survived = rb.Eval_cache.rb_survived;
-          d_rebased = rebased;
         }
   in
   t.program <- Some next;

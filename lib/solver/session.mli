@@ -4,8 +4,7 @@
     shared evaluation cache across each edit instead of discarding it —
     {!Trait_lang.Fingerprint.diff} classifies the edit, {!Eval_cache.rebase}
     evicts exactly the entries that consulted a dirty declaration (the
-    rest survive with their program stamp re-keyed), and
-    {!Fast_reject.rebase} carries built candidate indexes over.
+    rest survive with their program stamp re-keyed).
     {!resolve} then runs an ordinary full solve in which unaffected
     goals replay bit-identically from the cache, so an incremental
     re-solve produces byte-identical reports, proof trees, and
@@ -14,8 +13,7 @@
 
     Sessions solve with an empty where-clause environment; program
     {e goal} edits are free (goals are inputs, not cached context).
-    Telemetry: [incr.evicted], [incr.survived], [incr.rebased],
-    [incr.resolves]. *)
+    Telemetry: [incr.evicted], [incr.survived], [incr.resolves]. *)
 
 open Trait_lang
 
@@ -26,7 +24,6 @@ type delta = {
   d_changed : int;  (** declarations changed/added/removed *)
   d_evicted : int;  (** cache entries invalidated (red) *)
   d_survived : int;  (** cache entries re-keyed to the new stamp (green) *)
-  d_rebased : int;  (** fast-reject trait indexes carried over *)
 }
 
 val no_delta : delta

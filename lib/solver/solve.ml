@@ -40,15 +40,9 @@ let c_probe_roots = Telemetry.counter "solver.probe_roots"
 let sp_goal = Telemetry.span "solver.goal"
 let sp_root = Telemetry.span "solver.solve"
 
-type config = {
-  depth_limit : int;  (** recursion limit; rustc's default is 128 *)
-  enable_builtins : bool;  (** built-in [Fn]/[Sized] candidates *)
-  enable_cache : bool;  (** consult/populate the {!Eval_cache} *)
-  enable_index : bool;  (** {!Fast_reject} bucket index vs linear scan *)
-}
+type config = { depth_limit : int  (** recursion limit; rustc's default is 128 *) }
 
-let default_config =
-  { depth_limit = 48; enable_builtins = true; enable_cache = true; enable_index = true }
+let default_config = { depth_limit = 48 }
 
 type t = {
   program : Program.t;
@@ -105,8 +99,8 @@ let elaborate_env program (env : Predicate.t list) : Predicate.t list =
    interned list so env candidates and cache keys share structure. *)
 let make_state program icx cfg env =
   let cache_ctx =
-    Eval_cache.make_ctx ~stamp:(Program.stamp program) ~builtins:cfg.enable_builtins
-      ~depth_limit:cfg.depth_limit (elaborate_env program env)
+    Eval_cache.make_ctx ~stamp:(Program.stamp program) ~depth_limit:cfg.depth_limit
+      (elaborate_env program env)
   in
   { program; icx; cfg; env = Eval_cache.ctx_env cache_ctx; cache_ctx; stack = [] }
 
@@ -140,16 +134,13 @@ let muted f =
 
 (** The impls worth probing for a goal on [trait_path] with (shallow-
     resolved) self type [self]: head-incompatible impls are fast-
-    rejected before any unification.  Both the bucket index and the
-    [--no-index] linear scan compute the same list in declaration
-    order, so the trace and journal are identical either way. *)
+    rejected before any unification, and the rest keep their
+    declaration order. *)
 let impl_candidates st (trait_path : Path.t) (self : Ty.t) : Decl.impl list =
   (* Candidate enumeration reads the trait's whole impl set — the
      incremental invalidation unit for impl edits. *)
   Eval_cache.record_dep (Fingerprint.Dep_impls trait_path);
-  Fast_reject.candidates
-    ~use_index:(st.cfg.enable_index && Fast_reject.enabled ())
-    st.program trait_path self
+  Fast_reject.candidates st.program trait_path self
 
 (* ------------------------------------------------------------------ *)
 (* The mutually recursive solver core. *)
@@ -201,7 +192,7 @@ let rec solve_goal st ~depth prov (pred0 : Predicate.t) : Trace.goal_node =
         node
       in
       let cacheable =
-        st.cfg.enable_cache && Eval_cache.enabled ()
+        Eval_cache.enabled ()
         &&
         match pred with
         | Predicate.Trait _ | Predicate.Projection _ -> not (Predicate.has_infer pred)
@@ -264,10 +255,7 @@ and solve_trait st ~gid ~depth ~prov pred (tp : Predicate.trait_pred) : Trace.go
         impl_candidates st tp.trait_ref.trait self
         |> List.map (fun impl -> eval_impl_candidate st ~goal:gid ~depth ~commit:false impl tp)
       in
-      let builtin_cands =
-        if st.cfg.enable_builtins then builtin_candidates st ~goal:gid ~depth ~commit:false tp
-        else []
-      in
+      let builtin_cands = builtin_candidates st ~goal:gid ~depth ~commit:false tp in
       Telemetry.add c_cand_env (List.length env_cands);
       Telemetry.add c_cand_impl (List.length impl_cands);
       Telemetry.add c_cand_builtin (List.length builtin_cands);
@@ -920,7 +908,7 @@ let solve st ?(origin = "this expression") ?(span = Span.dummy) pred =
 let evaluate st ?(origin = "evaluate") ?(span = Span.dummy) pred : Res.t =
   assert (st.stack = []);
   let run_full () = (solve st ~origin ~span pred).result in
-  if not (st.cfg.enable_cache && Eval_cache.enabled ()) then run_full ()
+  if not (Eval_cache.enabled ()) then run_full ()
   else begin
     let key = Eval_cache.result_key st.cache_ctx (Canonical.canonicalize st.icx pred) in
     match Eval_cache.find_result key with

@@ -10,14 +10,7 @@
 
 open Trait_lang
 
-type config = {
-  depth_limit : int;  (** recursion limit; rustc defaults to 128 *)
-  enable_builtins : bool;  (** built-in [Fn]/[Sized]/tuple candidates *)
-  enable_cache : bool;  (** consult/populate the {!Eval_cache} *)
-  enable_index : bool;
-      (** assemble impl candidates through the {!Fast_reject} bucket
-          index; [false] falls back to an equivalent linear scan *)
-}
+type config = { depth_limit : int  (** recursion limit; rustc defaults to 128 *) }
 
 val default_config : config
 

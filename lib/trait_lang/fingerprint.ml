@@ -37,10 +37,9 @@ let impl_fp (d : Decl.impl) = fp d
 type diff = {
   dirty : dep list;
   changed_decls : int;
-  dirty_traits : Path.Set.t;
 }
 
-let no_diff = { dirty = []; changed_decls = 0; dirty_traits = Path.Set.empty }
+let no_diff = { dirty = []; changed_decls = 0 }
 
 type table = {
   tb_types : string Path.Map.t;
@@ -160,11 +159,7 @@ let compute_diff ~old_program ~new_program =
     @ List.map (fun p -> Dep_fn p) fn_dirty
     @ List.map (fun p -> Dep_impls p) impl_dirty
   in
-  {
-    dirty;
-    changed_decls = ty_n + tr_n + fn_n + impl_n;
-    dirty_traits = Path.Set.of_list impl_dirty;
-  }
+  { dirty; changed_decls = ty_n + tr_n + fn_n + impl_n }
 
 let diff ~old_program ~new_program =
   let key = (Program.stamp old_program, Program.stamp new_program) in

@@ -36,9 +36,6 @@ val impl_fp : Decl.impl -> string
 type diff = {
   dirty : dep list;  (** deduplicated dirty keys, stable order *)
   changed_decls : int;  (** changed + added + removed declarations *)
-  dirty_traits : Path.Set.t;
-      (** traits whose impl {e set} changed — exactly the fast-reject
-          index buckets that must be rebuilt (PR 7) *)
 }
 
 val no_diff : diff

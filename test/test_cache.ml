@@ -159,7 +159,7 @@ let test_no_cache_when_disabled () =
 
 let test_lru_bound () =
   fresh_cache ();
-  let ctx = Solver.Eval_cache.make_ctx ~stamp:424242 ~builtins:true ~depth_limit:64 [] in
+  let ctx = Solver.Eval_cache.make_ctx ~stamp:424242 ~depth_limit:64 [] in
   (* Overfill the sharded result tier (16 shards × 1024 capacity each):
      eviction must keep every shard — and so the total — bounded. *)
   for i = 0 to 20_000 do

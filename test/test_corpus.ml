@@ -270,7 +270,7 @@ let removed_tests =
                  depth limit — and keep failing as the budget grows *)
               List.iter
                 (fun depth_limit ->
-                  let cfg = { Solver.Solve.default_config with depth_limit } in
+                  let cfg = { Solver.Solve.depth_limit } in
                   let program = Corpus.Harness.load e in
                   let report = Solver.Obligations.solve_program ~cfg program in
                   check_bool "overflows at any budget" true

@@ -66,10 +66,6 @@ let qcheck_determinism =
   oracle_property "two cold runs are bit-identical (determinism oracle)" ~count:25
     ~oracle:Fuzz.Oracle.Determinism
 
-let qcheck_index =
-  oracle_property "index on and --no-index runs agree (index oracle)" ~count:25
-    ~oracle:Fuzz.Oracle.Index
-
 (* ------------------------------------------------------------------ *)
 (* Corpus round-trip regression: every suite program (and every extra)
    survives print -> re-parse -> re-solve with an identical proof tree.
@@ -245,6 +241,24 @@ let test_cli_jobs_zero () =
   check_bool "stderr explains the constraint" true
     (contains ~needle:"--jobs" (read_file "j0.err"))
 
+(* Without --jobs a batch stays on the sequential path: no domain is
+   spawned, whatever the host's core count. *)
+let test_cli_jobs_default_sequential () =
+  write_file "jobs_ok.trait" "struct A; trait T { }\nimpl T for A { }\ngoal A: T;\n";
+  let code =
+    Sys.command (cli ^ " check --profile jobs_ok.trait jobs_ok.trait > jd.out 2> jd.err")
+  in
+  check_int "two-file check exits 0" 0 code;
+  let domains =
+    List.find_map
+      (fun line ->
+        match String.split_on_char ' ' line |> List.filter (( <> ) "") with
+        | [ "pool.domains"; n ] -> int_of_string_opt n
+        | _ -> None)
+      (String.split_on_char '\n' (read_file "jd.err"))
+  in
+  Alcotest.(check (option int)) "pool.domains 0" (Some 0) domains
+
 let test_cli_fuzz_zero_iters () =
   let code = Sys.command (cli ^ " fuzz --iters 0 > fz0.out 2> fz0.err") in
   check_int "--iters 0 is a clean no-op" 0 code;
@@ -287,7 +301,6 @@ let () =
             qcheck_journal;
             qcheck_intern;
             qcheck_determinism;
-            qcheck_index;
           ] );
       ( "corpus",
         [ Alcotest.test_case "all programs round-trip" `Quick test_corpus_roundtrip ] );
@@ -311,5 +324,7 @@ let () =
           Alcotest.test_case "fuzz: unknown oracle" `Quick test_cli_fuzz_unknown_oracle;
           Alcotest.test_case "fuzz: missing replay file" `Quick test_cli_fuzz_replay_missing;
           Alcotest.test_case "fuzz: smoke campaign" `Quick test_cli_fuzz_smoke;
+          Alcotest.test_case "check: sequential by default" `Quick
+            test_cli_jobs_default_sequential;
         ] );
     ]

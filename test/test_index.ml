@@ -1,18 +1,12 @@
-(** Tests for the fast-reject candidate index ({!Solver.Fast_reject}):
+(** Tests for fast-reject candidate assembly ({!Solver.Fast_reject}):
     the load-bearing soundness property that a head-incompatible
     (goal, impl) pair can never unify — fast reject only ever discards
-    impls unification was guaranteed to fail on — plus the structural
-    invariant that the bucket index and the linear scan compute the
-    exact same candidate list in the exact same declaration order, and
-    that concurrent lazy builds from several domains agree. *)
+    impls unification was guaranteed to fail on — plus the candidate
+    lists it keeps, in declaration order, on known programs. *)
 
 open Trait_lang
 
 let parse src = Resolve.program_of_string ~file:"test.trait" src
-
-let fresh_index () =
-  Solver.Fast_reject.set_enabled true;
-  Solver.Fast_reject.clear ()
 
 let impl_ids (impls : Decl.impl list) = List.map (fun i -> i.Decl.impl_id) impls
 
@@ -119,159 +113,77 @@ let prop_wildcard_compatible =
       (g <> None || Solver.Fast_reject.compatible g i)
       && (i <> None || Solver.Fast_reject.compatible g i))
 
-(* ------------------------------------------------------------------ *)
-(* Index ≡ scan over generated programs *)
-
-(* Self types worth probing a program's traits with: every declared
-   type head, every impl's own self type, every goal's self type, plus
-   heads no declaration mentions (misses) and wildcards. *)
-let probe_tys (p : Program.t) : Ty.t list =
-  let decl_heads =
-    List.map
-      (fun (td : Decl.tydecl) ->
-        Ty.ctor td.Decl.ty_path
-          (List.map Ty.param td.Decl.ty_generics.Decl.ty_params))
-      (Program.types p)
-  in
-  let impl_selves = List.map (fun (im : Decl.impl) -> im.Decl.impl_self) (Program.impls p) in
-  let goal_selves =
-    List.filter_map
-      (fun (g : Program.goal) ->
-        match g.Program.goal_pred with
-        | Predicate.Trait tp -> Some tp.Predicate.self_ty
-        | _ -> None)
-      (Program.goals p)
-  in
-  [
-    Ty.Unit;
-    Ty.Int;
-    Ty.infer 0;
-    Ty.param "Zz";
-    Ty.tuple [ Ty.Int; Ty.Int ];
-    Ty.ref_ Ty.Unit;
-    Ty.ctor (Path.local [ "NoSuchType" ]) [];
-  ]
-  @ decl_heads @ impl_selves @ goal_selves
-
-let lookup_equals_scan (p : Program.t) : bool =
-  List.for_all
-    (fun (tr : Decl.trdecl) ->
-      List.for_all
-        (fun ty ->
-          impl_ids (Solver.Fast_reject.lookup p tr.Decl.tr_path ty)
-          = impl_ids (Solver.Fast_reject.scan p tr.Decl.tr_path ty))
-        (probe_tys p))
-    (Program.traits p)
-
-let prop_lookup_equals_scan =
-  QCheck.Test.make ~name:"bucket lookup ≡ linear scan on fuzzed programs" ~count:40
-    QCheck.(make ~print:string_of_int Gen.(int_bound 10_000))
-    (fun iter ->
-      let src = Fuzz.Gen.render (Fuzz.Gen.generate ~seed:77 ~iter ~size:2) in
-      let p = parse src in
-      fresh_index ();
-      lookup_equals_scan p)
-
 let qcheck_tests =
-  List.map QCheck_alcotest.to_alcotest
-    [ prop_reject_sound; prop_wildcard_compatible; prop_lookup_equals_scan ]
+  List.map QCheck_alcotest.to_alcotest [ prop_reject_sound; prop_wildcard_compatible ]
 
 (* ------------------------------------------------------------------ *)
-(* Bucket structure on a known program *)
+(* Candidate lists on a known program *)
 
-let bucket_src =
+let known_src =
   "struct A; struct B<X>; trait T {} trait U {} impl T for A {} impl T for B<A> {} \
-   impl T for B<B<A>> {} impl<X> T for X where X: U {} goal A: T;"
+   impl<X> T for X where X: U {} impl T for B<B<A>> {} goal A: T;"
 
+let candidates p ty = Solver.Fast_reject.candidates p (Path.local [ "T" ]) ty
+
+(* [A] and [B] are the two distinct rigid impl heads; the blanket impl
+   is the one wildcard. *)
 let test_bucket_stats () =
-  fresh_index ();
-  let p = parse bucket_src in
-  let buckets, wildcards = Solver.Fast_reject.bucket_stats p (Path.local [ "T" ]) in
-  Alcotest.(check int) "distinct head buckets (A, B)" 2 buckets;
-  Alcotest.(check int) "wildcard (blanket) impls" 1 wildcards
+  let p = parse known_src in
+  let heads =
+    List.map Solver.Fast_reject.simplify_impl (Program.impls_of_trait p (Path.local [ "T" ]))
+  in
+  let rigid = List.sort_uniq compare (List.filter_map Fun.id heads) in
+  Alcotest.(check (list string)) "distinct rigid heads (A, B)" [ "adt A"; "adt B" ]
+    (List.map Solver.Fast_reject.simplified_to_string rigid);
+  Alcotest.(check int) "wildcard (blanket) impls" 1
+    (List.length (List.filter Option.is_none heads))
 
 let test_wildcard_goal_gets_all () =
-  fresh_index ();
-  let p = parse bucket_src in
-  let all = Solver.Fast_reject.lookup p (Path.local [ "T" ]) (Ty.infer 0) in
+  let p = parse known_src in
+  let all = candidates p (Ty.infer 0) in
   Alcotest.(check int) "inference-variable goal reaches every impl" 4 (List.length all);
   Alcotest.(check bool) "in declaration order" true
     (impl_ids all = List.sort compare (impl_ids all))
 
 let test_param_goal_gets_blankets () =
-  fresh_index ();
-  let p = parse bucket_src in
-  let found = Solver.Fast_reject.lookup p (Path.local [ "T" ]) (Ty.param "Q") in
+  let p = parse known_src in
+  let found = candidates p (Ty.param "Q") in
   Alcotest.(check int) "parameter-headed goal reaches only blanket impls" 1
     (List.length found)
 
 let test_miss_goal_gets_blankets () =
-  fresh_index ();
-  let p = parse bucket_src in
-  let found =
-    Solver.Fast_reject.lookup p (Path.local [ "T" ]) (Ty.ctor (Path.local [ "Nope" ]) [])
-  in
-  Alcotest.(check int) "unknown head falls back to the wildcard bucket" 1
-    (List.length found)
+  let p = parse known_src in
+  let found = candidates p (Ty.ctor (Path.local [ "Nope" ]) []) in
+  Alcotest.(check int) "unknown head keeps only the blanket impls" 1 (List.length found)
 
-let test_invalidate_rebuilds () =
-  fresh_index ();
-  let p = parse bucket_src in
-  let before = impl_ids (Solver.Fast_reject.lookup p (Path.local [ "T" ]) (Ty.infer 0)) in
-  Solver.Fast_reject.invalidate ~stamp:(Program.stamp p);
-  let after = impl_ids (Solver.Fast_reject.lookup p (Path.local [ "T" ]) (Ty.infer 0)) in
-  Alcotest.(check (list int)) "rebuild after invalidation is identical" before after
-
-(* ------------------------------------------------------------------ *)
-(* Rebuild determinism across domains *)
-
-(* Four domains race to build the same program's per-trait indexes
-   (CAS-published, so losers rebuild and retry); every domain must see
-   candidate lists identical to the sequential linear scan. *)
-let test_rebuild_determinism_across_domains () =
-  fresh_index ();
-  let src = Fuzz.Gen.render (Fuzz.Gen.generate ~seed:2024 ~iter:11 ~size:3) in
-  let p = parse src in
-  let traits = Program.traits p in
-  let probes = probe_tys p in
-  let snapshot lookup =
-    List.map
-      (fun (tr : Decl.trdecl) ->
-        List.map (fun ty -> impl_ids (lookup p tr.Decl.tr_path ty)) probes)
-      traits
-  in
-  let expected = snapshot Solver.Fast_reject.scan in
-  Solver.Fast_reject.clear ();
-  let domains =
-    List.init 4 (fun _ -> Domain.spawn (fun () -> snapshot Solver.Fast_reject.lookup))
-  in
-  let results = List.map Domain.join domains in
-  List.iteri
-    (fun d r ->
-      Alcotest.(check bool)
-        (Printf.sprintf "domain %d agrees with the linear scan" d)
-        true (r = expected))
-    results
+(* The blanket impl sits between the [B] impls in the source, and a
+   [B]-headed goal must see all three in exactly that order. *)
+let test_declaration_order () =
+  let p = parse known_src in
+  let all = impl_ids (Program.impls_of_trait p (Path.local [ "T" ])) in
+  let found = impl_ids (candidates p (Ty.ctor (Path.local [ "B" ]) [ Ty.Unit ])) in
+  Alcotest.(check (list int)) "B goal keeps impls 2-4 in declaration order"
+    (List.tl all) found
 
 (* ------------------------------------------------------------------ *)
 (* The mega-library generator (scale bench input) *)
 
 let test_mega_library () =
-  fresh_index ();
   let spec = Fuzz.Gen.generate_mega ~goals:16 ~seed:42 ~impls:300 in
   let src = Fuzz.Gen.render spec in
   (match Fuzz.Oracle.check Fuzz.Oracle.Wellformed ~source:src with
   | Fuzz.Oracle.Pass -> ()
   | Fuzz.Oracle.Fail m -> Alcotest.failf "mega wellformed: %s" m);
-  (match Fuzz.Oracle.check Fuzz.Oracle.Index ~source:src with
-  | Fuzz.Oracle.Pass -> ()
-  | Fuzz.Oracle.Fail m -> Alcotest.failf "mega index oracle: %s" m);
   let p = parse src in
   Alcotest.(check int) "requested impl population" 300 (List.length (Program.impls p));
-  Alcotest.(check bool) "lookup ≡ scan over the mega library" true (lookup_equals_scan p);
   (* blanket (wildcard) population stays constant: two bounded blankets
      on MgT0/MgT1, one unconditional on MgAny *)
-  let wilds trait_ = snd (Solver.Fast_reject.bucket_stats p (Path.local [ trait_ ])) in
+  let wilds trait_ =
+    List.length
+      (List.filter
+         (fun impl -> Solver.Fast_reject.simplify_impl impl = None)
+         (Program.impls_of_trait p (Path.local [ trait_ ])))
+  in
   Alcotest.(check int) "MgT0 wildcard" 1 (wilds "MgT0");
   Alcotest.(check int) "MgAny wildcard" 1 (wilds "MgAny");
   Alcotest.(check int) "MgT2 wildcard" 0 (wilds "MgT2")
@@ -280,8 +192,7 @@ let test_mega_library () =
 (* Telemetry visibility *)
 
 let test_index_counters_in_telemetry () =
-  fresh_index ();
-  let p = parse bucket_src in
+  let p = parse known_src in
   Telemetry.reset ();
   Telemetry.enable ();
   ignore (Solver.Obligations.solve_program p);
@@ -305,12 +216,7 @@ let () =
           Alcotest.test_case "wildcard goal" `Quick test_wildcard_goal_gets_all;
           Alcotest.test_case "param goal" `Quick test_param_goal_gets_blankets;
           Alcotest.test_case "miss goal" `Quick test_miss_goal_gets_blankets;
-          Alcotest.test_case "invalidate" `Quick test_invalidate_rebuilds;
-        ] );
-      ( "domains",
-        [
-          Alcotest.test_case "rebuild determinism" `Quick
-            test_rebuild_determinism_across_domains;
+          Alcotest.test_case "declaration order" `Quick test_declaration_order;
         ] );
       ("mega", [ Alcotest.test_case "mega library" `Quick test_mega_library ]);
       ( "telemetry",

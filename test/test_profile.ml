@@ -277,8 +277,7 @@ let test_diff_scale_section_tolerated () =
                     Argus_json.Json.Obj
                       [
                         ("impls", Argus_json.Json.Int 100);
-                        ("ns_per_goal_on", Argus_json.Json.Float 1000.0);
-                        ("ns_per_goal_off", Argus_json.Json.Float 1500.0);
+                        ("ns_per_goal", Argus_json.Json.Float 1000.0);
                       ];
                   ] );
             ])
@@ -288,7 +287,7 @@ let test_diff_scale_section_tolerated () =
   Alcotest.(check bool) "verdict is Pass" true
     (rep.Profile.Bench_diff.verdict = Profile.Bench_diff.Pass);
   Alcotest.(check (list string)) "scale metrics surface as added"
-    [ "scale/100/ns_per_goal_on"; "scale/100/ns_per_goal_off" ]
+    [ "scale/100/ns_per_goal" ]
     rep.Profile.Bench_diff.added;
   (* and a scale-on-both-sides regression is caught like any other *)
   let rep = Profile.Bench_diff.diff ~old_doc:new_doc ~new_doc () in

@@ -20,14 +20,12 @@ let write_file path s =
   let oc = open_out_bin path in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc s)
 
-(* Every serve test starts from a cold shared state: cache + index on
-   and empty, telemetry off unless the test needs counters. *)
+(* Every serve test starts from a cold shared state: cache on and
+   empty, telemetry off unless the test needs counters. *)
 let fresh_state () =
   Telemetry.disable ();
   Solver.Eval_cache.set_enabled true;
-  Solver.Eval_cache.clear ();
-  Solver.Fast_reject.set_enabled true;
-  Solver.Fast_reject.clear ()
+  Solver.Eval_cache.clear ()
 
 let contains ~affix s =
   let n = String.length affix and m = String.length s in
@@ -353,7 +351,6 @@ let test_corpus_cli_equivalence () =
       Alcotest.(check int) (e.id ^ ": explain --failures exits 0") 0 code;
       (* the same program through a cold in-process server *)
       Solver.Eval_cache.clear ();
-      Solver.Fast_reject.clear ();
       let server = Serve.Server.create () in
       let _ =
         call server "open" [ ("session", Json.String "eq"); ("path", Json.String path) ]
@@ -412,7 +409,6 @@ let test_concurrent_determinism () =
   let solo =
     List.init clients (fun c ->
         Solver.Eval_cache.clear ();
-        Solver.Fast_reject.clear ();
         let server = Serve.Server.create () in
         List.map
           (fun l ->
@@ -423,7 +419,6 @@ let test_concurrent_determinism () =
   in
   (* interleaved: round-robin across clients, one shared server *)
   Solver.Eval_cache.clear ();
-  Solver.Fast_reject.clear ();
   let server = Serve.Server.create () in
   let scripts = Array.of_list (List.init clients script) in
   let batch =
@@ -523,7 +518,6 @@ let test_reload_unchanged_noop () =
     (bool_member "noop" reloaded);
   Alcotest.(check int) "no declarations changed" 0 (delta_field "changed" reloaded);
   Alcotest.(check int) "zero evictions" 0 (delta_field "evicted" reloaded);
-  Alcotest.(check int) "nothing rebased" 0 (delta_field "rebased" reloaded);
   (* the re-solve replays from the untouched cache: hits, and the same
      bytes as the first solve *)
   let h0 =

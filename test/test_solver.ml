@@ -390,7 +390,7 @@ let test_solve_depth_limit () =
     "struct A; struct W<X>; trait T {} impl<X> T for W<X> where W<W<X>>: T {} goal W<A>: T;"
   in
   let program = resolve src in
-  let cfg = { Solver.Solve.default_config with depth_limit = 12 } in
+  let cfg = { Solver.Solve.depth_limit = 12 } in
   let report = Solver.Obligations.solve_program ~cfg program in
   let r = List.hd report.reports in
   check_bool "errors out" true (r.status = Solver.Obligations.Disproved);

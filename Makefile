@@ -1,4 +1,4 @@
-.PHONY: build test bench bench-json bench-journal bench-parallel bench-fuzz bench-scale bench-incremental bench-serve bench-diff fuzz perf profile serve-smoke perfbench-smoke ci clean
+.PHONY: build test bench bench-json bench-journal bench-fuzz bench-scale bench-incremental bench-serve bench-diff fuzz perf profile serve-smoke perfbench-smoke ci clean
 
 build:
 	dune build @all
@@ -20,12 +20,6 @@ bench-json:
 bench-journal:
 	dune exec bench/main.exe -- --journal-only
 
-# Re-measure only the parallel batch section (corpus wall-clock at
-# jobs 1/2/4/8 + shared-cache hit rate), preserving the other
-# BENCH_pipeline.json sections.
-bench-parallel:
-	dune exec bench/main.exe -- --parallel-only
-
 # Re-measure only the differential-fuzzing throughput section
 # (generation + per-oracle check cost), preserving the other
 # BENCH_pipeline.json sections.
@@ -44,8 +38,8 @@ bench-scale:
 bench-incremental:
 	dune exec bench/main.exe -- --incremental-only
 
-# Re-measure only the serve-daemon load section (1000 concurrent
-# session scripts against one live server, jobs 1 and 4: throughput,
+# Re-measure only the serve-daemon load section (1000 clients' session
+# scripts against one live server: throughput,
 # p50/p99 latency, cold vs warm cache hit rates), preserving the other
 # BENCH_pipeline.json sections.
 bench-serve:
@@ -107,16 +101,15 @@ perfbench-smoke:
 	  sys.exit(0 if len(rs) == n and all(r.get("correct") is True for r in rs) else 1)'
 	rm -f perfbench-smoke.jsonl
 
-# Re-measure the performance sections — the evaluation-cache on/off
-# comparison and the parallel batch curves (see docs/PERFORMANCE.md) —
-# preserving the other BENCH_pipeline.json sections.
+# Re-measure the evaluation-cache on/off comparison (see
+# docs/PERFORMANCE.md), preserving the other BENCH_pipeline.json
+# sections.
 perf:
 	dune exec bench/main.exe -- --cache-only
-	dune exec bench/main.exe -- --parallel-only
 
 # What CI runs (.github/workflows/ci.yml, step for step): full build,
-# full test suite, a parallel corpus smoke (all bundled programs at
-# --jobs 4), a 200-iteration fuzz smoke at the pinned seed (all nine
+# full test suite, a corpus smoke (every bundled program, one verdict
+# line each), a 200-iteration fuzz smoke at the pinned seed (all eight
 # oracles, serve and incremental included), a non-interactive
 # `argus watch --once` smoke, the serve stdio-transport smoke, the
 # end-to-end benchmark's correctness smoke, the bench smokes that
@@ -126,7 +119,7 @@ perf:
 ci:
 	dune build @all
 	dune runtest
-	dune exec bin/argus_cli.exe -- corpus --all --jobs 4
+	dune exec bin/argus_cli.exe -- corpus --all
 	dune exec bin/argus_cli.exe -- fuzz --iters 200 --seed 42
 	dune exec bin/argus_cli.exe -- watch --once examples/timer.trait; test $$? -eq 1
 	$(MAKE) serve-smoke
@@ -135,7 +128,6 @@ ci:
 	dune exec bench/main.exe -- --json-only --runs 1 --warmup 1
 	dune exec bench/main.exe -- --journal-only --runs 1 --warmup 1
 	dune exec bench/main.exe -- --cache-only --runs 1 --warmup 1
-	dune exec bench/main.exe -- --parallel-only --runs 1 --warmup 1
 	dune exec bench/main.exe -- --scale-only --runs 1 --warmup 1
 	dune exec bench/main.exe -- --incremental-only --runs 1 --warmup 1
 	dune exec bench/main.exe -- --serve-only --runs 1 --warmup 1

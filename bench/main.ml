@@ -448,94 +448,6 @@ let bench_cache_entries () =
   Printf.printf "  diesel_lite median speedup: %.2fx\n" (diesel_median rows);
   rows
 
-(** Parallel batch solving over the 17-program suite: corpus wall-clock
-    at jobs ∈ {1, 2, 4, 8} (cache off, so the curve measures work
-    distribution, not memoization), speedup vs the sequential run, plus
-    the shared-cache hit rate of a cache-on [--jobs 4] batch.
-
-    Each work unit is load + solve.  The pool is created outside the
-    timed region: the batch driver services many requests per pool
-    (like the CLI, which spawns its pool once per invocation), so
-    steady-state batch throughput is the quantity of interest — domain
-    spawn cost is a one-time ~ms constant, not a per-batch cost.
-    jobs = 1 is the exact sequential path (no pool, no domains).
-
-    Interpret the curve against [recommended_domains] (recorded in the
-    summary row): with fewer cores than jobs, OCaml's stop-the-world
-    minor collections must synchronize domains that time-share one CPU,
-    and an allocation-heavy batch like this one {e degrades} instead of
-    speeding up.  (A no-allocation workload through the same pool runs
-    at ~1.0x regardless of job count, so the pool machinery itself is
-    not the bottleneck; see docs/PERFORMANCE.md.) *)
-let bench_parallel_entries () =
-  let entries = Corpus.Suite.entries in
-  let n = List.length entries in
-  Printf.printf "  (recommended domain count on this host: %d)\n"
-    (Domain.recommended_domain_count ());
-  Printf.printf "  %-8s %12s %9s\n" "jobs" "batch" "speedup";
-  Solver.Eval_cache.set_enabled false;
-  let ns_seq = ref 0.0 in
-  let rows =
-    List.map
-      (fun jobs ->
-        let pool = if jobs = 1 then None else Some (Pool.create ~jobs) in
-        let ns =
-          time_median (fun () -> Corpus.Harness.solve_batch ?pool ~jobs entries)
-        in
-        Option.iter Pool.shutdown pool;
-        if jobs = 1 then ns_seq := ns;
-        let speedup = !ns_seq /. ns in
-        Printf.printf "  %-8d %9.2f us %8.2fx\n" jobs (ns /. 1e3) speedup;
-        Json.Obj
-          [
-            ("jobs", Json.Int jobs);
-            ("programs", Json.Int n);
-            ("ns_batch", Json.Float ns);
-            ("speedup_vs_jobs1", Json.Float speedup);
-          ])
-      [ 1; 2; 4; 8 ]
-  in
-  Solver.Eval_cache.set_enabled true;
-  (* Shared-cache traffic of a cache-on parallel batch: one counted
-     [--jobs 4] run over the sharded cache.  (Stamps are fresh per load,
-     so the hits are each unit's own within-solve reuse — the number to
-     watch is that the rate matches a sequential run's, and that shard
-     contention stays negligible.) *)
-  Solver.Eval_cache.clear ();
-  let pool = Pool.create ~jobs:4 in
-  Telemetry.reset ();
-  Telemetry.enable ();
-  ignore (Corpus.Harness.solve_batch ~pool entries);
-  Telemetry.disable ();
-  Pool.shutdown pool;
-  let hits =
-    Telemetry.counter_value "cache.tree.hits" + Telemetry.counter_value "cache.result.hits"
-  in
-  let misses =
-    Telemetry.counter_value "cache.tree.misses"
-    + Telemetry.counter_value "cache.result.misses"
-  in
-  let contention = Telemetry.counter_value "cache.shard.contention" in
-  let hit_rate =
-    if hits + misses = 0 then 0.0 else float_of_int hits /. float_of_int (hits + misses)
-  in
-  Printf.printf
-    "  cache-on --jobs 4 batch: %d hits, %d misses (%.1f%% hit rate), %d contended locks\n"
-    hits misses (hit_rate *. 100.0) contention;
-  let summary =
-    Json.Obj
-      [
-        ("jobs", Json.Int 4);
-        ("cache_hits", Json.Int hits);
-        ("cache_misses", Json.Int misses);
-        ("hit_rate", Json.Float hit_rate);
-        ("shard_contention", Json.Int contention);
-        ( "recommended_domains",
-          Json.Int (Domain.recommended_domain_count ()) );
-      ]
-  in
-  rows @ [ summary ]
-
 (** Differential-fuzzing throughput: generation+render cost, then the
     per-program cost of each oracle over a fixed bank of generated
     programs (seed 42, the CI campaign seed).  Costs here bound the
@@ -562,13 +474,12 @@ let bench_fuzz_entries () =
         ("ns_per_program", Json.Float ns_gen);
       ]
   in
-  let pool = Pool.create ~jobs:2 in
   let oracle_row name =
     let ns =
       time_median (fun () ->
           List.iter
             (fun source ->
-              match Fuzz.Oracle.check ~pool name ~source with
+              match Fuzz.Oracle.check name ~source with
               | Fuzz.Oracle.Pass -> ()
               | Fuzz.Oracle.Fail m ->
                   failwith (Fuzz.Oracle.to_string name ^ " counterexample: " ^ m))
@@ -583,9 +494,7 @@ let bench_fuzz_entries () =
         ("ns_per_program", Json.Float ns);
       ]
   in
-  let rows = gen_row :: List.map oracle_row Fuzz.Oracle.all in
-  Pool.shutdown pool;
-  rows
+  gen_row :: List.map oracle_row Fuzz.Oracle.all
 
 (** The [scale] suite: per-goal solve cost over generated mega
     libraries ({!Fuzz.Gen.generate_mega}) at growing impl counts.  The
@@ -713,21 +622,18 @@ let bench_incremental_entries () =
   corpus_rows @ mega_rows
 
 (** The [serve] suite: the seeded load generator ({!Fuzz.Serve_load})
-    replays 1000 concurrent two-phase session scripts — cold
-    open+solve, then warm tree/expand/hover/explain plus an edited
-    reload and re-solve — against one long-lived in-process server, at
-    [jobs = 1] (sequential baseline) and on a 4-worker domain pool.
-    The warm-phase cache hit rate strictly above the cold rate is the
+    replays 1000 clients' two-phase session scripts — cold open+solve,
+    then warm tree/expand/hover/explain plus an edited reload and
+    re-solve — against one long-lived in-process server.  The
+    warm-phase cache hit rate strictly above the cold rate is the
     daemon's reason to exist: the eval cache survives across requests
     and sessions, revalidated through every reload. *)
 let bench_serve_entries () =
   let seed = 42 and clients = 1000 in
   Printf.printf "  %-10s %8s %9s %14s %12s %12s %9s %9s\n" "name" "clients"
     "requests" "throughput" "p50" "p99" "cold-hit" "warm-hit";
-  let row name jobs =
-    let pool = if jobs = 1 then None else Some (Pool.create ~jobs) in
-    let stats = Fuzz.Serve_load.run ?pool ~jobs ~clients ~seed () in
-    Option.iter Pool.shutdown pool;
+  let row name =
+    let stats = Fuzz.Serve_load.run ~clients ~seed () in
     Printf.printf
       "  %-10s %8d %9d %10.0f rps %9.1f us %9.1f us %8.1f%% %8.1f%%\n" name
       stats.Fuzz.Serve_load.ls_clients stats.Fuzz.Serve_load.ls_requests
@@ -739,7 +645,6 @@ let bench_serve_entries () =
     Json.Obj
       [
         ("name", Json.String name);
-        ("jobs", Json.Int jobs);
         ("clients", Json.Int stats.Fuzz.Serve_load.ls_clients);
         ("requests", Json.Int stats.Fuzz.Serve_load.ls_requests);
         ("errors", Json.Int stats.Fuzz.Serve_load.ls_errors);
@@ -753,9 +658,7 @@ let bench_serve_entries () =
           Json.Float stats.Fuzz.Serve_load.ls_warm_hit_rate );
       ]
   in
-  let j1 = row "serve-j1" 1 in
-  let j4 = row "serve-j4" 4 in
-  let rows = [ j1; j4 ] in
+  let rows = [ row "serve-j1" ] in
   Solver.Eval_cache.clear ();
   rows
 
@@ -806,9 +709,6 @@ let bench_sections =
     ("entries", "pipeline entries (every corpus suite)", bench_corpus_entries);
     ("journal", "journal overhead (17-program suite)", bench_journal_entries);
     ("cache", "evaluation cache on/off (17-program suite)", bench_cache_entries);
-    ( "parallel",
-      "parallel batch solving (17-program suite, cache off)",
-      bench_parallel_entries );
     ( "fuzz",
       "differential fuzzing (generation + oracle bank, seed 42)",
       bench_fuzz_entries );

@@ -121,9 +121,9 @@ let write_event oc e =
   output_char oc '\n'
 
 (* Telemetry/profiling and cache switches, shared by every subcommand.
-   [check] handles --events-out itself (it buffers per-file journal
-   streams and concatenates them deterministically); the single-file
-   subcommands stream straight to the file. *)
+   [check] handles --events-out itself (it zeroes timestamps unless
+   --timestamps is given); the other subcommands stream straight to the
+   file. *)
 let observability_setup profile trace_out no_cache trace_buffer =
   if no_cache then Solver.Eval_cache.set_enabled false;
   Option.iter Telemetry.set_max_events trace_buffer;
@@ -164,27 +164,6 @@ let telemetry_term =
     $ trace_buffer_arg)
 
 (* ------------------------------------------------------------------ *)
-(* --jobs *)
-
-let jobs_arg =
-  Arg.(
-    value
-    & opt int 1
-    & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:
-          "Solve inputs in parallel on $(docv) worker domains (default 1). \
-           $(b,--jobs 1) is the exact sequential code path — no domain is \
-           ever spawned — and parallel output is byte-identical to it. \
-           Parallelism only pays off on batches of large inputs.")
-
-let resolve_jobs n =
-  if n < 1 then begin
-    Printf.eprintf "error: --jobs must be at least 1 (got %d)\n" n;
-    exit 2
-  end;
-  n
-
-(* ------------------------------------------------------------------ *)
 (* Common arguments *)
 
 let file_arg =
@@ -218,102 +197,38 @@ let solve_file path =
 (* ------------------------------------------------------------------ *)
 (* check *)
 
-(* One file's worth of buffered results: everything the driver needs to
-   reproduce a sequential run's observable output, whatever domain (and
-   in whatever order) the unit actually ran. *)
-type check_unit_result = {
-  u_path : string;
-  u_out : string;  (** buffered stdout *)
-  u_err : string option;  (** load (parse/resolve/IO) failure *)
-  u_issues : int;
-  u_journal : Journal.entry list;  (** ts normalized to 0 unless [--timestamps] *)
-  u_ids : int;  (** journal node IDs consumed (from 0) *)
-  u_snaps : int;  (** snapshot serials consumed (from 0) *)
-}
-
-(* Check one file into a buffer.  Resets the domain-local journal and
-   snapshot state first, so the unit's output — text, proof-tree IDs,
-   journal stream — is a pure function of the file, independent of
-   scheduling.  Never exits: load failures are captured for the driver
-   to report in input order. *)
-let check_unit ~no_coherence ~journal ~timestamps path : check_unit_result =
-  Journal.reset ();
-  Solver.Infer_ctx.reset_snapshot_serial ();
-  (* Rendering lives in Serve.Check_render, shared with the serve
-     protocol's `solve` verb so daemon responses are byte-identical to
-     this one-shot path by construction. *)
-  let out = ref "" in
-  let issues = ref 0 in
-  let check () =
-    match load_program path with
-    | Error m -> Some m
-    | Ok program ->
-        let report = Solver.Obligations.solve_program program in
-        let rendered, n =
-          Serve.Check_render.run ~no_coherence
-            ~profile_pipeline:(Telemetry.enabled ()) program report
-        in
-        out := rendered;
-        issues := n;
-        None
-  in
-  let err, entries =
-    if journal then Journal.with_memory_sink check else (check (), [])
-  in
-  {
-    u_path = path;
-    u_out = !out;
-    u_err = err;
-    u_issues = !issues;
-    u_journal =
-      (if timestamps then entries
-       else List.map (fun (e : Journal.entry) -> { e with Journal.ts_ns = 0 }) entries);
-    u_ids = Journal.peek_id ();
-    u_snaps = Solver.Infer_ctx.snapshot_serial ();
-  }
-
 let check_cmd =
-  let run () events_out files no_coherence timestamps jobs =
-    let jobs = resolve_jobs jobs in
-    let events_oc = Option.map open_events_file events_out in
-    let journal = events_oc <> None in
-    (* Never spawn more workers than there are files; one file (or
-       --jobs 1) is the plain sequential path, no domain spawned. *)
-    let jobs = min jobs (List.length files) in
-    let results = Pool.run ~jobs (check_unit ~no_coherence ~journal ~timestamps) files in
-    let many = List.length files > 1 in
-    let any_load_error = ref false in
-    let total_issues = ref 0 in
-    List.iter
-      (fun u ->
-        if many then Printf.printf "== %s ==\n" u.u_path;
-        print_string u.u_out;
-        (match u.u_err with
-        | Some m ->
-            any_load_error := true;
-            prerr_endline ("error: " ^ m)
-        | None -> ());
-        total_issues := !total_issues + u.u_issues)
-      results;
-    (* Concatenate the per-unit journal streams (each recorded from
-       ID 0) into one replayable file: relocate every entry by the IDs
-       and snapshot serials the units before it consumed, in input
-       order.  The result is byte-identical whatever the job count. *)
-    (match events_oc with
+  let run () events_out files no_coherence timestamps =
+    (match events_out with
     | None -> ()
-    | Some oc ->
-        let seq = ref 0 and ids = ref 0 and snaps = ref 0 in
-        List.iter
-          (fun u ->
-            List.iter
-              (fun e ->
-                write_event oc (Journal.shift_entry ~seq:!seq ~ids:!ids ~snaps:!snaps e);
-                incr seq)
-              u.u_journal;
-            ids := !ids + u.u_ids;
-            snaps := !snaps + u.u_snaps)
-          results);
-    if !any_load_error then exit 2 else if !total_issues > 0 then exit 1 else exit 0
+    | Some path ->
+        let oc = open_events_file path in
+        Journal.set_sink
+          (Some
+             (fun e ->
+               write_event oc (if timestamps then e else { e with Journal.ts_ns = 0 }))));
+    let many = List.length files > 1 in
+    let load_error = ref false and issues = ref 0 in
+    List.iter
+      (fun path ->
+        if many then Printf.printf "== %s ==\n" path;
+        match load_program path with
+        | Error m ->
+            load_error := true;
+            prerr_endline ("error: " ^ m)
+        | Ok program ->
+            let report = Solver.Obligations.solve_program program in
+            (* Rendering lives in Serve.Check_render, shared with the
+               serve protocol's `solve` verb so daemon responses are
+               byte-identical to this one-shot path by construction. *)
+            let out, n =
+              Serve.Check_render.run ~no_coherence
+                ~profile_pipeline:(Telemetry.enabled ()) program report
+            in
+            print_string out;
+            issues := !issues + n)
+      files;
+    if !load_error then exit 2 else if !issues > 0 then exit 1 else exit 0
   in
   let files_arg =
     Arg.(
@@ -331,7 +246,7 @@ let check_cmd =
             "Keep real $(b,ts_ns) timestamps in the $(b,--events-out) journal \
              instead of normalizing them to 0. Needed for $(b,argus profile) \
              and $(b,argus explain --timings) on the journal; the journal is \
-             then no longer byte-identical across $(b,--jobs) counts.")
+             then no longer byte-identical across runs.")
   in
   let exits =
     Cmd.Exit.info 1 ~doc:"on trait-solving or type-checking failures."
@@ -343,11 +258,11 @@ let check_cmd =
     (Cmd.info "check" ~exits
        ~doc:
          "Type-check files: coherence, orphan rule, impl WF, and all goals. \
-          Multiple files are solved in parallel under $(b,--jobs), with output \
-          in input order.")
+          Multiple files are checked in input order, each headed by \
+          $(b,== FILE ==), into one journal.")
     Term.(
       const run $ observability_term $ events_out_arg $ files_arg $ no_coherence
-      $ timestamps $ jobs_arg)
+      $ timestamps)
 
 (* ------------------------------------------------------------------ *)
 (* views *)
@@ -505,23 +420,21 @@ let corpus_cmd =
       (Corpus.Suite.entries @ Corpus.Suite.extended @ Corpus.Suite.extras
              @ Corpus.Suite.extended_ok)
   in
-  (* Solve every bundled program (in parallel under --jobs) and print a
-     one-line verdict per entry, in suite order. *)
-  let run_all jobs =
-    let jobs = resolve_jobs jobs in
+  (* Solve every bundled program and print a one-line verdict per
+     entry, in suite order. *)
+  let run_all () =
     let entries =
       Corpus.Suite.entries @ Corpus.Suite.extended @ Corpus.Suite.extras
       @ Corpus.Suite.extended_ok
     in
-    let jobs = min jobs (List.length entries) in
     let results =
-      try Corpus.Harness.solve_batch ~jobs entries
+      try List.map (Corpus.Harness.solve_unit ~journal:false) entries
       with Corpus.Harness.Corpus_error m ->
         prerr_endline ("error: " ^ m);
         exit 2
     in
     List.iter
-      (fun (b : Corpus.Harness.batch_result) ->
+      (fun (b : Corpus.Harness.unit_result) ->
         let errors = Solver.Obligations.errors b.b_report in
         let ambiguous =
           List.filter
@@ -537,9 +450,9 @@ let corpus_cmd =
         Printf.printf "%-28s %s\n" b.b_entry.id verdict)
       results
   in
-  let run () id_opt all jobs =
+  let run () id_opt all =
     match (id_opt, all) with
-    | _, true -> run_all jobs
+    | _, true -> run_all ()
     | None, false -> list_all ()
     | Some id, false -> (
         match
@@ -576,10 +489,10 @@ let corpus_cmd =
       & info [ "all" ]
           ~doc:
             "Solve every bundled program and print a one-line verdict per \
-             entry, in suite order (parallel under $(b,--jobs)).")
+             entry, in suite order.")
   in
   Cmd.v (Cmd.info "corpus" ~doc:"List or run the bundled evaluation programs")
-    Term.(const run $ telemetry_term $ id_arg $ all_arg $ jobs_arg)
+    Term.(const run $ telemetry_term $ id_arg $ all_arg)
 
 (* ------------------------------------------------------------------ *)
 (* study *)
@@ -1270,17 +1183,7 @@ let fuzz_cmd =
                 exit 2)
           names
   in
-  (* The jobs oracle compares against a parallel batch, so it wants a
-     shared pool for the whole campaign; every other oracle runs in
-     this domain. *)
-  let with_pool ~oracles ~jobs f =
-    if List.mem Fuzz.Oracle.Jobs oracles then begin
-      let pool = Pool.create ~jobs:(max 2 (min (resolve_jobs jobs) 4)) in
-      Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () -> f (Some pool))
-    end
-    else f None
-  in
-  let run () iters seed oracle_names shrink size out replay jobs =
+  let run () iters seed oracle_names shrink size out replay =
     let oracles = parse_oracles oracle_names in
     match replay with
     | Some path ->
@@ -1288,9 +1191,7 @@ let fuzz_cmd =
           Printf.eprintf "error: no such file: %s\n" path;
           exit 2
         end;
-        let verdicts =
-          with_pool ~oracles ~jobs (fun pool -> Fuzz.Driver.replay ?pool ~oracles ~path ())
-        in
+        let verdicts = Fuzz.Driver.replay ~oracles ~path () in
         let failed = ref 0 in
         List.iter
           (fun (name, v) ->
@@ -1304,10 +1205,9 @@ let fuzz_cmd =
     | None ->
         let iters = max 0 iters in
         let outcome =
-          with_pool ~oracles ~jobs (fun pool ->
-              Fuzz.Driver.run ?pool ~out_dir:out ~shrink ~size
-                ~progress:(fun line -> Printf.eprintf "%s\n%!" line)
-                ~oracles ~iters ~seed ())
+          Fuzz.Driver.run ~out_dir:out ~shrink ~size
+            ~progress:(fun line -> Printf.eprintf "%s\n%!" line)
+            ~oracles ~iters ~seed ()
         in
         (match outcome.o_counterexample with
         | None ->
@@ -1344,7 +1244,7 @@ let fuzz_cmd =
       & info [ "oracle" ] ~docv:"NAME"
           ~doc:
             "Oracle(s) to run (repeatable; default: all). Known: wellformed, \
-             cache, jobs, journal, roundtrip, intern, determinism, \
+             cache, journal, roundtrip, intern, determinism, \
              incremental, serve.")
   in
   let shrink_arg =
@@ -1379,12 +1279,12 @@ let fuzz_cmd =
     (Cmd.info "fuzz" ~exits
        ~doc:
          "Generative differential testing: random well-formed L_TRAIT programs \
-          solved several ways (cache on/off, --jobs 2 vs 1, journal replay, \
+          solved several ways (cache on/off, journal replay, \
           print/re-parse, interning, repeated runs) that must agree. Writes a \
           replayable $(i,.trait) repro and exits 1 on a counterexample.")
     Term.(
       const run $ observability_term $ iters_arg $ seed_arg $ oracle_arg $ shrink_arg
-      $ size_arg $ out_arg $ replay_arg $ jobs_arg)
+      $ size_arg $ out_arg $ replay_arg)
 
 (* ------------------------------------------------------------------ *)
 (* bench *)
@@ -1395,18 +1295,17 @@ let fuzz_cmd =
    property the daemon exists for).  The full BENCH_pipeline.json
    section is written by the bench harness ([make bench-serve]). *)
 let bench_serve_cmd =
-  let run clients seed jobs programs =
-    let pool = if jobs > 1 then Some (Pool.create ~jobs) else None in
-    let stats =
-      match pool with
-      | Some _ ->
-          Fun.protect
-            ~finally:(fun () -> Option.iter Pool.shutdown pool)
-            (fun () -> Fuzz.Serve_load.run ?pool ~jobs ~programs ~clients ~seed ())
-      | None -> Fuzz.Serve_load.run ~jobs ~programs ~clients ~seed ()
-    in
-    Printf.printf "serve load: %d clients x 2-phase session script (seed %d, jobs %d)\n"
-      stats.Fuzz.Serve_load.ls_clients seed jobs;
+  let run clients seed programs =
+    List.iter
+      (fun (flag, n) ->
+        if n < 1 then begin
+          Printf.eprintf "error: %s must be at least 1 (got %d)\n" flag n;
+          exit 2
+        end)
+      [ ("--clients", clients); ("--programs", programs) ];
+    let stats = Fuzz.Serve_load.run ~programs ~clients ~seed () in
+    Printf.printf "serve load: %d clients x 2-phase session script (seed %d)\n"
+      stats.Fuzz.Serve_load.ls_clients seed;
     Printf.printf "  requests    %d (%d errors)\n" stats.Fuzz.Serve_load.ls_requests
       stats.Fuzz.Serve_load.ls_errors;
     Printf.printf "  wall        %.2f ms\n"
@@ -1439,27 +1338,23 @@ let bench_serve_cmd =
   let clients_arg =
     Arg.(
       value & opt int 1000
-      & info [ "clients" ] ~docv:"N" ~doc:"Number of concurrent session scripts.")
+      & info [ "clients" ] ~docv:"N" ~doc:"Number of client session scripts (at least 1).")
   in
   let seed_arg =
     Arg.(
       value & opt int 42
       & info [ "seed" ] ~docv:"SEED" ~doc:"Seed for the generated program pool.")
   in
-  let jobs_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "jobs" ] ~docv:"N" ~doc:"Domain-pool workers driving the clients.")
-  in
   let programs_arg =
     Arg.(
       value & opt int 8
       & info [ "programs" ] ~docv:"N"
-          ~doc:"Size of the generated program pool clients draw from.")
+          ~doc:"Size of the generated program pool clients draw from (at least 1).")
   in
   let exits =
     Cmd.Exit.info 1
       ~doc:"when a request errors or the warm hit rate fails to clear the cold rate."
+    :: Cmd.Exit.info 2 ~doc:"when $(b,--clients) or $(b,--programs) is below 1."
     :: Cmd.Exit.defaults
   in
   Cmd.v
@@ -1468,7 +1363,7 @@ let bench_serve_cmd =
          "Replay seeded concurrent session scripts (open/solve/tree/expand/hover/\
           explain/reload) against an in-process serve daemon and report throughput, \
           latency percentiles, and warm-vs-cold cache hit rates.")
-    Term.(const run $ clients_arg $ seed_arg $ jobs_arg $ programs_arg)
+    Term.(const run $ clients_arg $ seed_arg $ programs_arg)
 
 let bench_cmd =
   Cmd.group

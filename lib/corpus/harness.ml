@@ -71,26 +71,21 @@ let failed_tree (e : entry) : Program.t * Argus.Proof_tree.t =
   | [] -> raise (Corpus_error (e.id ^ ": expected a trait error but all goals proved"))
 
 (* ------------------------------------------------------------------ *)
-(* Batch solving *)
+(* One journalled solve *)
 
-type batch_result = {
+type unit_result = {
   b_entry : entry;
   b_program : Program.t;
   b_report : Solver.Obligations.report;
   b_journal : Journal.entry list;
-  b_ids : int;
-  b_snaps : int;
 }
 
-(* One work unit = load + solve (+ optional journal recording), with the
-   per-domain journal/snapshot state reset first.  The reset is what
-   makes a unit's output independent of which domain runs it — and of
-   whether anything ran before it on the same domain — so the sequential
-   path performs the identical resets and a parallel batch is
-   byte-identical to [--jobs 1].  Timestamps are the one stream field
-   wall-clock-dependent by nature, so batch journals normalize them
-   to 0. *)
-let solve_unit ~journal (e : entry) : batch_result =
+(* Load + solve (+ optional journal recording), with the domain's
+   journal/snapshot state reset first, so the unit's output does not
+   depend on anything that ran before it on the same domain.
+   Timestamps are the one stream field wall-clock-dependent by nature,
+   so the journal normalizes them to 0. *)
+let solve_unit ~journal (e : entry) : unit_result =
   Journal.reset ();
   Solver.Infer_ctx.reset_snapshot_serial ();
   let (program, report), entries =
@@ -102,13 +97,7 @@ let solve_unit ~journal (e : entry) : batch_result =
     b_program = program;
     b_report = report;
     b_journal = List.map (fun (en : Journal.entry) -> { en with Journal.ts_ns = 0 }) entries;
-    b_ids = Journal.peek_id ();
-    b_snaps = Solver.Infer_ctx.snapshot_serial ();
   }
-
-let solve_batch ?pool ?(jobs = 1) ?(journal = false) (entries : entry list) :
-    batch_result list =
-  Pool.run ?pool ~jobs (solve_unit ~journal) entries
 
 (** Does the ground-truth predicate appear among the tree's failing
     leaves?  (Sanity invariant for every suite entry.) *)

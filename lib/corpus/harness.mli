@@ -36,28 +36,18 @@ val failed_tree : entry -> Program.t * Argus.Proof_tree.t
     the failing leaves. *)
 val root_cause_is_leaf : entry -> bool
 
-(** {1 Batch solving} *)
+(** {1 One journalled solve} *)
 
-type batch_result = {
+type unit_result = {
   b_entry : entry;
   b_program : Program.t;
   b_report : Solver.Obligations.report;
   b_journal : Journal.entry list;
       (** recorded only when [~journal:true]; timestamps normalized
-          to 0 so batch output is wall-clock-independent *)
-  b_ids : int;  (** journal node IDs the unit consumed (from 0) *)
-  b_snaps : int;  (** snapshot serials the unit consumed (from 0) *)
+          to 0 so the stream is wall-clock-independent *)
 }
 
-(** Solve one entry with the per-domain journal/snapshot state reset
-    first — the unit of work the batch driver distributes. *)
-val solve_unit : journal:bool -> entry -> batch_result
-
-(** Solve entries in parallel on [pool] (or a transient pool of [jobs]
-    workers; [jobs <= 1] with no pool is the exact sequential path) and
-    return results in input order.  Output is byte-identical whatever
-    the job count: every unit resets its domain-local journal/snapshot
-    state, and the shared evaluation cache is observe-only with fresh
-    per-load program stamps. *)
-val solve_batch :
-  ?pool:Pool.t -> ?jobs:int -> ?journal:bool -> entry list -> batch_result list
+(** Solve one entry with the domain's journal/snapshot state reset
+    first, so its trace IDs and journal stream are a pure function of
+    the entry. *)
+val solve_unit : journal:bool -> entry -> unit_result

@@ -49,7 +49,7 @@ let decls_of_source source =
   | p -> Trait_lang.Program.decl_count p + List.length (Trait_lang.Program.goals p)
   | exception _ -> 0
 
-let run ?pool ?out_dir ?(shrink = true) ?(size = Gen.default_size)
+let run ?out_dir ?(shrink = true) ?(size = Gen.default_size)
     ?(progress = fun _ -> ()) ~oracles ~iters ~seed () : outcome =
   let checks = ref 0 in
   let found = ref None in
@@ -64,7 +64,7 @@ let run ?pool ?out_dir ?(shrink = true) ?(size = Gen.default_size)
       | name :: rest -> begin
           incr checks;
           Telemetry.incr c_checks;
-          match Oracle.check ?pool name ~source with
+          match Oracle.check name ~source with
           | Oracle.Pass -> try_oracles rest
           | Oracle.Fail message ->
               Telemetry.incr c_counterexamples;
@@ -75,7 +75,7 @@ let run ?pool ?out_dir ?(shrink = true) ?(size = Gen.default_size)
                     Shrink.run
                       ~check:(fun src ->
                         Telemetry.incr c_shrink_checks;
-                        Oracle.check ?pool name ~source:src)
+                        Oracle.check name ~source:src)
                       ~kind spec
                   in
                   checks := !checks + r.checks;
@@ -112,11 +112,11 @@ let run ?pool ?out_dir ?(shrink = true) ?(size = Gen.default_size)
   done;
   { o_iters = !i; o_checks = !checks; o_counterexample = !found }
 
-let replay ?pool ~oracles ~path () =
+let replay ~oracles ~path () =
   let ic = open_in_bin path in
   let source =
     Fun.protect
       ~finally:(fun () -> close_in ic)
       (fun () -> really_input_string ic (in_channel_length ic))
   in
-  List.map (fun name -> (name, Oracle.check ?pool name ~source)) oracles
+  List.map (fun name -> (name, Oracle.check name ~source)) oracles

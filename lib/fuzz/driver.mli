@@ -28,7 +28,6 @@ type outcome = {
     if missing) receives [fuzz-<seed>-<iter>-<oracle>.trait] on a
     counterexample. *)
 val run :
-  ?pool:Pool.t ->
   ?out_dir:string ->
   ?shrink:bool ->
   ?size:int ->
@@ -42,7 +41,6 @@ val run :
 (** Re-run the oracle matrix over a saved repro (or any L_TRAIT file):
     per-oracle verdicts, in [oracles] order. *)
 val replay :
-  ?pool:Pool.t ->
   oracles:Oracle.name list ->
   path:string ->
   unit ->

@@ -1,6 +1,6 @@
 (** Differential oracles (see the interface).  Comparison logic mirrors
     the corpus regression tests — [test_cache.ml]'s report equivalence,
-    [test_parallel.ml]'s byte fingerprints — so a fuzz counterexample is
+    [test_pool.ml]'s use of {!fingerprint} — so a fuzz counterexample is
     by construction a failure of the same properties those suites pin. *)
 
 open Trait_lang
@@ -8,7 +8,6 @@ open Trait_lang
 type name =
   | Wellformed
   | Cache
-  | Jobs
   | Journal
   | Roundtrip
   | Intern
@@ -20,7 +19,6 @@ let all =
   [
     Wellformed;
     Cache;
-    Jobs;
     Journal;
     Roundtrip;
     Intern;
@@ -32,7 +30,6 @@ let all =
 let to_string = function
   | Wellformed -> "wellformed"
   | Cache -> "cache"
-  | Jobs -> "jobs"
   | Journal -> "journal"
   | Roundtrip -> "roundtrip"
   | Intern -> "intern"
@@ -46,7 +43,6 @@ let of_string s =
 let describe = function
   | Wellformed -> "generated programs parse, resolve, and solve without error"
   | Cache -> "cache-off, cache-cold and cache-warm runs agree (trees, rounds, journal)"
-  | Jobs -> "--jobs 2 batch output is byte-identical to --jobs 1"
   | Journal -> "journal replay rebuilds the solver's direct trace forest"
   | Roundtrip -> "pretty-print, re-parse, re-solve reaches the same result"
   | Intern -> "structural copies intern to physically identical terms"
@@ -69,9 +65,9 @@ let failf fmt = Printf.ksprintf (fun m -> Fail m) fmt
 (* ------------------------------------------------------------------ *)
 (* Plumbing *)
 
-let entry ?(idx = 0) source : Corpus.Harness.entry =
+let entry source : Corpus.Harness.entry =
   {
-    id = Printf.sprintf "fuzz-%d" idx;
+    id = "fuzz-0";
     title = "generated program";
     library = "fuzz";
     kind = Corpus.Harness.Synthetic;
@@ -97,10 +93,7 @@ let with_cache_state f =
       Solver.Eval_cache.clear ())
     f
 
-(* The byte-level fingerprint of a solved batch unit, as pinned by
-   test_parallel.ml: encoded report, trace gids/depths/preds, rendered
-   diagnostics, journal JSONL, consumed ID/serial counts. *)
-let fingerprint (b : Corpus.Harness.batch_result) : string =
+let fingerprint (b : Corpus.Harness.unit_result) : string =
   let buf = Buffer.create 8192 in
   Buffer.add_string buf
     (Argus_json.Json.to_string (Argus_json.Encode.report b.b_report));
@@ -124,7 +117,6 @@ let fingerprint (b : Corpus.Harness.batch_result) : string =
         (Argus_json.Json.to_string (Argus_json.Journal_codec.entry_to_json e));
       Buffer.add_char buf '\n')
     b.b_journal;
-  Printf.bprintf buf "ids=%d snaps=%d" b.b_ids b.b_snaps;
   Buffer.contents buf
 
 let is_cache_event (en : Journal.entry) =
@@ -229,31 +221,6 @@ let check_cache source =
           warm_nj.b_report
   in
   match mismatch with None -> Pass | Some m -> Fail m
-
-let check_jobs ?pool source =
-  with_cache_state @@ fun () ->
-  let entries = List.init 3 (fun i -> entry ~idx:i source) in
-  Solver.Eval_cache.clear ();
-  let seq = Corpus.Harness.solve_batch ~jobs:1 ~journal:true entries in
-  Solver.Eval_cache.clear ();
-  let par =
-    match pool with
-    | Some p -> Corpus.Harness.solve_batch ~pool:p ~journal:true entries
-    | None ->
-        let p = Pool.create ~jobs:2 in
-        Fun.protect
-          ~finally:(fun () -> Pool.shutdown p)
-          (fun () -> Corpus.Harness.solve_batch ~pool:p ~journal:true entries)
-  in
-  let rec first_mismatch i = function
-    | [], [] -> None
-    | a :: ta, b :: tb ->
-        if String.equal (fingerprint a) (fingerprint b) then
-          first_mismatch (i + 1) (ta, tb)
-        else Some (Printf.sprintf "jobs: unit %d differs between --jobs 1 and --jobs 2" i)
-    | _ -> Some "jobs: batch sizes differ"
-  in
-  match first_mismatch 0 (seq, par) with None -> Pass | Some m -> Fail m
 
 let check_journal source =
   with_cache_state @@ fun () ->
@@ -600,11 +567,7 @@ let check_serve source =
               (report, Serve.Check_render.run program report))
         in
         let entries =
-          List.mapi
-            (fun i (e : Journal.entry) ->
-              Journal.shift_entry ~seq:i ~ids:0 ~snaps:0
-                { e with Journal.ts_ns = 0 })
-            entries
+          List.map (fun (e : Journal.entry) -> { e with Journal.ts_ns = 0 }) entries
         in
         (report, fst rendered, entries)
       in
@@ -803,12 +766,11 @@ let check_determinism source =
 
 (* ------------------------------------------------------------------ *)
 
-let check ?pool name ~source =
+let check name ~source =
   let body () =
     match name with
     | Wellformed -> check_wellformed source
     | Cache -> check_cache source
-    | Jobs -> check_jobs ?pool source
     | Journal -> check_journal source
     | Roundtrip -> check_roundtrip source
     | Intern -> check_intern source

@@ -13,9 +13,6 @@ type name =
   | Cache
       (** cache-off ≡ cache-cold ≡ cache-warm: statuses, rounds, proof
           trees, and journal streams modulo cache_hit/cache_miss events *)
-  | Jobs
-      (** [--jobs 2] ≡ [--jobs 1] on a 3-copy batch: byte-level report /
-          diagnostic / journal fingerprints *)
   | Journal
       (** journal replay rebuilds exactly the solver's direct trace
           forest *)
@@ -58,11 +55,14 @@ type verdict = Pass | Fail of string
 val fail_kind : string -> string
 
 (** Fabricate a corpus-harness entry around a raw source string (id
-    [fuzz-<idx>]), so the batch machinery can solve generated programs. *)
-val entry : ?idx:int -> string -> Corpus.Harness.entry
+    [fuzz-0]), so the corpus harness can solve generated programs. *)
+val entry : string -> Corpus.Harness.entry
 
-(** Run one oracle on one source program.  [pool] (when given) is reused
-    for the {!Jobs} oracle instead of spawning a transient 2-worker
-    pool.  Global evaluation-cache state is saved, used, and restored;
-    the cache is left enabled-as-before and cleared. *)
-val check : ?pool:Pool.t -> name -> source:string -> verdict
+(** The byte-level fingerprint of a solved unit: encoded report, trace
+    gids/depths/predicates, rendered diagnostics, journal JSONL. *)
+val fingerprint : Corpus.Harness.unit_result -> string
+
+(** Run one oracle on one source program.  Global evaluation-cache
+    state is saved, used, and restored; the cache is left
+    enabled-as-before and cleared. *)
+val check : name -> source:string -> verdict

@@ -56,7 +56,9 @@ let percentile sorted p =
   let n = Array.length sorted in
   if n = 0 then 0 else sorted.(min (n - 1) (n * p / 100))
 
-let run ?pool ?(jobs = 1) ?(programs = 8) ~clients ~seed () =
+let run ?(programs = 8) ~clients ~seed () =
+  if programs < 1 then invalid_arg "Serve_load.run: programs must be >= 1";
+  if clients < 1 then invalid_arg "Serve_load.run: clients must be >= 1";
   (* The program pool: a handful of seeded generated programs plus a
      1-step-edited variant of each (the reload payload). *)
   let sources =
@@ -87,7 +89,7 @@ let run ?pool ?(jobs = 1) ?(programs = 8) ~clients ~seed () =
       let hits0 = cache_hits () and misses0 = cache_misses () in
       (* cold phase: open + solve per client *)
       let cold_results =
-        Pool.run ?pool ~jobs
+        List.map
           (fun c ->
             let p = (seed + c) mod programs in
             let session = Printf.sprintf "c%d" c in
@@ -115,7 +117,7 @@ let run ?pool ?(jobs = 1) ?(programs = 8) ~clients ~seed () =
       (* warm phase: read-only exploration, then an incremental
          reload + re-solve against the now-populated cache *)
       let warm_results =
-        Pool.run ?pool ~jobs
+        List.map
           (fun (c, failing, _, _) ->
             let p = (seed + c) mod programs in
             let session = Printf.sprintf "c%d" c in

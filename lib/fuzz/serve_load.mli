@@ -1,6 +1,7 @@
-(** The [argus bench serve] load generator: replays seeded concurrent
-    session scripts against an in-process {!Serve.Server} and measures
-    throughput, latency percentiles, and cache hit rates.
+(** The [argus bench serve] load generator: replays seeded session
+    scripts from many clients, all open at once on one in-process
+    {!Serve.Server}, and measures throughput, latency percentiles, and
+    cache hit rates.
 
     Each client runs a two-phase script against its own session:
 
@@ -30,15 +31,13 @@ type stats = {
   ls_warm_hit_rate : float;
 }
 
-(** [run ~clients ~seed ()] drives [clients] concurrent sessions (on
-    [pool] / [jobs] workers, as {!Pool.run}) against a fresh server with
-    a cleared cache.  [programs] (default 8) is the size of the seeded
-    program pool clients draw from.  Telemetry is force-enabled for the
-    duration (cache counters are dormant otherwise) and restored
-    after. *)
+(** [run ~clients ~seed ()] drives [clients] sessions, one after
+    another within each phase, against a fresh server with a cleared
+    cache.  [programs] (default 8) is the size of the seeded program
+    pool clients draw from.  Telemetry is force-enabled for the
+    duration (cache counters are dormant otherwise) and restored after.
+    @raise Invalid_argument when [programs] or [clients] is below 1. *)
 val run :
-  ?pool:Pool.t ->
-  ?jobs:int ->
   ?programs:int ->
   clients:int ->
   seed:int ->

@@ -108,9 +108,8 @@ type entry = { seq : int; ts_ns : int; ev : event }
 
 (* The whole journal state is domain-local: each domain records its own
    stream with its own sequence numbers, node IDs, mute depth, and
-   open-node stack, so parallel batch solving needs no locks and — with
-   the batch driver resetting the state per work unit — produces
-   per-unit streams identical to a sequential run's. *)
+   open-node stack, so serve sessions running on pool workers need no
+   locks and never interleave their streams. *)
 type state = {
   mutable sink : (entry -> unit) option;
   mutable enabled : bool;
@@ -221,42 +220,6 @@ let with_memory_sink (f : unit -> 'a) : 'a * entry list =
   in
   let r = Fun.protect ~finally:restore f in
   (r, List.rev !buf)
-
-(* ------------------------------------------------------------------ *)
-(* Stream relocation *)
-
-(** [shift_entry ~seq ~ids ~snaps e] relocates one entry into another
-    stream position: [seq] replaces the sequence number, every node-ID
-    field is offset by [ids], and every snapshot serial by [snaps].  The
-    batch driver uses this to concatenate per-unit streams (each
-    recorded from ID 0) into one globally consistent, replayable journal
-    whose contents depend only on the input order — never on which
-    domain solved which unit. *)
-let shift_entry ~seq ~ids ~snaps (e : entry) : entry =
-  let n i = i + ids in
-  let nopt = Option.map n in
-  let ev =
-    match e.ev with
-    | Goal_enter g -> Goal_enter { g with id = n g.id; parent = nopt g.parent }
-    | Goal_exit g -> Goal_exit { g with id = n g.id }
-    | Goal_flag g -> Goal_flag { g with id = n g.id }
-    | Cand_enter c -> Cand_enter { c with id = n c.id; goal = n c.goal }
-    | Cand_exit c -> Cand_exit { c with id = n c.id }
-    | Cand_assembled c -> Cand_assembled { c with goal = n c.goal }
-    | Cand_commit c -> Cand_commit { goal = n c.goal; cand = n c.cand }
-    | Unify u -> Unify { u with node = nopt u.node }
-    | Snapshot_open s -> Snapshot_open { snap = s.snap + snaps; node = nopt s.node }
-    | Snapshot_commit s -> Snapshot_commit { snap = s.snap + snaps }
-    | Snapshot_rollback s -> Snapshot_rollback { snap = s.snap + snaps }
-    | Norm_resolved x -> Norm_resolved { x with id = n x.id }
-    | Cycle_detected x -> Cycle_detected { x with id = n x.id }
-    | Overflow_hit x -> Overflow_hit { x with id = n x.id }
-    | Ambiguity x -> Ambiguity { x with id = n x.id }
-    | Probe_begin _ | Probe_end _ | Overlap_detected _ -> e.ev
-    | Cache_hit c -> Cache_hit { c with goal = n c.goal }
-    | Cache_miss c -> Cache_miss { c with goal = n c.goal }
-  in
-  { e with seq; ev }
 
 (* ------------------------------------------------------------------ *)
 (* Pretty-printing *)

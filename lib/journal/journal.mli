@@ -119,8 +119,9 @@ val current_node : unit -> int option
 
     The entire journal state (sink, sequence and ID counters, mute
     depth, open-node stack) is {b domain-local}: each domain records its
-    own stream.  The batch driver resets per work unit so a unit's
-    stream is identical whichever domain runs it. *)
+    own stream, so sessions served on different pool workers never
+    interleave.  Resetting before a solve makes its stream identical
+    whichever domain runs it. *)
 val reset : unit -> unit
 
 (** Restart node IDs from 0 {b without} touching the installed sink —
@@ -132,13 +133,6 @@ val reset_ids : unit -> unit
 (** Record events into memory while running [f]; restores the previous
     sink afterwards. *)
 val with_memory_sink : (unit -> 'a) -> 'a * entry list
-
-(** [shift_entry ~seq ~ids ~snaps e] relocates an entry into another
-    stream position: [seq] replaces the sequence number, node-ID fields
-    are offset by [ids], snapshot serials by [snaps].  Used to
-    concatenate per-unit streams (each recorded from ID 0) into one
-    replayable journal. *)
-val shift_entry : seq:int -> ids:int -> snaps:int -> entry -> entry
 
 (** {1 Pretty-printing} *)
 

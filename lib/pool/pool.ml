@@ -109,13 +109,3 @@ let shutdown t =
     Mutex.unlock t.mutex;
     Array.iter Domain.join ds
   end
-
-let run ?pool ~jobs f xs =
-  match pool with
-  | Some p -> map p f xs
-  | None ->
-      if jobs <= 1 then List.map f xs
-      else begin
-        let p = create ~jobs in
-        Fun.protect ~finally:(fun () -> shutdown p) (fun () -> map p f xs)
-      end

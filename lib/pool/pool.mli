@@ -1,4 +1,5 @@
-(** A fixed-size domain pool for batch work.
+(** A fixed-size domain pool: the workers that
+    [Serve.Server.handle_batch] runs client sessions on.
 
     [create ~jobs] spawns [jobs] worker domains that service a shared
     work queue; {!map} fans a list out over them and collects results
@@ -39,9 +40,3 @@ val map : t -> ('a -> 'b) -> 'a list -> 'b list
 (** Stop the workers and join their domains.  Idempotent; the pool is
     unusable afterwards. *)
 val shutdown : t -> unit
-
-(** [run ?pool ~jobs f xs]: the batch-driver entry point.  With [pool]
-    supplied, delegates to {!map}.  Otherwise [jobs <= 1] is the exact
-    sequential path — a plain [List.map], no domain ever spawned — and
-    [jobs > 1] creates a transient pool, maps, and shuts it down. *)
-val run : ?pool:t -> jobs:int -> ('a -> 'b) -> 'a list -> 'b list

@@ -33,14 +33,12 @@ let default_warn = 1.25
 let default_fail = 2.0
 
 (* Which metrics of which sections the gate watches: (section, key
-   field, timing metrics).  Keys identify an entry within its section —
-   a name for most, the jobs count for the parallel curve. *)
+   field, timing metrics).  Keys identify an entry within its section. *)
 let sections =
   [
     ("entries", "name", [ "ns_per_run" ]);
     ("journal", "name", [ "ns_disabled"; "ns_enabled" ]);
     ("cache", "name", [ "ns_cache_off"; "ns_cache_on" ]);
-    ("parallel", "jobs", [ "ns_batch" ]);
     ("fuzz", "stage", [ "ns_per_program" ]);
     (* absent from pre-v6 baselines: missing sections only surface as
        "added in NEW", never as a failure.  v9 folded the on/off pair

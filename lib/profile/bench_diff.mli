@@ -2,10 +2,10 @@
     documents metric by metric.
 
     Every timing metric in every section (pipeline entries, journal
-    overhead, cache on/off, parallel batch, fuzz throughput) is matched
-    by key between the two files and judged by its new/old ratio against
-    two configurable thresholds: [warn_above] flags drift, [fail_above]
-    is a regression.  A bootstrap confidence interval over all ratios
+    overhead, cache on/off, fuzz throughput, scale, incremental, serve)
+    is matched by key between the two files and judged by its new/old
+    ratio against two configurable thresholds: [warn_above] flags
+    drift, [fail_above] is a regression.  A bootstrap confidence interval over all ratios
     ({!Stats.Ci}) separates one noisy metric from a systemic slowdown:
     if even the CI's lower bound sits above the warn threshold, the
     whole run drifted.  [bench --diff OLD NEW] prints {!to_string} and

@@ -1,5 +1,5 @@
-(* Moved verbatim from the CLI's check_unit so `argus check` and the
-   serve protocol's `solve` verb share one printer. *)
+(* `argus check` and the serve protocol's `solve` verb share this one
+   printer. *)
 
 let run ?(no_coherence = false) ?(profile_pipeline = false) program
     (report : Solver.Obligations.report) =

@@ -274,8 +274,8 @@ let handle_solve t params =
       match Solver.Session.program s.ss_session with
       | None -> Error (Rpc.error_obj ~code:Rpc.load_error "no program loaded")
       | Some program ->
-          (* Resolve and render inside one journal window, mirroring the
-             CLI's check_unit: the type-check pass inside the renderer
+          (* Resolve and render inside one journal window, mirroring
+             `argus check`: the type-check pass inside the renderer
              generates obligations that journal through the same
              machinery, so event order matches `argus check
              --events-out` byte for byte. *)
@@ -286,10 +286,7 @@ let handle_solve t params =
                   report)
           in
           let entries =
-            List.mapi
-              (fun i (e : Journal.entry) ->
-                Journal.shift_entry ~seq:i ~ids:0 ~snaps:0 { e with Journal.ts_ns = 0 })
-              entries
+            List.map (fun (e : Journal.entry) -> { e with Journal.ts_ns = 0 }) entries
           in
           let report = Option.get (Solver.Session.report s.ss_session) in
           let trees =
@@ -450,7 +447,7 @@ let handle_line t line =
           in
           Some (Rpc.response_to_line resp))
 
-let handle_batch ?pool ?(jobs = 1) t items =
+let handle_batch ?pool t items =
   Telemetry.incr c_batches;
   (* Group by client, preserving each client's request order; one
      worker owns a whole client group, which is the per-session
@@ -468,11 +465,13 @@ let handle_batch ?pool ?(jobs = 1) t items =
   let groups =
     List.rev_map (fun c -> (c, List.rev !(Hashtbl.find tbl c))) !order
   in
+  let run_group (client, reqs) =
+    List.map (fun (i, line) -> (i, client, handle_line t line)) reqs
+  in
   let results =
-    Pool.run ?pool ~jobs
-      (fun (client, reqs) ->
-        List.map (fun (i, line) -> (i, client, handle_line t line)) reqs)
-      groups
+    match pool with
+    | Some p -> Pool.map p run_group groups
+    | None -> List.map run_group groups
   in
   let n = List.length items in
   let arr = Array.make n (0, None) in

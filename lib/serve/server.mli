@@ -49,10 +49,10 @@ val handle_line : t -> string -> string option
 (** Handle a batch of [(client, line)] requests concurrently on the
     domain pool: requests are grouped by client, each client's group
     runs in order on one worker (per-session serialization), and results
-    return in input order.  [jobs] as in {!Pool.run}; [jobs <= 1] with
-    no pool is the exact sequential path. *)
+    return in input order.  Without [pool] the groups run in order on
+    the calling domain. *)
 val handle_batch :
-  ?pool:Pool.t -> ?jobs:int -> t -> (int * string) list -> (int * string option) list
+  ?pool:Pool.t -> t -> (int * string) list -> (int * string option) list
 
 (** The JSON payload of an [expand]/[hover] response for a given view
     state — exposed so tests and the fuzz oracle can build reference

@@ -49,8 +49,8 @@
 
     The cache is shared across domains and {b sharded}: [num_shards]
     independent shards, selected by the canonical key hash, each with
-    its own tables, LRU clock, and mutex, so parallel batch solving
-    contends on a shard only when two domains touch keys that hash
+    its own tables, LRU clock, and mutex, so serve sessions on pool
+    workers contend on a shard only when two domains touch keys that hash
     together.  Entry validation ([try_insert]'s subtree walk) runs
     outside the lock — it reads only domain-local solver state — and the
     critical sections are plain table operations.  Keys embed the
@@ -208,7 +208,7 @@ type result_entry = { r_res : Res.t; r_deps : dep list; mutable r_lru : int }
    Per-shard capacity is generous (1024 per tier × 16 shards ≥ the old
    4096 global budget) so eviction pressure — the only cross-unit
    interaction left once keys embed fresh program stamps — stays out of
-   the way of single-corpus batch runs. *)
+   the way of a whole-corpus run. *)
 
 type shard = {
   s_mutex : Mutex.t;

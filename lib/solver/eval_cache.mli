@@ -12,7 +12,7 @@
 
     The cache is shared across domains, sharded by canonical key hash
     with one mutex per shard; lookups and inserts are safe to call from
-    parallel batch workers.  [cache.shard.contention] counts lock
+    the serve pool's workers.  [cache.shard.contention] counts lock
     acquisitions that had to wait. *)
 
 open Trait_lang

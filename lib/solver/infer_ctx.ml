@@ -75,11 +75,10 @@ type snapshot = {
 
 (* Serials are per-domain rather than per-context so a journal stream
    interleaving several inference contexts still has unambiguous
-   snapshot IDs; domain-local state keeps parallel batch units race-free
-   and — with the batch driver resetting per unit — deterministic. *)
+   snapshot IDs; domain-local state keeps serve sessions on pool workers
+   race-free and — reset before each solve — deterministic. *)
 let snap_serial : int ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref 0)
 
-let snapshot_serial () = !(Domain.DLS.get snap_serial)
 let reset_snapshot_serial () = Domain.DLS.get snap_serial := 0
 
 let snapshot t : snapshot =

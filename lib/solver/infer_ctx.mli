@@ -28,13 +28,9 @@ type snapshot
 
 val snapshot : t -> snapshot
 
-(** Snapshot serials issued by the calling domain so far (serials are
-    domain-local, for race-free unambiguous journal IDs). *)
-val snapshot_serial : unit -> int
-
-(** Restart the calling domain's snapshot serials from 0.  The batch
-    driver resets per work unit so journal streams are deterministic;
-    don't call mid-solve. *)
+(** Restart the calling domain's snapshot serials from 0.  Callers reset
+    before a solve so its journal stream is deterministic; don't call
+    mid-solve. *)
 val reset_snapshot_serial : unit -> unit
 
 (** Undo every binding made since the snapshot was opened. *)

@@ -25,8 +25,8 @@
     - {b domain-safe}: counters are atomic, histograms take a
       per-histogram mutex (enabled path only), and span/trace events
       accumulate in {e per-domain} buffers that a worker flushes into the
-      merged trace with {!flush_domain_events} — so parallel batch
-      solving records race-free without contending on every event.
+      merged trace with {!flush_domain_events} — so serve sessions on
+      pool workers record race-free without contending on every event.
 
     The JSON exporter lives in {!Argus_json.Telemetry_export} (it needs the
     JSON library, which sits above this one in the dependency order). *)

@@ -19,15 +19,15 @@
     {2 Domain safety}
 
     The tables are {b domain-local} ({!Domain.DLS}): each domain interns
-    into its own tables with no locks on the hot path, so parallel batch
-    solving scales without contention.  The canonicality guarantee is
+    into its own tables with no locks on the hot path, so serve sessions
+    on pool workers intern without contention.  The canonicality guarantee is
     therefore {e per-domain}: two structurally equal terms interned by
     the {e same} domain are physically equal; terms interned by
     different domains compare equal only structurally (the [==] fast
     paths degrade to the full comparison, never to a wrong answer).  The
-    batch driver keeps each work unit — load, solve, render — on a
-    single domain, so every term a solver instance touches is canonical
-    in its own domain.
+    serve pool runs each client's requests — load, solve, render — on
+    one worker, so every term a solver instance touches is canonical in
+    its own domain.
 
     The tables grow for the lifetime of the domain; {!clear} empties the
     calling domain's tables (existing terms stay valid, they just stop

@@ -15,7 +15,8 @@
     guarantee) holds among terms interned by the same domain, with no
     locks on the hot path.  Terms interned by different domains compare
     equal only structurally — the fast paths degrade gracefully.  Keep
-    each solving work unit on one domain (the batch driver does). *)
+    each solving work unit on one domain (the serve pool runs a client's
+    requests on one worker). *)
 
 type 'a interned = {
   node : 'a;  (** the canonical (maximally shared) term *)

@@ -234,16 +234,88 @@ let test_cli_check_unparseable () =
   check_bool "stderr carries a positioned diagnostic" true
     (contains ~needle:"fuzz_bad.trait:1:" err && contains ~needle:"parse error" err)
 
-let test_cli_jobs_zero () =
-  write_file "fuzz_ok.trait" "struct A; trait T { }\ngoal A: T;\n";
-  let code = Sys.command (cli ^ " check --jobs 0 fuzz_ok.trait > j0.out 2> j0.err") in
-  check_int "--jobs 0 exits 2" 2 code;
-  check_bool "stderr explains the constraint" true
-    (contains ~needle:"--jobs" (read_file "j0.err"))
+(* A multi-file check is one journal and one `== path ==`-headed report
+   per file, in input order.  The middle file fails to load, so the run
+   exits 2, but the files around it are still checked. *)
+let test_cli_check_multi_file () =
+  write_file "mf_a.trait"
+    "struct Timer;\ntrait Resource { }\ntrait SystemParam { }\nstruct ResMut<T>;\n\
+     impl<T> SystemParam for ResMut<T> where T: Resource { }\n\
+     goal ResMut<Timer>: SystemParam;\ngoal Timer: SystemParam;\n";
+  write_file "mf_bad.trait" "struct A; trait T {";
+  write_file "mf_c.trait"
+    "struct A;\nstruct W<T>;\ntrait T { }\nimpl T for A { }\n\
+     impl<X> T for W<X> where X: T { }\ngoal W<W<A>>: T;\n";
+  let check args name =
+    Sys.command (Printf.sprintf "%s check %s > %s.out 2> %s.err" cli args name name)
+  in
+  let code = check "--events-out mf.jsonl mf_a.trait mf_bad.trait mf_c.trait" "mf" in
+  check_int "a load error in any file exits 2" 2 code;
+  let single name =
+    ignore (check (Printf.sprintf "--events-out %s.jsonl %s.trait" name name) name);
+    read_file (name ^ ".out")
+  in
+  let out_a = single "mf_a" and out_c = single "mf_c" in
+  check_string "per-file output, headed, in input order"
+    ("== mf_a.trait ==\n" ^ out_a ^ "== mf_bad.trait ==\n== mf_c.trait ==\n" ^ out_c)
+    (read_file "mf.out");
+  let journal name = Argus_json.Journal_codec.of_jsonl (read_file (name ^ ".jsonl")) in
+  let entries = journal "mf" in
+  Alcotest.(check (list int))
+    "seq runs 0..n-1"
+    (List.init (List.length entries) Fun.id)
+    (List.map (fun (e : Journal.entry) -> e.seq) entries);
+  let goal_ids =
+    List.filter_map
+      (fun (e : Journal.entry) ->
+        match e.ev with Journal.Goal_enter { id; _ } -> Some id | _ -> None)
+      entries
+  in
+  check_bool "goals recorded" true (goal_ids <> []);
+  check_int "goal node ids unique across files"
+    (List.length goal_ids)
+    (List.length (List.sort_uniq compare goal_ids));
+  check_int "argus explain accepts the journal" 0
+    (Sys.command (cli ^ " explain mf.jsonl > mfx.out 2> mfx.err"));
+  let roots entries =
+    match Journal.replay entries with
+    | Ok tree -> List.length tree.Journal.rt_roots
+    | Error m -> Alcotest.fail ("journal does not replay: " ^ m)
+  in
+  check_int "replay roots = sum over the single-file journals"
+    (roots (journal "mf_a") + roots (journal "mf_c"))
+    (roots entries)
 
-(* Without --jobs a batch stays on the sequential path: no domain is
-   spawned, whatever the host's core count. *)
-let test_cli_jobs_default_sequential () =
+(* `bench serve` needs at least one client and one program: each flag
+   below 1 is a usage error naming the flag, and the library refuses the
+   same values. *)
+let test_cli_bench_serve_nonpositive () =
+  List.iter
+    (fun (flag, args) ->
+      let code =
+        Sys.command (Printf.sprintf "%s bench serve %s > bs.out 2> bs.err" cli args)
+      in
+      check_int (args ^ " exits 2") 2 code;
+      check_bool (args ^ ": stderr names the flag") true
+        (contains ~needle:flag (read_file "bs.err")))
+    [
+      ("--programs", "--programs 0 --clients 4");
+      ("--clients", "--clients 0");
+      ("--clients", "--clients=-3");
+    ];
+  List.iter
+    (fun (programs, clients) ->
+      check_bool
+        (Printf.sprintf "run ~programs:%d ~clients:%d raises" programs clients)
+        true
+        (match Fuzz.Serve_load.run ~programs ~clients ~seed:1 () with
+        | _ -> false
+        | exception Invalid_argument _ -> true))
+    [ (0, 4); (8, 0) ]
+
+(* A multi-file check runs in this process: no domain is spawned,
+   whatever the host's core count. *)
+let test_cli_check_no_domains () =
   write_file "jobs_ok.trait" "struct A; trait T { }\nimpl T for A { }\ngoal A: T;\n";
   let code =
     Sys.command (cli ^ " check --profile jobs_ok.trait jobs_ok.trait > jd.out 2> jd.err")
@@ -319,12 +391,15 @@ let () =
       ( "cli",
         [
           Alcotest.test_case "check: unparseable exits 2" `Quick test_cli_check_unparseable;
-          Alcotest.test_case "check: --jobs 0 exits 2" `Quick test_cli_jobs_zero;
+          Alcotest.test_case "bench serve: --programs/--clients below 1 exit 2" `Quick
+            test_cli_bench_serve_nonpositive;
           Alcotest.test_case "fuzz: --iters 0 no-op" `Quick test_cli_fuzz_zero_iters;
           Alcotest.test_case "fuzz: unknown oracle" `Quick test_cli_fuzz_unknown_oracle;
           Alcotest.test_case "fuzz: missing replay file" `Quick test_cli_fuzz_replay_missing;
           Alcotest.test_case "fuzz: smoke campaign" `Quick test_cli_fuzz_smoke;
           Alcotest.test_case "check: sequential by default" `Quick
-            test_cli_jobs_default_sequential;
+            test_cli_check_no_domains;
+          Alcotest.test_case "check: multi-file output and journal" `Quick
+            test_cli_check_multi_file;
         ] );
     ]

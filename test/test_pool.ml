@@ -1,5 +1,5 @@
 (** The domain pool: ordered results, exception propagation, clean
-    shutdown, and the sequential fast path. *)
+    shutdown, and byte-identical corpus solving on worker domains. *)
 
 exception Boom of int
 
@@ -90,28 +90,6 @@ let test_create_rejects_nonpositive () =
   Alcotest.(check bool) "jobs = 0 rejected" true (rejected 0);
   Alcotest.(check bool) "jobs = -2 rejected" true (rejected (-2))
 
-(* [run ~jobs:1] with no pool must never spawn a domain: the telemetry
-   task counter stays untouched because no pool task ever executes. *)
-let test_run_sequential_path () =
-  Telemetry.reset ();
-  Telemetry.enable ();
-  let r = Pool.run ~jobs:1 (fun i -> i * 2) [ 1; 2; 3 ] in
-  let tasks = Telemetry.counter_value "pool.tasks" in
-  let batches = Telemetry.counter_value "pool.batches" in
-  Telemetry.disable ();
-  Alcotest.(check (list int)) "sequential result" [ 2; 4; 6 ] r;
-  Alcotest.(check int) "no pool task executed" 0 tasks;
-  Alcotest.(check int) "no pool batch recorded" 0 batches
-
-let test_run_parallel_path () =
-  Telemetry.reset ();
-  Telemetry.enable ();
-  let r = Pool.run ~jobs:2 (fun i -> i * 2) [ 1; 2; 3 ] in
-  let tasks = Telemetry.counter_value "pool.tasks" in
-  Telemetry.disable ();
-  Alcotest.(check (list int)) "parallel result" [ 2; 4; 6 ] r;
-  Alcotest.(check int) "every input ran as a pool task" 3 tasks
-
 let test_empty_and_singleton () =
   let pool = Pool.create ~jobs:2 in
   let empty = Pool.map pool succ [] in
@@ -119,6 +97,59 @@ let test_empty_and_singleton () =
   Pool.shutdown pool;
   Alcotest.(check (list int)) "empty batch" [] empty;
   Alcotest.(check (list int)) "singleton batch" [ 42 ] one
+
+(* ------------------------------------------------------------------ *)
+(* Determinism on worker domains.  The interner, journal and snapshot
+   serials are domain-local and the evaluation cache is sharded so that
+   serve sessions can run on pool workers.  Solving a corpus program on
+   a worker must therefore match solving it on the main domain byte for
+   byte: proof trees node-for-node and id-for-id, diagnostics, journal
+   JSONL — cache on and off, journal attached and not. *)
+
+(* Solve every entry, on [pool]'s workers when given, else in order on
+   the calling domain. *)
+let solve_all ?pool ~journal entries =
+  Solver.Eval_cache.clear ();
+  let solve = Corpus.Harness.solve_unit ~journal in
+  match pool with
+  | Some p -> Pool.map p solve entries
+  | None -> List.map solve entries
+
+let with_pool f =
+  let pool = Pool.create ~jobs:4 in
+  Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () -> f pool)
+
+let check_config ~cache ~journal () =
+  let entries = Corpus.Suite.entries in
+  Alcotest.(check int) "the 17-program suite" 17 (List.length entries);
+  Solver.Eval_cache.set_enabled cache;
+  let seq = solve_all ~journal entries in
+  let par = with_pool (fun pool -> solve_all ~pool ~journal entries) in
+  Solver.Eval_cache.set_enabled true;
+  Solver.Eval_cache.clear ();
+  List.iter2
+    (fun (a : Corpus.Harness.unit_result) (b : Corpus.Harness.unit_result) ->
+      Alcotest.(check string)
+        (a.b_entry.id ^ ": worker output byte-identical to the main domain's")
+        (Fuzz.Oracle.fingerprint a) (Fuzz.Oracle.fingerprint b);
+      if journal then
+        Alcotest.(check bool) (a.b_entry.id ^ ": journal recorded") true (a.b_journal <> []))
+    seq par
+
+(* A journal recorded on a worker replays on its own: each stream starts
+   at ID 0 and rebuilds a search forest. *)
+let test_worker_journals_replay () =
+  let results = with_pool (fun pool -> solve_all ~pool ~journal:true Corpus.Suite.entries) in
+  List.iter
+    (fun (b : Corpus.Harness.unit_result) ->
+      match Journal.replay b.b_journal with
+      | Ok tree ->
+          Alcotest.(check bool)
+            (b.b_entry.id ^ ": replayed forest has roots")
+            true
+            (tree.Journal.rt_roots <> [])
+      | Error m -> Alcotest.fail (b.b_entry.id ^ ": journal does not replay: " ^ m))
+    results
 
 let () =
   Alcotest.run "pool"
@@ -141,7 +172,21 @@ let () =
           Alcotest.test_case "shutdown joins cleanly" `Quick test_shutdown_joins;
           Alcotest.test_case "nonpositive jobs rejected" `Quick
             test_create_rejects_nonpositive;
-          Alcotest.test_case "run jobs=1 is sequential" `Quick test_run_sequential_path;
-          Alcotest.test_case "run jobs>1 uses the pool" `Quick test_run_parallel_path;
+        ] );
+      ( "determinism",
+        [
+          Alcotest.test_case "cache off, journal on" `Quick
+            (check_config ~cache:false ~journal:true);
+          Alcotest.test_case "cache on, journal on" `Quick
+            (check_config ~cache:true ~journal:true);
+          Alcotest.test_case "cache off, journal off" `Quick
+            (check_config ~cache:false ~journal:false);
+          Alcotest.test_case "cache on, journal off" `Quick
+            (check_config ~cache:true ~journal:false);
+        ] );
+      ( "replay",
+        [
+          Alcotest.test_case "per-unit streams replay" `Quick
+            test_worker_journals_replay;
         ] );
     ]

@@ -489,8 +489,9 @@ let test_cli_explain_timings () =
   Alcotest.(check bool) "offline table printed" true
     (contains "hot goals" (read_file "offline.out"))
 
-(* argus check zeroes journal timestamps for parallel determinism;
-   --timestamps opts back into real ones for profiling. *)
+(* argus check zeroes journal timestamps so the journal is a pure
+   function of the inputs; --timestamps opts back into real ones for
+   profiling. *)
 let test_cli_check_timestamps () =
   write_file "prof_ts.trait" failing_source;
   let code =

@@ -433,7 +433,7 @@ let test_concurrent_determinism () =
   let results =
     Fun.protect
       ~finally:(fun () -> Pool.shutdown pool)
-      (fun () -> Serve.Server.handle_batch ~pool ~jobs:4 server batch)
+      (fun () -> Serve.Server.handle_batch ~pool server batch)
   in
   Alcotest.(check int) "one result per request" (List.length batch)
     (List.length results);
@@ -477,7 +477,7 @@ let test_shutdown_drains () =
   let results =
     Fun.protect
       ~finally:(fun () -> Pool.shutdown pool)
-      (fun () -> Serve.Server.handle_batch ~pool ~jobs:2 server batch)
+      (fun () -> Serve.Server.handle_batch ~pool server batch)
   in
   Alcotest.(check int) "every request answered" (List.length batch)
     (List.length results);

@@ -1,4 +1,4 @@
-.PHONY: build test bench bench-json bench-journal bench-fuzz bench-scale bench-incremental bench-serve bench-diff fuzz perf profile serve-smoke perfbench-smoke ci clean
+.PHONY: build test bench bench-json bench-journal bench-fuzz bench-scale bench-serve bench-diff fuzz perf profile serve-smoke perfbench-smoke ci clean
 
 build:
 	dune build @all
@@ -31,12 +31,6 @@ bench-fuzz:
 # off), preserving the other BENCH_pipeline.json sections.
 bench-scale:
 	dune exec bench/main.exe -- --scale-only
-
-# Re-measure only the incremental re-solving section (warm-session
-# single-declaration edit vs from-scratch solve, corpus + mega
-# libraries), preserving the other BENCH_pipeline.json sections.
-bench-incremental:
-	dune exec bench/main.exe -- --incremental-only
 
 # Re-measure only the serve-daemon load section (1000 clients' session
 # scripts against one live server: throughput,
@@ -109,8 +103,8 @@ perf:
 
 # What CI runs (.github/workflows/ci.yml, step for step): full build,
 # full test suite, a corpus smoke (every bundled program, one verdict
-# line each), a 200-iteration fuzz smoke at the pinned seed (all eight
-# oracles, serve and incremental included), a non-interactive
+# line each), a 200-iteration fuzz smoke at the pinned seed (all seven
+# oracles, serve included), a non-interactive
 # `argus watch --once` smoke, the serve stdio-transport smoke, the
 # end-to-end benchmark's correctness smoke, the bench smokes that
 # regenerate BENCH_pipeline.json (1 timed run, 1 warmup — correctness
@@ -129,7 +123,6 @@ ci:
 	dune exec bench/main.exe -- --journal-only --runs 1 --warmup 1
 	dune exec bench/main.exe -- --cache-only --runs 1 --warmup 1
 	dune exec bench/main.exe -- --scale-only --runs 1 --warmup 1
-	dune exec bench/main.exe -- --incremental-only --runs 1 --warmup 1
 	dune exec bench/main.exe -- --serve-only --runs 1 --warmup 1
 	dune exec bench/main.exe -- --diff bench-baseline.json BENCH_pipeline.json --warn-above 1.5 --fail-above 25
 	dune exec bin/argus_cli.exe -- profile --corpus diesel-missing-join \

@@ -543,91 +543,13 @@ let bench_scale_entries () =
   Solver.Eval_cache.set_enabled true;
   rows
 
-(** The [incremental] suite: a single-declaration edit (drop one impl,
-    then restore it) re-solved through a warm {!Solver.Session} —
-    fingerprint diff, reverse-index eviction, stamp rebase, then a solve
-    in which green goals replay from the cache — vs the same program
-    solved from scratch with a cold cache (what a fresh argus
-    invocation pays).  Each timed incremental run is
-    one full edit→resolve cycle, alternating the two versions so every
-    run revalidates against a genuinely different predecessor.
-
-    The mega-library rows come in two flavours per size: [hot-edit]
-    drops the FIRST impl (a trait the cached goals consult, so the
-    resolve pays real red re-solve work — speedup ≈ the green fraction
-    of total cost) and [cold-edit] drops the LAST impl (no cached goal
-    depends on it, so the cycle is pure revalidation overhead — the
-    headline ≥10× number, and the common case in a large library where
-    most edits are off any given goal's dependency path). *)
-let bench_incremental_entries () =
-  let seed = 42 in
-  Printf.printf "  %-28s %12s %12s %9s %8s %9s\n" "program" "scratch" "incr" "speedup"
-    "evicted" "survived";
-  Solver.Eval_cache.set_enabled true;
-  let measure ?(edit_at = 0) name program =
-    let edited = Fuzz.Edit.drop_impl program edit_at in
-    let n_impls = List.length (Program.impls program) in
-    let ns_scratch =
-      time_median (fun () ->
-          Solver.Eval_cache.clear ();
-          Solver.Obligations.solve_program program)
-    in
-    Solver.Eval_cache.clear ();
-    let session = Solver.Session.create () in
-    (* warm both versions so every timed run revalidates a warm cache *)
-    ignore (Solver.Session.load session program);
-    ignore (Solver.Session.resolve session);
-    ignore (Solver.Session.edit session edited);
-    ignore (Solver.Session.resolve session);
-    let cur = ref true in
-    let ns_incr =
-      time_median (fun () ->
-          cur := not !cur;
-          ignore (Solver.Session.edit session (if !cur then program else edited));
-          Solver.Session.resolve session)
-    in
-    let delta = Solver.Session.last_delta session in
-    let speedup = ns_scratch /. ns_incr in
-    Printf.printf "  %-28s %9.2f us %9.2f us %8.2fx %8d %9d\n" name (ns_scratch /. 1e3)
-      (ns_incr /. 1e3) speedup delta.Solver.Session.d_evicted
-      delta.Solver.Session.d_survived;
-    Json.Obj
-      [
-        ("name", Json.String name);
-        ("impls", Json.Int n_impls);
-        ("ns_scratch", Json.Float ns_scratch);
-        ("ns_incr", Json.Float ns_incr);
-        ("speedup", Json.Float speedup);
-        ("evicted", Json.Int delta.Solver.Session.d_evicted);
-        ("survived", Json.Int delta.Solver.Session.d_survived);
-      ]
-  in
-  let corpus_rows =
-    List.map
-      (fun (e : Corpus.Harness.entry) -> measure e.id (Corpus.Harness.load e))
-      Corpus.Suite.entries
-  in
-  let mega_rows =
-    List.concat_map
-      (fun impls ->
-        let src = Fuzz.Gen.render (Fuzz.Gen.generate_mega ~goals:32 ~seed ~impls) in
-        let program = Resolve.program_of_string ~file:"scale.trait" src in
-        [
-          measure ~edit_at:0 (Printf.sprintf "mega-%d-hot-edit" impls) program;
-          measure ~edit_at:(-1) (Printf.sprintf "mega-%d-cold-edit" impls) program;
-        ])
-      [ 100; 1000 ]
-  in
-  Solver.Eval_cache.clear ();
-  corpus_rows @ mega_rows
-
 (** The [serve] suite: the seeded load generator ({!Fuzz.Serve_load})
     replays 1000 clients' two-phase session scripts — cold open+solve,
     then warm tree/expand/hover/explain plus an edited reload and
     re-solve — against one long-lived in-process server.  The
     warm-phase cache hit rate strictly above the cold rate is the
     daemon's reason to exist: the eval cache survives across requests
-    and sessions, revalidated through every reload. *)
+    and sessions. *)
 let bench_serve_entries () =
   let seed = 42 and clients = 1000 in
   Printf.printf "  %-10s %8s %9s %14s %12s %12s %9s %9s\n" "name" "clients"
@@ -715,9 +637,6 @@ let bench_sections =
     ( "scale",
       "scale: mega-library per-goal cost (seed 42, cache off)",
       bench_scale_entries );
-    ( "incremental",
-      "incremental: single-decl edit re-solve vs from-scratch (seed 42)",
-      bench_incremental_entries );
     ( "serve",
       "serve: 1000-client session scripts against one live server (seed 42)",
       bench_serve_entries );

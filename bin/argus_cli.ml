@@ -1002,8 +1002,7 @@ let watch_cmd =
     let session = Solver.Session.create () in
     (* Returns the check-style exit code for this resolve: 0 clean,
        1 trait/type errors, 2 load error.  A load error mid-watch keeps
-       the last good session state (the next successful parse
-       revalidates against it). *)
+       the last good program loaded. *)
     let resolve ~first () =
       match load_program file with
       | Error m ->
@@ -1011,7 +1010,7 @@ let watch_cmd =
           2
       | Ok program ->
           let t0 = Unix.gettimeofday () in
-          let delta = Solver.Session.edit session program in
+          ignore (Solver.Session.edit session program);
           let report = Solver.Session.resolve session in
           let ms = (Unix.gettimeofday () -. t0) *. 1e3 in
           let errors = Solver.Session.errors session in
@@ -1020,11 +1019,7 @@ let watch_cmd =
             (List.length errors)
             (if List.length errors = 1 then "" else "s")
             ms;
-          if first then print_string "  initial load (cold resolve)\n"
-          else
-            Printf.printf "  edit: %d decl(s) changed; cache: %d evicted, %d survived\n"
-              delta.Solver.Session.d_changed delta.Solver.Session.d_evicted
-              delta.Solver.Session.d_survived;
+          if first then print_string "  initial load (cold resolve)\n";
           List.iter
             (fun (r : Solver.Obligations.goal_report) ->
               print_string
@@ -1069,11 +1064,10 @@ let watch_cmd =
   Cmd.v
     (Cmd.info "watch" ~exits
        ~doc:
-         "Re-solve $(i,FILE) on every change through a persistent incremental \
-          session: each save is fingerprint-diffed against the previous \
-          version, only cache entries that consulted a dirtied declaration \
-          are evicted, and unaffected goals replay from the cache. Prints \
-          rustc-style diagnostics plus the edit's red-green delta.")
+         "Re-solve $(i,FILE) on every change through one persistent solving \
+          session: each save is re-parsed and solved again, and the previous \
+          version's cache entries are dropped. Prints rustc-style \
+          diagnostics after every resolve.")
     Term.(const run $ telemetry_term $ file_arg $ interval_arg $ once_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -1244,8 +1238,7 @@ let fuzz_cmd =
       & info [ "oracle" ] ~docv:"NAME"
           ~doc:
             "Oracle(s) to run (repeatable; default: all). Known: wellformed, \
-             cache, journal, roundtrip, intern, determinism, \
-             incremental, serve.")
+             cache, journal, roundtrip, intern, determinism, serve.")
   in
   let shrink_arg =
     Arg.(

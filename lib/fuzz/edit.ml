@@ -83,11 +83,6 @@ let apply (p : Program.t) (op : op) : Program.t =
       try Program.add_type decl p with Program.Duplicate_decl _ -> p)
   | Remove_impl _ | Dup_impl _ | Drop_where _ | Swap_impls _ | Remove_goal _ | Dup_goal _ -> p
 
-let drop_impl p i =
-  let n = List.length (Program.impls p) in
-  let i = if i < 0 then n + i else i in
-  if i < 0 || i >= n then p else apply p (Remove_impl i)
-
 let gen_op rng (p : Program.t) : op =
   let impls = Program.impls p in
   let n_impls = List.length impls in

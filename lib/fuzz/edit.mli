@@ -1,18 +1,13 @@
-(** Deterministic program-level edit scripts for incremental solving.
+(** Deterministic program-level edit scripts.
 
     An edit script is a sequence of single-declaration operations applied
     to a parsed {!Trait_lang.Program.t}, producing successive program
-    versions the way a user editing a file would.  Operating on
-    declaration {e values} (rather than source text) keeps the untouched
-    declarations bit-identical across versions — the property the
-    fingerprint differ exploits — while still exercising every
-    invalidation class: impl-set changes, goal changes, and no-op-shaped
-    structural churn.
+    versions the way a user editing a file would: impl-set changes, goal
+    changes, and no-op-shaped structural churn.
 
-    The [incremental] fuzz oracle replays each version both through a
-    warm {!Solver.Session} and from scratch and demands byte-identical
-    results; {!Bench} uses {!drop_impl} as its canonical single-decl
-    edit. *)
+    The [serve] fuzz oracle reloads each version through a live session
+    and demands responses byte-identical to scratch runs; the serve load
+    generator uses a one-step script as its reload payload. *)
 
 open Trait_lang
 
@@ -23,17 +18,12 @@ type op =
   | Swap_impls of int * int  (** exchange two impls (candidate order) *)
   | Remove_goal of int
   | Dup_goal of int
-  | Add_struct of int  (** add an unused [newtype ZEdit<n>] (green edit) *)
+  | Add_struct of int  (** add an unused [newtype ZEdit<n>] *)
 
 val describe : op -> string
 
 (** Apply one operation; identity when the index is out of range. *)
 val apply : Program.t -> op -> Program.t
-
-(** Remove the [i]-th impl, counting from the end when [i] is negative
-    ([drop_impl p (-1)] drops the last impl — the bench's single-decl
-    edit). *)
-val drop_impl : Program.t -> int -> Program.t
 
 (** A deterministic [steps]-long script for this program: the chosen ops
     and the successive program versions (one per op, base excluded). *)

@@ -12,7 +12,6 @@ type name =
   | Roundtrip
   | Intern
   | Determinism
-  | Incremental
   | Serve
 
 let all =
@@ -23,7 +22,6 @@ let all =
     Roundtrip;
     Intern;
     Determinism;
-    Incremental;
     Serve;
   ]
 
@@ -34,7 +32,6 @@ let to_string = function
   | Roundtrip -> "roundtrip"
   | Intern -> "intern"
   | Determinism -> "determinism"
-  | Incremental -> "incremental"
   | Serve -> "serve"
 
 let of_string s =
@@ -47,8 +44,6 @@ let describe = function
   | Roundtrip -> "pretty-print, re-parse, re-solve reaches the same result"
   | Intern -> "structural copies intern to physically identical terms"
   | Determinism -> "two cold runs of the same source are byte-identical"
-  | Incremental ->
-      "incremental re-solve after each edit-script step equals from-scratch"
   | Serve ->
       "live serve-protocol responses byte-match fresh one-shot runs across \
        open/solve/expand/hover/explain/profile/reload"
@@ -417,85 +412,6 @@ let check_intern source =
       in
       (match mismatch with None -> Pass | Some m -> Fail m)
 
-(* Incremental ≡ from-scratch.  Drive a deterministic edit script
-   through one warm [Session] (cache on, revalidated across each
-   version) and, at every step, re-solve the same program value from
-   scratch with the cache disabled.  Reports, proof trees, diagnostics,
-   and the consumed journal-ID count must be byte-identical — the
-   incremental path is "selective eviction + ordinary solve", so any
-   divergence means revalidation kept an entry it should have evicted
-   (or replay broke its bit-identity contract).
-
-   The comparison deliberately omits snapshot serials: replay skips the
-   candidate snapshots a fresh evaluation takes, which is invisible in
-   every output stream but not in the raw serial counter. *)
-let check_incremental source =
-  with_cache_state @@ fun () ->
-  match load source with
-  | Error m -> Fail m
-  | Ok base ->
-      let fp (program : Program.t) (report : Solver.Obligations.report) ids =
-        let buf = Buffer.create 4096 in
-        Buffer.add_string buf
-          (Argus_json.Json.to_string (Argus_json.Encode.report report));
-        List.iter
-          (fun (r : Solver.Obligations.goal_report) ->
-            Solver.Trace.fold_goals
-              (fun () (g : Solver.Trace.goal_node) ->
-                Printf.bprintf buf "g%d d%d %s;" g.gid g.depth (Pretty.predicate g.pred))
-              () r.final;
-            if r.status <> Solver.Obligations.Proved then begin
-              let tree = Argus.Extract.of_report r in
-              let goal = { r.goal with Program.goal_pred = r.final.pred } in
-              Buffer.add_string buf
-                (Rustc_diag.Diagnostic.to_string
-                   (Rustc_diag.Diagnostic.of_tree program goal tree))
-            end)
-          report.reports;
-        Printf.bprintf buf "ids=%d" ids;
-        Buffer.contents buf
-      in
-      let scratch program =
-        Solver.Eval_cache.set_enabled false;
-        Journal.reset ();
-        Solver.Infer_ctx.reset_snapshot_serial ();
-        let report = Solver.Obligations.solve_program program in
-        Solver.Eval_cache.set_enabled true;
-        (report, Journal.peek_id ())
-      in
-      Solver.Eval_cache.set_enabled true;
-      Solver.Eval_cache.clear ();
-      let session = Solver.Session.create () in
-      let check_version what program =
-        ignore (Solver.Session.edit session program);
-        let incr_report = Solver.Session.resolve session in
-        let incr_ids = Journal.peek_id () in
-        let ref_report, ref_ids = scratch program in
-        match reports_agree ~what incr_report ref_report with
-        | Some m -> Some m
-        | None ->
-            if String.equal (fp program incr_report incr_ids) (fp program ref_report ref_ids)
-            then None
-            else Some (what ^ ": byte fingerprints differ (incremental vs scratch)")
-      in
-      let seed = Hashtbl.hash source in
-      let steps = Edit.script ~seed ~steps:4 base in
-      let rec go i = function
-        | [] -> Pass
-        | (op, version) :: rest -> (
-            match
-              check_version
-                (Printf.sprintf "incremental: step %d (%s)" i (Edit.describe op))
-                version
-            with
-            | Some m -> Fail m
-            | None -> go (i + 1) rest
-        )
-      in
-      (match check_version "incremental: base" base with
-      | Some m -> Fail m
-      | None -> go 1 steps)
-
 (* Serve-protocol equivalence.  Drive the generated program through a
    live in-process server and byte-compare every response payload
    against fresh scratch runs of the same machinery:
@@ -511,7 +427,7 @@ let check_incremental source =
    Then an edit script reloads printed versions through the session
    (warm cache) and re-compares the invariant
    payloads; a final reload of the unchanged source must be a
-   stamp-equal no-op with an all-zero delta. *)
+   stamp-equal no-op that evicts no cache entry. *)
 let check_serve source =
   with_cache_state @@ fun () ->
   let module Json = Argus_json.Json in
@@ -725,29 +641,23 @@ let check_serve source =
             in
             let* last_src = go 1 source steps in
             (* ---- unchanged reload: stamp-equal no-op ---- *)
+            let before = Solver.Eval_cache.stats () in
             let* reloaded =
               rpc "reload" [ ("source", Json.String last_src) ]
             in
+            let after = Solver.Eval_cache.stats () in
             let noop =
               match Json.member "noop" reloaded with
               | Some (Json.Bool b) -> b
               | _ -> false
             in
-            let evicted =
-              match
-                Option.bind
-                  (Json.member "delta" reloaded)
-                  (Json.member "evicted")
-              with
-              | Some (Json.Int n) -> n
-              | _ -> -1
-            in
             if not noop then
               Error "unchanged reload is not a stamp-equal no-op"
-            else if evicted <> 0 then
+            else if after <> before then
               Error
-                (Printf.sprintf "unchanged reload evicted %d entries"
-                   evicted)
+                (Printf.sprintf
+                   "unchanged reload changed the cache (tree %d -> %d, result %d -> %d)"
+                   before.cs_tree after.cs_tree before.cs_result after.cs_result)
             else Ok ()
       in
       (match outcome with
@@ -775,7 +685,6 @@ let check name ~source =
     | Roundtrip -> check_roundtrip source
     | Intern -> check_intern source
     | Determinism -> check_determinism source
-    | Incremental -> check_incremental source
     | Serve -> check_serve source
   in
   match body () with

@@ -24,11 +24,6 @@ type name =
           physically identical term; interning is idempotent *)
   | Determinism
       (** two cold runs of the same source are byte-identical *)
-  | Incremental
-      (** drive a deterministic edit script through a warm
-          {!Solver.Session}: after every step the incremental re-solve is
-          byte-identical (reports, proof trees, diagnostics) to a
-          from-scratch cache-off solve of the same program *)
   | Serve
       (** drive the program through a live in-process {!Serve.Server}
           (open → solve → seeded expand/hover walk → explain → profile →
@@ -37,7 +32,7 @@ type name =
           cache-invariant payloads (check output, trees, view lines,
           failure narratives), cache-on-cold for the journal-derived
           ones (explain summary, profile); an unchanged reload must be a
-          stamp-equal no-op with zero evictions *)
+          stamp-equal no-op that leaves the cache untouched *)
 
 (** All oracles, in campaign execution order ({!Wellformed} first). *)
 val all : name list

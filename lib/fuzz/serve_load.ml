@@ -114,8 +114,8 @@ let run ?(programs = 8) ~clients ~seed () =
           (List.init clients Fun.id)
       in
       let hits1 = cache_hits () and misses1 = cache_misses () in
-      (* warm phase: read-only exploration, then an incremental
-         reload + re-solve against the now-populated cache *)
+      (* warm phase: read-only exploration, then an edited reload +
+         re-solve against the now-populated cache *)
       let warm_results =
         List.map
           (fun (c, failing, _, _) ->

@@ -45,8 +45,6 @@ let sections =
        into one [ns_per_goal], which surfaces the same way against an
        older baseline. *)
     ("scale", "impls", [ "ns_per_goal" ]);
-    (* absent from pre-v7 baselines, tolerated the same way *)
-    ("incremental", "name", [ "ns_scratch"; "ns_incr" ]);
     (* absent from pre-v8 baselines, tolerated the same way *)
     ("serve", "name", [ "p50_ns"; "p99_ns" ]);
   ]

@@ -131,14 +131,6 @@ let source_of_params params =
 (* ------------------------------------------------------------------ *)
 (* Result payloads *)
 
-let delta_json (d : Solver.Session.delta) =
-  Json.Obj
-    [
-      ("changed", Json.Int d.d_changed);
-      ("evicted", Json.Int d.d_evicted);
-      ("survived", Json.Int d.d_survived);
-    ]
-
 let expander_string = function
   | Argus.Render.Open -> "open"
   | Argus.Render.Closed -> "closed"
@@ -223,12 +215,11 @@ let handle_open t params =
             end)
       in
       with_lock session.ss_lock (fun () ->
-          let delta = Solver.Session.edit session.ss_session program in
+          ignore (Solver.Session.edit session.ss_session program);
           Ok
             (Json.Obj
                [
                  ("session", Json.String name);
-                 ("delta", delta_json delta);
                  ("goals", Json.Int (List.length (Trait_lang.Program.goals program)));
                ]))
 
@@ -258,13 +249,11 @@ let handle_reload t params =
                 Trait_lang.Program.stamp old = Trait_lang.Program.stamp program
             | None -> false
           in
-          let delta = Solver.Session.edit s.ss_session program in
+          ignore (Solver.Session.edit s.ss_session program);
           s.ss_source <- source;
           s.ss_solved <- None;
           Hashtbl.reset s.ss_views;
-          Ok
-            (Json.Obj
-               [ ("delta", delta_json delta); ("noop", Json.Bool noop) ]))
+          Ok (Json.Obj [ ("noop", Json.Bool noop) ]))
 
 let handle_solve t params =
   Telemetry.incr c_solves;

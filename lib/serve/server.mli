@@ -7,10 +7,10 @@
     {b Verbs} (see docs/SERVE.md for the wire schema):
     - [open]: create a named session from source text or a file path
       (parse + {!Solver.Session.edit}; no solve yet);
-    - [reload]: feed an edited version through the red-green rebase
-      ({!Solver.Session.edit} + [Eval_cache.rebase]); reports the
-      [{changed, evicted, survived}] delta, and an unchanged
-      source is a stamp-equal no-op (zero evictions);
+    - [reload]: swap in an edited version ({!Solver.Session.edit}, which
+      evicts the previous version's cache entries when the program
+      stamp changes) and report [noop]: an unchanged source re-uses the
+      loaded program, a stamp-equal no-op that evicts nothing;
     - [solve]: resolve and render the [argus check] report (recording
       the search journal for [explain]/[profile]);
     - [tree]: the fully-expanded proof-tree page per failing goal

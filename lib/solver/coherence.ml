@@ -190,7 +190,6 @@ let check_impl_wf ?(cfg = Solve.default_config) (program : Program.t) : wf_failu
                         && not (Journal.enabled ())
                       in
                       if not skip then begin
-                        Eval_cache.push_dep_scope ();
                         let node =
                           Solve.solve st
                             ~origin:
@@ -198,7 +197,6 @@ let check_impl_wf ?(cfg = Solve.default_config) (program : Program.t) : wf_failu
                                  assoc.assoc_name)
                             ~span:impl.impl_span pred
                         in
-                        let deps = Eval_cache.pop_dep_scope () in
                         (match (key, cached) with
                         | Some k, None ->
                             let clean =
@@ -206,7 +204,7 @@ let check_impl_wf ?(cfg = Solve.default_config) (program : Program.t) : wf_failu
                                 (fun acc g -> acc && not (Trace.is_overflow g))
                                 true node
                             in
-                            if clean then Eval_cache.insert_result ~deps k node.result
+                            if clean then Eval_cache.insert_result k node.result
                         | _ -> ());
                         if not (Res.is_yes node.result) then
                           failures :=

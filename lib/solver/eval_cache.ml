@@ -69,50 +69,6 @@ let c_tree_reject = Telemetry.counter "cache.tree.rejects"
 let c_result_hit = Telemetry.counter "cache.result.hits"
 let c_result_miss = Telemetry.counter "cache.result.misses"
 let c_shard_contention = Telemetry.counter "cache.shard.contention"
-let c_incr_evicted = Telemetry.counter "incr.evicted"
-let c_incr_survived = Telemetry.counter "incr.survived"
-
-(* ------------------------------------------------------------------ *)
-(* Declaration dependencies *)
-
-(* Which declarations an evaluation consulted, recorded as the differ's
-   invalidation keys (see {!Trait_lang.Fingerprint}).  The solver opens a
-   scope per cacheable evaluation; [record_dep] is called at the two
-   places solving reads the program — candidate enumeration (the impl
-   set of a trait) and associated-type defaults (the trait declaration)
-   — and a cache hit re-records the entry's stored deps so enclosing
-   evaluations inherit them, exactly as a fresh unfold would. *)
-
-type dep = Fingerprint.dep
-
-let dep_scopes : dep list ref list ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [])
-
-let push_dep_scope () =
-  let st = Domain.DLS.get dep_scopes in
-  st := ref [] :: !st
-
-let record_dep (d : dep) =
-  match !(Domain.DLS.get dep_scopes) with
-  | [] -> ()
-  | top :: _ -> if not (List.exists (Fingerprint.dep_equal d) !top) then top := d :: !top
-
-let record_deps ds = List.iter record_dep ds
-
-(** Close the innermost scope, propagating its deps to the enclosing one
-    (a parent evaluation depends on everything its subgoals consulted). *)
-let pop_dep_scope () : dep list =
-  let st = Domain.DLS.get dep_scopes in
-  match !st with
-  | [] -> []
-  | top :: rest ->
-      st := rest;
-      record_deps !top;
-      !top
-
-(** Drop any scopes left behind by an evaluation that unwound on an
-    exception (leftover scopes are sound — they only absorb records —
-    but leak); sessions call this before each resolve. *)
-let reset_dep_scopes () = Domain.DLS.get dep_scopes := []
 
 (* ------------------------------------------------------------------ *)
 (* Keys *)
@@ -193,11 +149,10 @@ type tree_entry = {
   e_depth : int;
   e_max_depth_off : int;  (** deepest subtree node, relative to [e_depth] *)
   e_touched : Predicate.t list;  (** ground Trait/Projection preds inside *)
-  e_deps : dep list;  (** declarations the evaluation consulted *)
   mutable e_lru : int;
 }
 
-type result_entry = { r_res : Res.t; r_deps : dep list; mutable r_lru : int }
+type result_entry = { r_res : Res.t; mutable r_lru : int }
 
 (* ------------------------------------------------------------------ *)
 (* Shards *)
@@ -214,9 +169,6 @@ type shard = {
   s_mutex : Mutex.t;
   s_tree : tree_entry Tbl.t;
   s_result : result_entry Tbl.t;
-  s_rev : (dep, key list) Hashtbl.t;
-      (** reverse index decl→entries for incremental invalidation; lists
-          may carry stale keys (evictions don't unlink), pruned lazily *)
   mutable s_clock : int;
 }
 
@@ -229,7 +181,6 @@ let shards =
         s_mutex = Mutex.create ();
         s_tree = Tbl.create 64;
         s_result = Tbl.create 64;
-        s_rev = Hashtbl.create 64;
         s_clock = 0;
       })
 
@@ -255,21 +206,6 @@ let tick s =
   s.s_clock <- s.s_clock + 1;
   s.s_clock
 
-(* Link [key] under each of its deps.  Rev lists accumulate stale keys
-   between rebases; cap unbounded growth by pruning a list to its live
-   members once it gets long. *)
-let add_rev s key (deps : dep list) =
-  List.iter
-    (fun d ->
-      let prev = Option.value ~default:[] (Hashtbl.find_opt s.s_rev d) in
-      let prev =
-        if List.length prev >= 128 then
-          List.filter (fun k -> Tbl.mem s.s_tree k || Tbl.mem s.s_result k) prev
-        else prev
-      in
-      Hashtbl.replace s.s_rev d (key :: prev))
-    deps
-
 (* Evict the least-recently-used half when full: O(n log n) amortized
    over n/2 inserts. *)
 let evict_half (type e) (tbl : e Tbl.t) (lru_of : e -> int) =
@@ -288,7 +224,6 @@ let clear () =
       with_shard s (fun s ->
           Tbl.reset s.s_tree;
           Tbl.reset s.s_result;
-          Hashtbl.reset s.s_rev;
           s.s_clock <- 0))
     shards
 
@@ -354,7 +289,6 @@ type frame = {
 }
 
 let open_frame icx ~key ~gid ~depth : frame =
-  push_dep_scope ();
   {
     f_key = key;
     f_gid = gid;
@@ -381,9 +315,6 @@ let failure_ok ~start (f : Unify.failure) =
       evaluation, or references one from a binding or failure payload
       (cannot be renumbered into another solver's variable space). *)
 let try_insert icx (f : frame) (node : Trace.goal_node) =
-  (* Close the scope opened by [open_frame] whether or not we insert:
-     the deps still propagate to the enclosing evaluation. *)
-  let deps = pop_dep_scope () in
   if Atomic.get enabled_flag then begin
     let start = f.f_var_start in
     let ok = ref true in
@@ -439,10 +370,8 @@ let try_insert icx (f : frame) (node : Trace.goal_node) =
               e_depth = f.f_depth;
               e_max_depth_off = !max_depth - f.f_depth;
               e_touched = !touched;
-              e_deps = deps;
               e_lru = tick s;
-            };
-          add_rev s f.f_key deps)
+            })
     end
     else Telemetry.incr c_tree_reject
   end
@@ -457,9 +386,6 @@ let try_insert icx (f : frame) (node : Trace.goal_node) =
     subtree restamped into the caller's id/variable/depth space with the
     caller's provenance at the root. *)
 let replay icx ~gid ~depth ~prov (e : tree_entry) : Trace.goal_node =
-  (* A hit consults the same declarations a fresh unfold would have:
-     charge them to the enclosing evaluation. *)
-  record_deps e.e_deps;
   Journal.bump_ids e.e_ids;
   let var_start = Infer_ctx.alloc_vars icx e.e_vars in
   let vd = var_start - e.e_var_start in
@@ -520,117 +446,43 @@ let find_result key : Res.t option =
           match Tbl.find_opt s.s_result key with
           | Some e ->
               e.r_lru <- tick s;
-              Some (e.r_res, e.r_deps)
+              Some e.r_res
           | None -> None)
     in
-    (match hit with
-    | Some (_, deps) ->
-        Telemetry.incr c_result_hit;
-        record_deps deps
-    | None -> Telemetry.incr c_result_miss);
-    Option.map fst hit
+    Telemetry.incr (if Option.is_some hit then c_result_hit else c_result_miss);
+    hit
 
-let insert_result ?(deps = []) key res =
+let insert_result key res =
   if Atomic.get enabled_flag then
     with_shard (shard_of key) (fun s ->
         if Tbl.length s.s_result >= shard_capacity then
           evict_half s.s_result (fun e -> e.r_lru);
-        Tbl.replace s.s_result key { r_res = res; r_deps = deps; r_lru = tick s };
-        add_rev s key deps)
+        Tbl.replace s.s_result key { r_res = res; r_lru = tick s })
 
 (* ------------------------------------------------------------------ *)
-(* Incremental rebase (red-green revalidation) *)
+(* Stamp eviction *)
 
-type rebase_stats = { rb_evicted : int; rb_survived : int }
-
-(** Revalidate the cache across an edit: entries keyed under [old_ctx]
-    that consulted a dirty declaration are evicted (red); the rest
-    survive, re-keyed under [new_ctx] (green).  Re-keying changes the
-    key hash — and therefore the shard — so this is a global two-phase
-    walk: collect per shard, then redistribute.  Entries under other
-    contexts (other programs, other solver configs) are untouched.
-
-    Eviction itself walks the reverse index, so its cost scales with the
-    entries that actually touched a dirty declaration; the survivor
-    re-key is a linear pass over the old context's remaining entries. *)
-let rebase ~old_ctx ~new_ctx ~(dirty : dep list) : rebase_stats =
-  let evicted = ref 0 in
-  let rekey (k : key) =
-    (* [k_hash = x_hash lxor f(pred, vars)]: swap the ctx contribution. *)
-    { k with k_ctx = new_ctx; k_hash = new_ctx.x_hash lxor (k.k_hash lxor old_ctx.x_hash) }
+(** Drop every entry of both tiers whose key carries program stamp
+    [stamp], returning how many went.  Stamps are never reused, so once
+    a session moves off a program its entries could only be hit by
+    another holder of the same program value; without this they sit in
+    the shards until the LRU cap pushes them out. *)
+let evict_stamp stamp =
+  let n = ref 0 in
+  let drop tbl =
+    Tbl.filter_map_inplace
+      (fun k e ->
+        if k.k_ctx.x_stamp = stamp then begin
+          incr n;
+          None
+        end
+        else Some e)
+      tbl
   in
-  let is_dirty deps =
-    List.exists (fun d -> List.exists (Fingerprint.dep_equal d) dirty) deps
-  in
-  let surv_tree = ref [] and surv_result = ref [] in
   Array.iter
     (fun s ->
       with_shard s (fun s ->
-          (* Red: walk the reverse index for each dirty key and evict
-             exactly the entries that recorded it. *)
-          List.iter
-            (fun d ->
-              match Hashtbl.find_opt s.s_rev d with
-              | None -> ()
-              | Some keys ->
-                  List.iter
-                    (fun k ->
-                      if ctx_equal k.k_ctx old_ctx then begin
-                        if Tbl.mem s.s_tree k then begin
-                          Tbl.remove s.s_tree k;
-                          incr evicted
-                        end;
-                        if Tbl.mem s.s_result k then begin
-                          Tbl.remove s.s_result k;
-                          incr evicted
-                        end
-                      end)
-                    keys)
-            dirty;
-          (* Green: every remaining old-ctx entry survives; collect it
-             for redistribution.  The [is_dirty] re-check is defensive —
-             the reverse index is complete by construction, so it never
-             fires unless an entry somehow bypassed [add_rev]. *)
-          let take (type e) (tbl : e Tbl.t) (deps_of : e -> dep list) sink =
-            let olds =
-              Tbl.fold
-                (fun k e acc -> if ctx_equal k.k_ctx old_ctx then (k, e) :: acc else acc)
-                tbl []
-            in
-            List.iter
-              (fun (k, e) ->
-                Tbl.remove tbl k;
-                if is_dirty (deps_of e) then incr evicted
-                else sink := (rekey k, e) :: !sink)
-              olds
-          in
-          take s.s_tree (fun e -> e.e_deps) surv_tree;
-          take s.s_result (fun e -> e.r_deps) surv_result;
-          (* The walk above unlinked many keys; prune this shard's rev
-             lists down to the entries still resident. *)
-          Hashtbl.filter_map_inplace
-            (fun _ keys ->
-              match List.filter (fun k -> Tbl.mem s.s_tree k || Tbl.mem s.s_result k) keys with
-              | [] -> None
-              | keys -> Some keys)
-            s.s_rev))
+          drop s.s_tree;
+          drop s.s_result))
     shards;
-  List.iter
-    (fun (k, (e : tree_entry)) ->
-      with_shard (shard_of k) (fun s ->
-          if Tbl.length s.s_tree >= shard_capacity then evict_half s.s_tree (fun e -> e.e_lru);
-          Tbl.replace s.s_tree k { e with e_lru = tick s };
-          add_rev s k e.e_deps))
-    !surv_tree;
-  List.iter
-    (fun (k, (e : result_entry)) ->
-      with_shard (shard_of k) (fun s ->
-          if Tbl.length s.s_result >= shard_capacity then
-            evict_half s.s_result (fun e -> e.r_lru);
-          Tbl.replace s.s_result k { e with r_lru = tick s };
-          add_rev s k e.r_deps))
-    !surv_result;
-  let survived = List.length !surv_tree + List.length !surv_result in
-  Telemetry.add c_incr_evicted !evicted;
-  Telemetry.add c_incr_survived survived;
-  { rb_evicted = !evicted; rb_survived = survived }
+  !n

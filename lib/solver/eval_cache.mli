@@ -78,41 +78,13 @@ val replay :
 (** {1 Result tier} *)
 
 val find_result : key -> Res.t option
-val insert_result : ?deps:Fingerprint.dep list -> key -> Res.t -> unit
+val insert_result : key -> Res.t -> unit
 
-(** {1 Declaration dependencies}
+(** {1 Stamp eviction} *)
 
-    Every cache entry records which declarations its evaluation
-    consulted, keyed by the differ's invalidation units
-    ({!Trait_lang.Fingerprint.dep}).  The solver opens a scope per
-    cacheable evaluation ({!open_frame} pushes, {!try_insert} pops) and
-    calls {!record_dep} wherever it reads the program; hits re-record
-    the stored deps so enclosing evaluations inherit them. *)
-
-type dep = Fingerprint.dep
-
-(** Record a declaration consultation into the innermost open scope
-    (no-op outside any scope, e.g. with the cache disabled). *)
-val record_dep : dep -> unit
-
-(** Open an explicit scope (used by {!Solve.evaluate} around result-tier
-    evaluations, and available to tests). *)
-val push_dep_scope : unit -> unit
-
-val pop_dep_scope : unit -> dep list
-
-(** Drop scopes orphaned by exception unwinds (sound but leaky);
-    {!Session} calls this before each resolve. *)
-val reset_dep_scopes : unit -> unit
-
-(** {1 Incremental rebase}
-
-    Red-green revalidation across an edit: evict exactly the entries
-    that consulted a dirty declaration (via the per-shard reverse index
-    decl→entries), re-key every other entry of [old_ctx] under
-    [new_ctx].  Bumps the [incr.evicted] / [incr.survived] telemetry
-    counters. *)
-
-type rebase_stats = { rb_evicted : int; rb_survived : int }
-
-val rebase : old_ctx:ctx -> new_ctx:ctx -> dirty:dep list -> rebase_stats
+(** Drop every entry of both tiers keyed by program stamp [stamp] and
+    return how many were dropped.  {!Session.edit} calls it on the
+    previous program's stamp when it swaps in a program with a new one,
+    so a long-lived session holds one version's entries, not every
+    version's until the LRU cap pushes them out. *)
+val evict_stamp : int -> int

@@ -1,46 +1,37 @@
-(** An incremental solving session: [load → edit → resolve → query].
+(** A solving session: [load → edit → resolve → query].
 
-    Feeding the session successive program versions revalidates the
-    shared evaluation cache across each edit instead of discarding it —
-    {!Trait_lang.Fingerprint.diff} classifies the edit, {!Eval_cache.rebase}
-    evicts exactly the entries that consulted a dirty declaration (the
-    rest survive with their program stamp re-keyed).
-    {!resolve} then runs an ordinary full solve in which unaffected
-    goals replay bit-identically from the cache, so an incremental
-    re-solve produces byte-identical reports, proof trees, and
-    diagnostics to a from-scratch run (the [incremental] fuzz oracle
-    checks exactly this).
-
-    Sessions solve with an empty where-clause environment; program
-    {e goal} edits are free (goals are inputs, not cached context).
-    Telemetry: [incr.evicted], [incr.survived], [incr.resolves]. *)
+    The session holds one program version at a time.  {!edit} swaps in
+    the next version; when its stamp differs from the previous one's
+    (any declaration change), every evaluation-cache entry keyed by the
+    previous stamp is evicted, since no later solve can hit it.  A
+    same-stamp edit (goals only, or an unchanged reload) evicts nothing,
+    and the next {!resolve} replays from the warm cache.  Cache replay
+    is response-invisible, so a session re-solve is byte-identical to a
+    from-scratch run. *)
 
 open Trait_lang
 
 type t
 
-(** What one edit did to the cached state. *)
+(** What one edit did to the cache. *)
 type delta = {
-  d_changed : int;  (** declarations changed/added/removed *)
-  d_evicted : int;  (** cache entries invalidated (red) *)
-  d_survived : int;  (** cache entries re-keyed to the new stamp (green) *)
+  d_evicted : int;  (** entries of the previous program's stamp dropped *)
+  d_survived : int;  (** always 0: no entry carries over to a new stamp *)
 }
 
-val no_delta : delta
 val create : ?cfg:Solve.config -> unit -> t
 
-(** Replace the session's program, revalidating cached state against the
-    previous version (a no-op delta on first load). *)
+(** Replace the session's program, evicting the previous version's cache
+    entries when the stamp changes (nothing is evicted on first load). *)
 val edit : t -> Program.t -> delta
 
 (** Alias of {!edit} — reads as intent at the call site. *)
 val load : t -> Program.t -> delta
 
-(** Re-solve the current program's goals (full fixpoint; green subtrees
-    replay from the cache).  @raise Invalid_argument before any load. *)
+(** Re-solve the current program's goals.
+    @raise Invalid_argument before any load. *)
 val resolve : t -> Obligations.report
 
 val program : t -> Program.t option
 val report : t -> Obligations.report option
-val last_delta : t -> delta
 val errors : t -> Obligations.goal_report list

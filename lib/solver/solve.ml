@@ -132,16 +132,6 @@ let muted f =
   Journal.mute ();
   Fun.protect ~finally:Journal.unmute f
 
-(** The impls worth probing for a goal on [trait_path] with (shallow-
-    resolved) self type [self]: head-incompatible impls are fast-
-    rejected before any unification, and the rest keep their
-    declaration order. *)
-let impl_candidates st (trait_path : Path.t) (self : Ty.t) : Decl.impl list =
-  (* Candidate enumeration reads the trait's whole impl set — the
-     incremental invalidation unit for impl edits. *)
-  Eval_cache.record_dep (Fingerprint.Dep_impls trait_path);
-  Fast_reject.candidates st.program trait_path self
-
 (* ------------------------------------------------------------------ *)
 (* The mutually recursive solver core. *)
 
@@ -252,7 +242,7 @@ and solve_trait st ~gid ~depth ~prov pred (tp : Predicate.trait_pred) : Trace.go
           st.env
       in
       let impl_cands =
-        impl_candidates st tp.trait_ref.trait self
+        Fast_reject.candidates st.program tp.trait_ref.trait self
         |> List.map (fun impl -> eval_impl_candidate st ~goal:gid ~depth ~commit:false impl tp)
       in
       let builtin_cands = builtin_candidates st ~goal:gid ~depth ~commit:false tp in
@@ -516,7 +506,7 @@ and solve_projection st ~gid ~depth ~prov pred (pp : Predicate.proj_pred) : Trac
     (* Impl candidates are evaluated first, matching their position in
        the candidate list (and hence the journal's event order). *)
     let impl_cands =
-      impl_candidates st proj.proj_trait.trait (Unify.shallow st.icx proj.self_ty)
+      Fast_reject.candidates st.program proj.proj_trait.trait (Unify.shallow st.icx proj.self_ty)
       |> List.map (fun impl ->
              eval_proj_impl_candidate st ~goal:gid ~depth ~commit:false impl proj pp)
     in
@@ -659,10 +649,6 @@ and eval_proj_impl_candidate st ~goal ~depth ~commit (impl : Decl.impl) (proj : 
 (** Look up the impl's binding for [assoc], falling back to the trait's
     declared default. *)
 and binding_of_impl st (impl : Decl.impl) subst assoc : Ty.t option =
-  (* The default-binding fallback reads the trait declaration; recorded
-     unconditionally so a trait edit (e.g. adding a default) invalidates
-     entries that resolved an assoc type through one of its impls. *)
-  Eval_cache.record_dep (Fingerprint.Dep_trait impl.impl_trait.trait);
   match
     List.find_opt (fun (b : Decl.assoc_ty_binding) -> b.bind_name = assoc) impl.impl_assocs
   with
@@ -801,7 +787,9 @@ and normalize_proj st ?id ~depth ~prov (proj : Ty.projection) : proj_norm =
   end
 
 and normalize_via_impls st ~gid ~depth ~prov pred (proj : Ty.projection) : proj_norm =
-  let impls = impl_candidates st proj.proj_trait.trait (Unify.shallow st.icx proj.self_ty) in
+  let impls =
+    Fast_reject.candidates st.program proj.proj_trait.trait (Unify.shallow st.icx proj.self_ty)
+  in
   (* Probe which impls head-match.  The substitution of a successful
      probe is kept: rollback unbinds the fresh variables it allocated
      but leaves them allocated, so a uniquely matching impl can be
@@ -918,19 +906,11 @@ let evaluate st ?(origin = "evaluate") ?(span = Span.dummy) pred : Res.t =
         if Journal.enabled () then run_full () else r
     | None ->
         Jlog.cache_miss ~goal:(Journal.peek_id ()) ~tier:"result";
-        Eval_cache.push_dep_scope ();
-        let node =
-          match solve st ~origin ~span pred with
-          | node -> node
-          | exception e ->
-              ignore (Eval_cache.pop_dep_scope ());
-              raise e
-        in
-        let deps = Eval_cache.pop_dep_scope () in
+        let node = solve st ~origin ~span pred in
         let clean =
           Trace.fold_goals (fun acc g -> acc && not (Trace.is_overflow g)) true node
         in
-        if clean then Eval_cache.insert_result ~deps key node.result;
+        if clean then Eval_cache.insert_result key node.result;
         node.result
   end
 

@@ -3,7 +3,8 @@
     two-tier evaluation cache — including the load-bearing property that
     caching is {e observationally invisible}: cache-on and cache-off runs
     produce structurally identical proof trees and identical journal
-    streams over the whole corpus. *)
+    streams over the whole corpus — and the cache's lifetime across a
+    session's edits. *)
 
 open Trait_lang
 
@@ -314,6 +315,61 @@ let test_cache_counters_in_telemetry () =
     (Telemetry.counter_value "cache.tree.hits" > 0)
 
 (* ------------------------------------------------------------------ *)
+(* Sessions: cache lifetime across edits *)
+
+(* A goal-only edit keeps the program stamp: nothing is evicted, and the
+   next resolve is served from the tree tier. *)
+let test_goal_edit_is_free () =
+  fresh_cache ();
+  let program =
+    parse
+      "struct A; struct B; trait T1 {} trait T2 {} impl T1 for A {} impl T2 for B {} \
+       goal A: T1; goal B: T2;"
+  in
+  let session = Solver.Session.create () in
+  ignore (Solver.Session.load session program);
+  ignore (Solver.Session.resolve session);
+  let before = Solver.Eval_cache.stats () in
+  let edited = Fuzz.Edit.apply program (Fuzz.Edit.Dup_goal 0) in
+  let delta = Solver.Session.edit session edited in
+  Alcotest.(check int) "goal edit evicts nothing" 0 delta.Solver.Session.d_evicted;
+  Alcotest.(check bool) "cache untouched by the edit" true
+    (Solver.Eval_cache.stats () = before);
+  Telemetry.reset ();
+  Telemetry.enable ();
+  let report = Solver.Session.resolve session in
+  Telemetry.disable ();
+  Alcotest.(check int) "every goal replays as a tree hit"
+    (List.length report.Solver.Obligations.reports)
+    (Telemetry.counter_value "cache.tree.hits");
+  Alcotest.(check int) "no goal re-solves" 0 (Telemetry.counter_value "cache.tree.misses");
+  Alcotest.(check int) "still no errors" 0 (List.length (Solver.Session.errors session))
+
+(* One session fed 1,000 freshly parsed versions of a corpus program: each
+   edit evicts its predecessor's stamp, so the cache never holds more
+   than one version's entries. *)
+let test_versions_do_not_accumulate () =
+  fresh_cache ();
+  let e = Option.get (Corpus.Suite.find "diesel-missing-join") in
+  let session = Solver.Session.create () in
+  ignore (Solver.Session.load session (Corpus.Harness.load e));
+  ignore (Solver.Session.resolve session);
+  let one = Solver.Eval_cache.stats () in
+  Alcotest.(check bool) "one version fills the tree tier" true (one.cs_tree > 0);
+  for i = 2 to 1000 do
+    let delta = Solver.Session.edit session (Corpus.Harness.load e) in
+    if delta.Solver.Session.d_evicted <> one.cs_tree + one.cs_result then
+      Alcotest.failf "version %d: evicted %d entries, expected %d" i
+        delta.Solver.Session.d_evicted (one.cs_tree + one.cs_result);
+    ignore (Solver.Session.resolve session);
+    let s = Solver.Eval_cache.stats () in
+    if s.cs_tree > one.cs_tree || s.cs_result > one.cs_result then
+      Alcotest.failf "version %d: cache holds %d tree / %d result entries, one version has %d / %d"
+        i s.cs_tree s.cs_result one.cs_tree one.cs_result
+  done;
+  Solver.Eval_cache.clear ()
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "cache"
@@ -338,4 +394,11 @@ let () =
         ] );
       ( "telemetry",
         [ Alcotest.test_case "counters visible" `Quick test_cache_counters_in_telemetry ] );
+      ( "red-green",
+        [ Alcotest.test_case "goal edits are free" `Quick test_goal_edit_is_free ] );
+      ( "session",
+        [
+          Alcotest.test_case "1,000 versions hold one version's entries" `Quick
+            test_versions_do_not_accumulate;
+        ] );
     ]

@@ -1,5 +1,6 @@
 (** The domain pool: ordered results, exception propagation, clean
-    shutdown, and byte-identical corpus solving on worker domains. *)
+    shutdown, byte-identical corpus solving on worker domains, and
+    solving sessions on concurrent domains sharing the eval cache. *)
 
 exception Boom of int
 
@@ -151,6 +152,40 @@ let test_worker_journals_replay () =
       | Error m -> Alcotest.fail (b.b_entry.id ^ ": journal does not replay: " ^ m))
     results
 
+(* Four sessions, one per domain, drive the same base → edit → base
+   sequence against the shared global cache; every domain must produce
+   the same report fingerprints as a sequential session. *)
+let test_sessions_agree_across_domains () =
+  Solver.Eval_cache.set_enabled true;
+  Solver.Eval_cache.clear ();
+  let src = Fuzz.Gen.render (Fuzz.Gen.generate ~seed:2025 ~iter:3 ~size:3) in
+  let report_fp report = Argus_json.Json.to_string (Argus_json.Encode.report report) in
+  let run () =
+    let program = Trait_lang.Resolve.program_of_string ~file:"test.trait" src in
+    let edited = Fuzz.Edit.apply program (Fuzz.Edit.Remove_impl 0) in
+    let session = Solver.Session.create () in
+    ignore (Solver.Session.load session program);
+    let a = report_fp (Solver.Session.resolve session) in
+    ignore (Solver.Session.edit session edited);
+    let b = report_fp (Solver.Session.resolve session) in
+    ignore (Solver.Session.edit session program);
+    let c = report_fp (Solver.Session.resolve session) in
+    (a, b, c)
+  in
+  let domains = List.init 4 (fun _ -> Domain.spawn run) in
+  let results = List.map Domain.join domains in
+  let expected = run () in
+  Solver.Eval_cache.clear ();
+  Alcotest.(check bool) "base re-solve returns to the base report" true
+    (let a, _, c = expected in
+     a = c);
+  List.iteri
+    (fun d r ->
+      Alcotest.(check bool)
+        (Printf.sprintf "domain %d agrees with the sequential session" d)
+        true (r = expected))
+    results
+
 let () =
   Alcotest.run "pool"
     [
@@ -188,5 +223,10 @@ let () =
         [
           Alcotest.test_case "per-unit streams replay" `Quick
             test_worker_journals_replay;
+        ] );
+      ( "domains",
+        [
+          Alcotest.test_case "4 sessions agree across domains" `Quick
+            test_sessions_agree_across_domains;
         ] );
     ]

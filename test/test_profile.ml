@@ -294,54 +294,6 @@ let test_diff_scale_section_tolerated () =
   Alcotest.(check int) "same doc: nothing added" 0
     (List.length rep.Profile.Bench_diff.added)
 
-(* Same tolerance story for the v7 incremental section: a document that
-   grew incremental rows diffs clean against a pre-v7 baseline (added,
-   never regressed), and an incremental-on-both-sides slowdown is still
-   a regression. *)
-let test_diff_incremental_section_tolerated () =
-  let incr_doc ns_incr =
-    match pipeline_doc base_entries with
-    | Argus_json.Json.Obj fields ->
-        Argus_json.Json.Obj
-          (fields
-          @ [
-              ( "incremental",
-                Argus_json.Json.List
-                  [
-                    Argus_json.Json.Obj
-                      [
-                        ("name", Argus_json.Json.String "mega-1000-cold-edit");
-                        ("ns_scratch", Argus_json.Json.Float 7_000_000.0);
-                        ("ns_incr", Argus_json.Json.Float ns_incr);
-                      ];
-                  ] );
-            ])
-    | j -> j
-  in
-  let old_doc = pipeline_doc base_entries in
-  let new_doc = incr_doc 200_000.0 in
-  let rep = Profile.Bench_diff.diff ~old_doc ~new_doc () in
-  Alcotest.(check bool) "verdict is Pass" true
-    (rep.Profile.Bench_diff.verdict = Profile.Bench_diff.Pass);
-  Alcotest.(check (list string)) "incremental metrics surface as added"
-    [
-      "incremental/mega-1000-cold-edit/ns_scratch";
-      "incremental/mega-1000-cold-edit/ns_incr";
-    ]
-    rep.Profile.Bench_diff.added;
-  (* on both sides: a 3x slower incremental re-solve fails the gate *)
-  let rep =
-    Profile.Bench_diff.diff ~old_doc:(incr_doc 200_000.0) ~new_doc:(incr_doc 600_000.0)
-      ()
-  in
-  Alcotest.(check bool) "incremental regression caught" true
-    (rep.Profile.Bench_diff.verdict = Profile.Bench_diff.Regression);
-  Alcotest.(check (list string)) "exactly the incr metric regressed"
-    [ "incremental/mega-1000-cold-edit/ns_incr" ]
-    (List.map
-       (fun r -> Profile.Bench_diff.(r.r_section ^ "/" ^ r.r_name ^ "/" ^ r.r_metric))
-       rep.Profile.Bench_diff.regressions)
-
 (* Same tolerance story for the v8 serve section: a document that grew
    serve latency rows diffs clean against a pre-v8 baseline (added,
    never regressed), and a serve-on-both-sides slowdown is still a
@@ -581,8 +533,6 @@ let () =
             test_diff_scale_section_tolerated;
           Alcotest.test_case "serve section tolerated" `Quick
             test_diff_serve_section_tolerated;
-          Alcotest.test_case "incremental section tolerated" `Quick
-            test_diff_incremental_section_tolerated;
           Alcotest.test_case "foreign schema rejected" `Quick
             test_diff_rejects_foreign_schema;
         ] );

@@ -26,9 +26,10 @@ bench-journal:
 bench-fuzz:
 	dune exec bench/main.exe -- --fuzz-only
 
-# Re-measure only the mega-library scale section (per-goal solve cost,
-# unify attempts and fast-reject rates at 100/1000/10000 impls, cache
-# off), preserving the other BENCH_pipeline.json sections.
+# Re-measure only the mega-library scale section (parse and lower cost
+# per KB of source, per-goal solve cost, unify attempts and fast-reject
+# rates at 100/1000/10000 impls, solve cache off), preserving the other
+# BENCH_pipeline.json sections.
 bench-scale:
 	dune exec bench/main.exe -- --scale-only
 
@@ -64,21 +65,24 @@ fuzz:
 	dune exec bin/argus_cli.exe -- fuzz --iters 500 --seed 42 --shrink
 
 # End-to-end smoke of the serve daemon over its stdio transport: pipe
-# a 4-line JSON-RPC script (open the paper's timer example, solve,
-# render the tree, shut down) through `argus serve` and check that
-# every request got a well-formed response and the shutdown was acked
-# (see docs/SERVE.md).
+# a 5-line JSON-RPC script (open the paper's timer example, solve,
+# render the tree, open a source whose integer literal overflows, shut
+# down) through `argus serve` and check that every request got a
+# well-formed response, the bad open and only it got a load_error
+# (-32002), and the shutdown was still acked (see docs/SERVE.md).
 serve-smoke:
 	printf '%s\n' \
 	  '{"jsonrpc":"2.0","id":1,"method":"open","params":{"session":"smoke","path":"examples/timer.trait"}}' \
 	  '{"jsonrpc":"2.0","id":2,"method":"solve","params":{"session":"smoke"}}' \
 	  '{"jsonrpc":"2.0","id":3,"method":"tree","params":{"session":"smoke"}}' \
-	  '{"jsonrpc":"2.0","id":4,"method":"shutdown"}' \
+	  '{"jsonrpc":"2.0","id":4,"method":"open","params":{"session":"bad","source":"fn f() { 99999999999999999999999; }"}}' \
+	  '{"jsonrpc":"2.0","id":5,"method":"shutdown"}' \
 	  | dune exec bin/argus_cli.exe -- serve > serve-smoke.jsonl
-	test "$$(wc -l < serve-smoke.jsonl)" -eq 4
-	test "$$(grep -c '"jsonrpc":"2.0"' serve-smoke.jsonl)" -eq 4
-	grep -q '"ok":true' serve-smoke.jsonl
-	! grep -q '"error"' serve-smoke.jsonl
+	test "$$(wc -l < serve-smoke.jsonl)" -eq 5
+	test "$$(grep -c '"jsonrpc":"2.0"' serve-smoke.jsonl)" -eq 5
+	grep -q '"id":4,"error":{"code":-32002,' serve-smoke.jsonl
+	grep '"id":5,' serve-smoke.jsonl | grep -q '"ok":true'
+	! grep -v '"id":4,' serve-smoke.jsonl | grep -q '"error"'
 	rm -f serve-smoke.jsonl
 
 # Correctness smoke of the end-to-end benchmark (see perfbench/README.md):

@@ -496,23 +496,30 @@ let bench_fuzz_entries () =
   in
   gen_row :: List.map oracle_row Fuzz.Oracle.all
 
-(** The [scale] suite: per-goal solve cost over generated mega
-    libraries ({!Fuzz.Gen.generate_mega}) at growing impl counts.  The
-    cache is off so every goal re-runs candidate assembly.  Unify
-    attempts per goal stay flat as the library grows: fast reject
+(** The [scale] suite: front-end and per-goal solve cost over generated
+    mega libraries ({!Fuzz.Gen.generate_mega}) at growing impl counts.
+    Parse and lower are per KB of source, flat for a linear front end.
+    The solve runs cache off so every goal re-runs candidate assembly.
+    Unify attempts per goal stay flat as the library grows: fast reject
     drops head-incompatible impls before any unification, so the
     per-goal cost that grows with the library is the linear
     simplify-and-skip pass, never unifications. *)
 let bench_scale_entries () =
   let goals = 32 and seed = 42 in
   let fg = float_of_int goals in
-  Printf.printf "  %-8s %12s %14s %9s\n" "impls" "per goal" "attempts/goal" "rejects";
+  Printf.printf "  %-8s %12s %12s %12s %14s %9s\n" "impls" "parse/KB" "lower/KB" "per goal"
+    "attempts/goal" "rejects";
   Solver.Eval_cache.set_enabled false;
   let rows =
     List.map
       (fun impls ->
         let src = Fuzz.Gen.render (Fuzz.Gen.generate_mega ~goals ~seed ~impls) in
-        let program = Resolve.program_of_string ~file:"scale.trait" src in
+        let kb = float_of_int (String.length src) /. 1024.0 in
+        let parse () = Parser.parse ~file:"scale.trait" src in
+        let parse_ns = time_median parse /. kb in
+        let ast = parse () in
+        let lower_ns = time_median (fun () -> Resolve.lower ast) /. kb in
+        let program = Resolve.lower ast in
         let ns = time_median (fun () -> Solver.Obligations.solve_program program) /. fg in
         Telemetry.reset ();
         Telemetry.enable ();
@@ -525,12 +532,14 @@ let bench_scale_entries () =
           if hits + rejects = 0 then 0.0
           else float_of_int rejects /. float_of_int (hits + rejects)
         in
-        Printf.printf "  %-8d %9.2f us %14.1f %8.0f%%\n" impls (ns /. 1e3) attempts
-          (reject_rate *. 100.0);
+        Printf.printf "  %-8d %9.2f us %9.2f us %9.2f us %14.1f %8.0f%%\n" impls
+          (parse_ns /. 1e3) (lower_ns /. 1e3) (ns /. 1e3) attempts (reject_rate *. 100.0);
         Json.Obj
           [
             ("impls", Json.Int impls);
             ("goals", Json.Int goals);
+            ("parse_ns_per_kb", Json.Float parse_ns);
+            ("lower_ns_per_kb", Json.Float lower_ns);
             ("ns_per_goal", Json.Float ns);
             ("unify_attempts_per_goal", Json.Float attempts);
             ("index_hits", Json.Int hits);
@@ -635,7 +644,7 @@ let bench_sections =
       "differential fuzzing (generation + oracle bank, seed 42)",
       bench_fuzz_entries );
     ( "scale",
-      "scale: mega-library per-goal cost (seed 42, cache off)",
+      "scale: mega-library front-end and per-goal cost (seed 42, solve cache off)",
       bench_scale_entries );
     ( "serve",
       "serve: 1000-client session scripts against one live server (seed 42)",
@@ -664,6 +673,9 @@ let existing_sections () =
     existing file. *)
 let run_sections selected =
   let existing = existing_sections () in
+  (* Settle the heap before timing: the first collections promote all
+     loaded data, a pause that reads as a 30x regression at [--runs 1]. *)
+  Gc.full_major ();
   let sections =
     List.map
       (fun (name, title, measure) ->

@@ -1,5 +1,5 @@
 (* Program-level edit scripts (see edit.mli).  All ops rebuild via
-   [Program.of_decls], so each version carries a fresh program stamp
+   [Program.build], so each version carries a fresh program stamp
    while every untouched declaration value is reused as-is. *)
 
 open Trait_lang
@@ -26,7 +26,7 @@ let describe = function
 (* Rebuild a program from (possibly modified) decl lists, preserving
    each family's declaration order — candidate order is observable. *)
 let rebuild ~types ~traits ~fns ~impls ~goals : Program.t =
-  Program.of_decls ~goals
+  Program.build ~goals
     (List.map (fun d -> Decl.Type d) types
     @ List.map (fun d -> Decl.Trait d) traits
     @ List.map (fun d -> Decl.Fn d) fns

@@ -44,7 +44,7 @@ let sections =
        "added in NEW", never as a failure.  v9 folded the on/off pair
        into one [ns_per_goal], which surfaces the same way against an
        older baseline. *)
-    ("scale", "impls", [ "ns_per_goal" ]);
+    ("scale", "impls", [ "ns_per_goal"; "parse_ns_per_kb"; "lower_ns_per_kb" ]);
     (* absent from pre-v8 baselines, tolerated the same way *)
     ("serve", "name", [ "p50_ns"; "p99_ns" ]);
   ]

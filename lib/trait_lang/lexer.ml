@@ -1,8 +1,9 @@
 (** Hand-written lexer for the L_TRAIT surface syntax.
 
     The syntax is small enough that a hand lexer beats a generator: it
-    keeps the front end dependency-free and produces precise spans for
-    every token, which flow through to declaration spans (CtxtLinks). *)
+    keeps the front end dependency-free.  The parser pulls one token at a
+    time with {!next}, and a token's precise span, which flows through to
+    declaration spans (CtxtLinks), is built only on request ({!span}). *)
 
 type error = { message : string; span : Span.t }
 
@@ -16,9 +17,11 @@ type state = {
   mutable pos : int;
   mutable line : int;
   mutable col : int;
+  mutable tok_line : int;  (** start of the token {!next} last returned *)
+  mutable tok_col : int;
 }
 
-let make ~file src = { src; file; pos = 0; line = 1; col = 1 }
+let make ~file src = { src; file; pos = 0; line = 1; col = 1; tok_line = 1; tok_col = 1 }
 
 let is_eof st = st.pos >= String.length st.src
 let peek st = if is_eof st then '\000' else st.src.[st.pos]
@@ -107,108 +110,75 @@ let lex_string st =
   loop ();
   Buffer.contents buf
 
-(** Lex one token; returns [EOF] forever at end of input. *)
-let next st : spanned =
+(** The span of the token the last {!next} returned: from its start to
+    the lexer's current position. *)
+let span st =
+  Span.v ~file:st.file ~start_line:st.tok_line ~start_col:st.tok_col ~stop_line:st.line
+    ~stop_col:st.col
+
+let single st tok =
+  advance st;
+  tok
+
+(** Lex one token; returns [EOF] forever at end of input.  Its position
+    is left in the state until the next call: see {!span}. *)
+let next st : Token.t =
   skip_trivia st;
-  let start_line = st.line and start_col = st.col in
-  let fin tok =
-    {
-      tok;
-      span =
-        Span.v ~file:st.file ~start_line ~start_col ~stop_line:st.line ~stop_col:st.col;
-    }
-  in
-  if is_eof st then fin Token.EOF
+  st.tok_line <- st.line;
+  st.tok_col <- st.col;
+  if is_eof st then Token.EOF
   else
     match peek st with
-    | c when is_digit c ->
+    | c when is_digit c -> (
         let start = st.pos in
         while is_digit (peek st) do
           advance st
         done;
-        fin (Token.INT (int_of_string (String.sub st.src start (st.pos - start))))
+        match int_of_string_opt (String.sub st.src start (st.pos - start)) with
+        | Some i -> Token.INT i
+        | None -> raise (Error { message = "integer literal out of range"; span = span st }))
     | c when is_ident_start c ->
         let id = lex_ident st in
-        if id = "_" then fin Token.UNDERSCORE
-        else fin (match Token.keyword_of_string id with Some k -> k | None -> Token.IDENT id)
+        if id = "_" then Token.UNDERSCORE
+        else (match Token.keyword_of_string id with Some k -> k | None -> Token.IDENT id)
     | '\'' ->
         advance st;
         if not (is_ident_start (peek st)) then error st "expected lifetime name after '";
-        fin (Token.LIFETIME (lex_ident st))
-    | '"' -> fin (Token.STRING (lex_string st))
-    | '<' ->
-        advance st;
-        fin Token.LT
-    | '>' ->
-        advance st;
-        fin Token.GT
-    | '(' ->
-        advance st;
-        fin Token.LPAREN
-    | ')' ->
-        advance st;
-        fin Token.RPAREN
-    | '{' ->
-        advance st;
-        fin Token.LBRACE
-    | '}' ->
-        advance st;
-        fin Token.RBRACE
-    | '[' ->
-        advance st;
-        fin Token.LBRACKET
-    | ']' ->
-        advance st;
-        fin Token.RBRACKET
-    | ',' ->
-        advance st;
-        fin Token.COMMA
-    | ';' ->
-        advance st;
-        fin Token.SEMI
+        Token.LIFETIME (lex_ident st)
+    | '"' -> Token.STRING (lex_string st)
+    | '<' -> single st Token.LT
+    | '>' -> single st Token.GT
+    | '(' -> single st Token.LPAREN
+    | ')' -> single st Token.RPAREN
+    | '{' -> single st Token.LBRACE
+    | '}' -> single st Token.RBRACE
+    | '[' -> single st Token.LBRACKET
+    | ']' -> single st Token.RBRACKET
+    | ',' -> single st Token.COMMA
+    | ';' -> single st Token.SEMI
     | ':' ->
         advance st;
-        if peek st = ':' then begin
-          advance st;
-          fin Token.COLONCOLON
-        end
-        else fin Token.COLON
+        if peek st = ':' then single st Token.COLONCOLON else Token.COLON
     | '=' ->
         advance st;
-        if peek st = '=' then begin
-          advance st;
-          fin Token.EQEQ
-        end
-        else fin Token.EQ
+        if peek st = '=' then single st Token.EQEQ else Token.EQ
     | '-' ->
         advance st;
-        if peek st = '>' then begin
-          advance st;
-          fin Token.ARROW
-        end
-        else error st "expected '>' after '-'"
-    | '&' ->
-        advance st;
-        fin Token.AMP
-    | '+' ->
-        advance st;
-        fin Token.PLUS
-    | '.' ->
-        advance st;
-        fin Token.DOT
-    | '#' ->
-        advance st;
-        fin Token.HASH
-    | '!' ->
-        advance st;
-        fin Token.BANG
+        if peek st = '>' then single st Token.ARROW else error st "expected '>' after '-'"
+    | '&' -> single st Token.AMP
+    | '+' -> single st Token.PLUS
+    | '.' -> single st Token.DOT
+    | '#' -> single st Token.HASH
+    | '!' -> single st Token.BANG
     | c -> error st (Printf.sprintf "unexpected character %C" c)
 
-(** Lex the whole input eagerly. *)
+(** Lex the whole input into a token list with spans, for tests and
+    tools; the parser pulls tokens one at a time with {!next} instead. *)
 let tokenize ~file src =
   let st = make ~file src in
   let rec loop acc =
-    let t = next st in
-    if t.tok = Token.EOF then List.rev (t :: acc) else loop (t :: acc)
+    let tok = next st in
+    let t = { tok; span = span st } in
+    if tok = Token.EOF then List.rev (t :: acc) else loop (t :: acc)
   in
   loop []

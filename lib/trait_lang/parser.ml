@@ -1,4 +1,6 @@
-(** Recursive-descent parser for the L_TRAIT surface syntax.
+(** Recursive-descent parser for the L_TRAIT surface syntax.  It pulls
+    tokens from {!Lexer.next} one at a time, with one token of lookahead
+    at most, and builds a span only where the AST keeps one.
 
     Grammar sketch (see the README for examples):
     {v
@@ -33,18 +35,48 @@ type error = { message : string; span : Span.t }
 
 exception Error of error
 
-type state = { toks : Lexer.spanned array; mutable pos : int }
+(* [tok] is the current token, at the four positions.  [ahead] is the
+   token {!peek_tok2} lexed early, if any; its position is the lexer's. *)
+type state = {
+  lex : Lexer.state;
+  mutable tok : Token.t;
+  mutable start_line : int;
+  mutable start_col : int;
+  mutable stop_line : int;
+  mutable stop_col : int;
+  mutable ahead : Token.t option;
+}
 
-let make toks = { toks = Array.of_list toks; pos = 0 }
+let advance st =
+  let lex = st.lex in
+  st.tok <- (match st.ahead with Some tok -> tok | None -> Lexer.next lex);
+  st.ahead <- None;
+  st.start_line <- lex.Lexer.tok_line;
+  st.start_col <- lex.tok_col;
+  st.stop_line <- lex.line;
+  st.stop_col <- lex.col
 
-let cur st = st.toks.(min st.pos (Array.length st.toks - 1))
-let peek_tok st = (cur st).tok
+let make lex =
+  let st =
+    { lex; tok = Token.EOF; start_line = 1; start_col = 1; stop_line = 1; stop_col = 1;
+      ahead = None }
+  in
+  advance st;
+  st
+
+let peek_tok st = st.tok
+
 let peek_tok2 st =
-  let i = min (st.pos + 1) (Array.length st.toks - 1) in
-  st.toks.(i).tok
+  match st.ahead with
+  | Some tok -> tok
+  | None ->
+      let tok = Lexer.next st.lex in
+      st.ahead <- Some tok;
+      tok
 
-let cur_span st = (cur st).span
-let advance st = st.pos <- st.pos + 1
+let cur_span st =
+  Span.v ~file:st.lex.file ~start_line:st.start_line ~start_col:st.start_col
+    ~stop_line:st.stop_line ~stop_col:st.stop_col
 
 let fail st message = raise (Error { message; span = cur_span st })
 
@@ -589,13 +621,20 @@ and items_until st stop =
   let rec loop acc = if peek_tok st = stop then List.rev acc else loop (item st :: acc) in
   loop []
 
-(** Parse a whole source file into a raw AST. *)
+(** Parse a whole source file into a raw AST.  A lexer error anywhere in
+    the file wins over a parse error, as if the file were lexed first: a
+    parse error is re-raised only once the rest of the input lexes. *)
 let parse ~file src : Ast.t =
-  let toks =
-    try Lexer.tokenize ~file src
-    with Lexer.Error e -> raise (Error { message = e.message; span = e.span })
-  in
-  let st = make toks in
-  let items = items_until st Token.EOF in
-  expect st Token.EOF;
-  items
+  let lex = Lexer.make ~file src in
+  let lex_error (e : Lexer.error) = Error { message = e.message; span = e.span } in
+  let rec drain () = if Lexer.next lex <> Token.EOF then drain () in
+  try
+    let st = make lex in
+    let items = items_until st Token.EOF in
+    expect st Token.EOF;
+    items
+  with
+  | Lexer.Error e -> raise (lex_error e)
+  | Error _ as parse_error ->
+      (try drain () with Lexer.Error e -> raise (lex_error e));
+      raise parse_error

@@ -108,6 +108,22 @@ let of_decls ?(goals = []) decls =
   let p = List.fold_left (fun p d -> add_decl d p) empty decls in
   List.fold_left (fun p g -> add_goal g p) p goals
 
+(* [of_decls] stays the fold of single adds: perfbench's edit-mega
+   rebuilds every version through it outside its timed region, and
+   building there in one pass moves GC work into its timed solve
+   (docs/PERFORMANCE.md, "Front end"). *)
+let build ~goals decls =
+  let add p (d : Decl.t) =
+    match d with
+    | Decl.Impl i ->
+        let by_trait = Path.Map.add_to_list i.impl_trait.trait i p.impls_by_trait in
+        { p with impls = i :: p.impls; impls_by_trait = by_trait }
+    | d -> add_decl d p
+  in
+  let p = List.fold_left add empty decls in
+  let impls_by_trait = Path.Map.map List.rev p.impls_by_trait in
+  { p with stamp = fresh_stamp (); goals; impls_by_trait }
+
 (* Declaration order: the [types]/[traits]/... lists above are built by
    consing, so expose them reversed. *)
 let types p = List.rev p.types

@@ -26,7 +26,14 @@ val add_goal : goal -> t -> t
 val with_goals : goal list -> t -> t
 
 val add_decl : Decl.t -> t -> t
+
+(** Fold {!add_decl}, then {!add_goal}: quadratic in a trait's impl count. *)
 val of_decls : ?goals:goal list -> Decl.t list -> t
+
+(** {!of_decls} in one linear pass: each trait's impl list is consed in
+    reverse and reversed once, [goals] is taken as is, and the program
+    gets one fresh stamp at the end. *)
+val build : goals:goal list -> Decl.t list -> t
 
 val types : t -> Decl.tydecl list
 val traits : t -> Decl.trdecl list
@@ -50,8 +57,8 @@ val resolve_name :
 val decl_count : t -> int
 
 (** An identity token for the program's declaration context: every
-    [add_type]/[add_trait]/[add_fn]/[add_impl] yields a fresh stamp, so
-    equal stamps imply identical contexts.  Goal edits ([add_goal],
+    [add_type]/[add_trait]/[add_fn]/[add_impl] and every [build] yields a
+    fresh stamp, so equal stamps imply identical contexts.  Goal edits ([add_goal],
     [with_goals]) preserve it.  The solver's global evaluation cache keys
     on this. *)
 val stamp : t -> int

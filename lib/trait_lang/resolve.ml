@@ -408,7 +408,9 @@ let lower (items : Ast.t) : Program.t =
   let base_env =
     { tables; bound_params = []; self_ty = None; fresh_infer }
   in
-  let program = ref Program.empty in
+  (* Local accumulators, built reversed: [lower] may run on several
+     domains at once. *)
+  let decls = ref [] and goals = ref [] in
   let rec go crate rev_mods items =
     List.iter
       (fun (it : Ast.item) ->
@@ -419,10 +421,9 @@ let lower (items : Ast.t) : Program.t =
             let path = Path.v ~crate (List.rev (name :: rev_mods)) in
             let g, env = lower_generics base_env generics in
             let repr = Option.map (fun t -> Interner.ty (lower_ty env t)) repr in
-            program :=
-              Program.add_type
-                { Decl.ty_path = path; ty_generics = g; ty_repr = repr; ty_span = span }
-                !program
+            decls :=
+              Decl.Type { Decl.ty_path = path; ty_generics = g; ty_repr = repr; ty_span = span }
+              :: !decls
         | Ast.RTrait { name; generics; supertraits; assocs; methods; span; attrs } ->
             let path = Path.v ~crate (List.rev (name :: rev_mods)) in
             let env0 = { base_env with self_ty = Some (Ty.Param "Self") } in
@@ -466,8 +467,8 @@ let lower (items : Ast.t) : Program.t =
                 m_span = m.rm_span;
               }
             in
-            program :=
-              Program.add_trait
+            decls :=
+              Decl.Trait
                 {
                   Decl.tr_path = path;
                   tr_generics = g;
@@ -477,12 +478,12 @@ let lower (items : Ast.t) : Program.t =
                   tr_span = span;
                   tr_on_unimplemented = on_unimpl;
                 }
-                !program
+              :: !decls
         | Ast.RFn { name; generics; inputs; param_names; output; body; span } ->
             let path = Path.v ~crate (List.rev (name :: rev_mods)) in
             let g, env = lower_generics base_env generics in
-            program :=
-              Program.add_fn
+            decls :=
+              Decl.Fn
                 {
                   Decl.fn_path = path;
                   fn_generics = g;
@@ -493,7 +494,7 @@ let lower (items : Ast.t) : Program.t =
                   fn_body = Option.map (List.map (lower_stmt env)) body;
                   fn_span = span;
                 }
-                !program
+              :: !decls
         | Ast.RImpl { generics; trait_; self_ty; assoc_bindings; span } ->
             (* Bind the generic params first so the self type can use them,
                then resolve [Self] to the self type for where-clauses. *)
@@ -520,8 +521,8 @@ let lower (items : Ast.t) : Program.t =
             in
             let id = !impl_counter in
             incr impl_counter;
-            program :=
-              Program.add_impl
+            decls :=
+              Decl.Impl
                 {
                   Decl.impl_id = id;
                   impl_generics = g;
@@ -531,25 +532,18 @@ let lower (items : Ast.t) : Program.t =
                   impl_span = span;
                   impl_crate = crate;
                 }
-                !program
+              :: !decls
         | Ast.RGoal { pred; origin; span } ->
             let preds = lower_pred base_env pred in
+            let goal_origin = Option.value ~default:"this expression" origin in
             List.iter
               (fun p ->
-                program :=
-                  Program.add_goal
-                    {
-                      Program.goal_pred = p;
-                      goal_span = span;
-                      goal_origin =
-                        Option.value ~default:"this expression" origin;
-                    }
-                    !program)
+                goals := { Program.goal_pred = p; goal_span = span; goal_origin } :: !goals)
               preds)
       items
   in
   go Path.Local [] items;
-  !program
+  Program.build ~goals:(List.rev !goals) (List.rev !decls)
 
 (** Parse and resolve a source string in one step. *)
 let program_of_string ~file src : Program.t = lower (Parser.parse ~file src)

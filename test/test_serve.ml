@@ -300,6 +300,30 @@ let test_golden_errors () =
   in
   Alcotest.(check int) "expand before solve" Rpc.not_solved e.Rpc.code
 
+(* An integer literal too large for [int] is a load error with the
+   literal's span, and the server keeps serving: the same session name
+   then opens and solves. *)
+let test_oversized_literal_open () =
+  fresh_state ();
+  let server = Serve.Server.create () in
+  let e =
+    call_err server "open"
+      [
+        ("session", Json.String "big");
+        ("source", Json.String "fn f() { 99999999999999999999999; }");
+      ]
+  in
+  Alcotest.(check int) "oversized literal is a load error" Rpc.load_error e.Rpc.code;
+  Alcotest.(check string) "message and span"
+    "<serve>:1:10: parse error: integer literal out of range" e.Rpc.message;
+  let opened =
+    call server "open" [ ("session", Json.String "big"); ("source", Json.String failing_src) ]
+  in
+  Alcotest.(check int) "good open after the bad one" 2 (int_member "goals" opened);
+  let solved = call server "solve" [ ("session", Json.String "big") ] in
+  Alcotest.(check bool) "solve answers" true
+    (contains ~affix:"error[E0277]" (str "output" solved))
+
 (* ------------------------------------------------------------------ *)
 (* Corpus-wide equivalence with the one-shot CLI *)
 
@@ -541,6 +565,8 @@ let () =
         [
           Alcotest.test_case "every verb, golden fields" `Quick test_golden_transcript;
           Alcotest.test_case "error objects" `Quick test_golden_errors;
+          Alcotest.test_case "oversized literal, then a good open" `Quick
+            test_oversized_literal_open;
         ] );
       ( "equivalence",
         [

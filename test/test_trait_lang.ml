@@ -209,6 +209,68 @@ let test_lexer_errors () =
   check_bool "unterminated comment" true
     (try ignore (tokens_of "/* abc"); false with Lexer.Error _ -> true)
 
+let test_lexer_int_out_of_range () =
+  match tokens_of "fn f() { 99999999999999999999999; }" with
+  | _ -> Alcotest.fail "an oversized literal must not lex"
+  | exception Lexer.Error e ->
+      check_str "message" "integer literal out of range" e.message;
+      check_str "span covers the literal" "1:10-1:33"
+        (Printf.sprintf "%d:%d-%d:%d" e.span.start.line e.span.start.col e.span.stop.line
+           e.span.stop.col)
+
+(* ------------------------------------------------------------------ *)
+(* The parser pulls tokens from the lexer one at a time *)
+
+let parse_error src =
+  match Parser.parse ~file:"t.rs" src with
+  | _ -> Alcotest.failf "%S should not parse" src
+  | exception Parser.Error e ->
+      Printf.sprintf "%d:%d %s" e.span.start.line e.span.start.col e.message
+
+(* The file is lexed to the end before a parse error is reported, so a
+   later lexer error wins over an earlier parse error. *)
+let test_stream_lexer_error_wins () =
+  check_str "bad character" "1:20 unexpected character '@'"
+    (parse_error "struct Foo<T; impl @");
+  check_str "unterminated comment" "1:21 unterminated block comment"
+    (parse_error "struct Foo<T; /* abc");
+  check_str "no lexer error: the parse error stands" "1:13 expected '>' but found ';'"
+    (parse_error "struct Foo<T; impl")
+
+let test_stream_error_at_eof () =
+  check_str "span at end of input" "1:6 expected a type, found end of input"
+    (parse_error "fn f(")
+
+let test_stream_peek2_at_eof () =
+  let st = Parser.make (Lexer.make ~file:"t.rs" "a") in
+  check_bool "current" true (Parser.peek_tok st = Token.IDENT "a");
+  check_bool "lookahead is EOF" true (Parser.peek_tok2 st = Token.EOF);
+  check_str "lookahead leaves the current span" "t.rs:1:1" (Span.to_string (Parser.cur_span st));
+  Parser.advance st;
+  check_bool "at EOF" true (Parser.peek_tok st = Token.EOF);
+  check_bool "peek2 at EOF" true (Parser.peek_tok2 st = Token.EOF);
+  Parser.advance st;
+  check_bool "EOF forever" true (Parser.peek_tok st = Token.EOF);
+  check_str "EOF span" "t.rs:1:2" (Span.to_string (Parser.cur_span st))
+
+let test_stream_source_order () =
+  let p =
+    Resolve.program_of_string ~file:"t.rs"
+      "struct A; struct B; trait T {} trait U {} impl T for A {} goal A: T; impl U for A {} \
+       impl T for B {} goal B: U; impl U for B {} goal A: U;"
+  in
+  let selves path =
+    List.map
+      (fun (i : Decl.impl) -> Pretty.ty i.impl_self)
+      (Program.impls_of_trait p (Path.local [ path ]))
+  in
+  check Alcotest.(list string) "impls of T" [ "A"; "B" ] (selves "T");
+  check Alcotest.(list string) "impls of U" [ "A"; "B" ] (selves "U");
+  check Alcotest.(list int) "impls" [ 0; 1; 2; 3 ]
+    (List.map (fun (i : Decl.impl) -> i.impl_id) (Program.impls p));
+  check Alcotest.(list string) "goals" [ "A: T"; "B: U"; "A: U" ]
+    (List.map (fun (g : Program.goal) -> Pretty.predicate g.goal_pred) (Program.goals p))
+
 (* ------------------------------------------------------------------ *)
 (* Parser + resolver, via full programs *)
 
@@ -521,6 +583,14 @@ let () =
           Alcotest.test_case "compound tokens" `Quick test_lexer_compound_tokens;
           Alcotest.test_case "spans" `Quick test_lexer_spans;
           Alcotest.test_case "errors" `Quick test_lexer_errors;
+          Alcotest.test_case "integer out of range" `Quick test_lexer_int_out_of_range;
+        ] );
+      ( "stream",
+        [
+          Alcotest.test_case "lexer error wins" `Quick test_stream_lexer_error_wins;
+          Alcotest.test_case "error at EOF" `Quick test_stream_error_at_eof;
+          Alcotest.test_case "peek2 at EOF" `Quick test_stream_peek2_at_eof;
+          Alcotest.test_case "source order" `Quick test_stream_source_order;
         ] );
       ( "resolve",
         [

@@ -34,9 +34,9 @@ bench-scale:
 	dune exec bench/main.exe -- --scale-only
 
 # Re-measure only the serve-daemon load section (1000 clients' session
-# scripts against one live server: throughput,
-# p50/p99 latency, cold vs warm cache hit rates), preserving the other
-# BENCH_pipeline.json sections.
+# scripts against one live server: throughput, p50/p99 latency, and the
+# evaluation-cache lookup count, which reads 0 because every serve solve
+# records a journal), preserving the other BENCH_pipeline.json sections.
 bench-serve:
 	dune exec bench/main.exe -- --serve-only
 

@@ -336,10 +336,9 @@ let git_commit () =
     emission point is one load + branch) vs streaming JSONL entries to
     /dev/null.  The disabled medians must be indistinguishable from the
     plain pipeline entries; the enabled cost is dominated by JSON
-    encoding.  The evaluation cache is off for both sides — with a
-    journal attached the solver re-derives cached subtrees anyway
-    (observe-only mode), so leaving it on would bill cache savings from
-    the disabled runs to the journal. *)
+    encoding.  The evaluation cache is off for both sides: a recording
+    solve never consults it, so leaving it on would bill the disabled
+    runs' cache savings to the journal. *)
 let bench_journal_entries () =
   Printf.printf "  %-28s %12s %12s %8s %9s\n" "program" "disabled" "enabled" "events"
     "overhead";
@@ -555,24 +554,22 @@ let bench_scale_entries () =
 (** The [serve] suite: the seeded load generator ({!Fuzz.Serve_load})
     replays 1000 clients' two-phase session scripts — cold open+solve,
     then warm tree/expand/hover/explain plus an edited reload and
-    re-solve — against one long-lived in-process server.  The
-    warm-phase cache hit rate strictly above the cold rate is the
-    daemon's reason to exist: the eval cache survives across requests
-    and sessions. *)
+    re-solve — against one long-lived in-process server.  Every serve
+    solve records a journal, so the run makes no evaluation-cache
+    lookups; [cache_lookups] must read 0. *)
 let bench_serve_entries () =
   let seed = 42 and clients = 1000 in
-  Printf.printf "  %-10s %8s %9s %14s %12s %12s %9s %9s\n" "name" "clients"
-    "requests" "throughput" "p50" "p99" "cold-hit" "warm-hit";
+  Printf.printf "  %-10s %8s %9s %14s %12s %12s %8s\n" "name" "clients"
+    "requests" "throughput" "p50" "p99" "lookups";
   let row name =
     let stats = Fuzz.Serve_load.run ~clients ~seed () in
     Printf.printf
-      "  %-10s %8d %9d %10.0f rps %9.1f us %9.1f us %8.1f%% %8.1f%%\n" name
+      "  %-10s %8d %9d %10.0f rps %9.1f us %9.1f us %8d\n" name
       stats.Fuzz.Serve_load.ls_clients stats.Fuzz.Serve_load.ls_requests
       stats.Fuzz.Serve_load.ls_throughput_rps
       (float_of_int stats.Fuzz.Serve_load.ls_p50_ns /. 1e3)
       (float_of_int stats.Fuzz.Serve_load.ls_p99_ns /. 1e3)
-      (stats.Fuzz.Serve_load.ls_cold_hit_rate *. 100.0)
-      (stats.Fuzz.Serve_load.ls_warm_hit_rate *. 100.0);
+      stats.Fuzz.Serve_load.ls_cache_lookups;
     Json.Obj
       [
         ("name", Json.String name);
@@ -583,10 +580,7 @@ let bench_serve_entries () =
           Json.Float stats.Fuzz.Serve_load.ls_throughput_rps );
         ("p50_ns", Json.Int stats.Fuzz.Serve_load.ls_p50_ns);
         ("p99_ns", Json.Int stats.Fuzz.Serve_load.ls_p99_ns);
-        ( "cold_hit_rate",
-          Json.Float stats.Fuzz.Serve_load.ls_cold_hit_rate );
-        ( "warm_hit_rate",
-          Json.Float stats.Fuzz.Serve_load.ls_warm_hit_rate );
+        ("cache_lookups", Json.Int stats.Fuzz.Serve_load.ls_cache_lookups);
       ]
   in
   let rows = [ row "serve-j1" ] in

@@ -79,7 +79,8 @@ let load source =
 
 (* Save/restore the global cache switch around an oracle body; always
    leave the cache cleared so oracles (and the host test process) never
-   see each other's entries. *)
+   see each other's entries.  Oracles run outside any journal, so
+   [enabled ()] reads the switch itself. *)
 let with_cache_state f =
   let was = Solver.Eval_cache.enabled () in
   Fun.protect
@@ -113,9 +114,6 @@ let fingerprint (b : Corpus.Harness.unit_result) : string =
       Buffer.add_char buf '\n')
     b.b_journal;
   Buffer.contents buf
-
-let is_cache_event (en : Journal.entry) =
-  match en.ev with Journal.Cache_hit _ | Journal.Cache_miss _ -> true | _ -> false
 
 (* Report equivalence, as test_cache.ml checks it: counts, rounds,
    statuses, and node-for-node tree equality on every attempt. *)
@@ -156,7 +154,7 @@ let reports_agree ~what (a : Solver.Obligations.report) (b : Solver.Obligations.
 
 let streams_agree ~what a b =
   if List.length a <> List.length b then
-    Some (Printf.sprintf "%s: %d vs %d structural events" what
+    Some (Printf.sprintf "%s: %d vs %d events" what
             (List.length a) (List.length b))
   else
     List.fold_left2
@@ -190,30 +188,29 @@ let check_cache source =
   with_cache_state @@ fun () ->
   let e = entry source in
   Solver.Eval_cache.set_enabled false;
-  let off = Corpus.Harness.solve_unit ~journal:true e in
+  let off = Corpus.Harness.solve_unit ~journal:false e in
+  let off_j = Corpus.Harness.solve_unit ~journal:true e in
   Solver.Eval_cache.set_enabled true;
   Solver.Eval_cache.clear ();
-  let cold = Corpus.Harness.solve_unit ~journal:true e in
-  let warm = Corpus.Harness.solve_unit ~journal:true e in
-  (* the tree tier's cross-run replay path is only exercised without a
-     journal attached (hits are observe-only under one) *)
-  Solver.Eval_cache.clear ();
-  Solver.Eval_cache.set_enabled false;
-  let off_nj = Corpus.Harness.solve_unit ~journal:false e in
-  Solver.Eval_cache.set_enabled true;
-  ignore (Corpus.Harness.solve_unit ~journal:false e);
-  let warm_nj = Corpus.Harness.solve_unit ~journal:false e in
-  let strip b = List.filter (fun en -> not (is_cache_event en)) b in
+  let cold = Corpus.Harness.solve_unit ~journal:false e in
+  let warm = Corpus.Harness.solve_unit ~journal:false e in
+  (* a recording run on the warm cache must be the cache-off run *)
+  let before = Solver.Eval_cache.stats () in
+  let on_j = Corpus.Harness.solve_unit ~journal:true e in
+  let after = Solver.Eval_cache.stats () in
+  let same_fingerprint ~what a b =
+    if String.equal (fingerprint a) (fingerprint b) then None
+    else Some (what ^ ": fingerprints differ")
+  in
   let ( <|> ) a b = match a with Some _ -> a | None -> b in
   let mismatch =
     reports_agree ~what:"cache: off vs cold" off.b_report cold.b_report
     <|> reports_agree ~what:"cache: off vs warm" off.b_report warm.b_report
-    <|> streams_agree ~what:"cache: off vs cold journal" off.b_journal
-          (strip cold.b_journal)
-    <|> streams_agree ~what:"cache: off vs warm journal" off.b_journal
-          (strip warm.b_journal)
-    <|> reports_agree ~what:"cache: off vs warm (replay path)" off_nj.b_report
-          warm_nj.b_report
+    <|> same_fingerprint ~what:"cache: off vs cold" off cold
+    <|> same_fingerprint ~what:"cache: off vs warm" off warm
+    <|> streams_agree ~what:"cache: off vs on journal" off_j.b_journal on_j.b_journal
+    <|> same_fingerprint ~what:"cache: off vs on journaled" off_j on_j
+    <|> (if after <> before then Some "cache: a journaled run changed the cache" else None)
   in
   match mismatch with None -> Pass | Some m -> Fail m
 
@@ -414,20 +411,15 @@ let check_intern source =
 
 (* Serve-protocol equivalence.  Drive the generated program through a
    live in-process server and byte-compare every response payload
-   against fresh scratch runs of the same machinery:
-
-   - cache-OFF scratch for cache-invariant payloads — the rendered
-     check report, proof-tree pages, view lines, and failure
-     narratives must not change with cache warmth (the PR 3
-     invisibility contract);
-   - cache-ON-cold scratch for the journal-derived payloads (explain
-     summary, profile table), whose cache_hit/cache_miss events are
-     part of the stream and match the server's own cold solve.
+   against a fresh cache-off scratch run of the same program value: the
+   rendered check report, proof-tree pages and view lines must not
+   change with cache warmth, and the journal-derived payloads (failure
+   narrative, explain summary, profile table) come from a recording
+   solve, which never consults the cache.
 
    Then an edit script reloads printed versions through the session
-   (warm cache) and re-compares the invariant
-   payloads; a final reload of the unchanged source must be a
-   stamp-equal no-op that evicts no cache entry. *)
+   and re-compares every payload; a final reload of the unchanged
+   source must be a stamp-equal no-op that evicts no cache entry. *)
 let check_serve source =
   with_cache_state @@ fun () ->
   let module Json = Argus_json.Json in
@@ -472,26 +464,22 @@ let check_serve source =
         | Some s -> Ok s
         | None -> Error (Printf.sprintf "missing `%s` in response" name)
       in
-      (* Fresh scratch solve + render of [program] with the cache as
-         currently switched; journal normalized like the server's. *)
-      let scratch program =
+      (* Fresh cache-off scratch solve + render of [program]; journal
+         normalized like the server's. *)
+      let scratch_off program =
         Journal.reset ();
         Solver.Infer_ctx.reset_snapshot_serial ();
+        Solver.Eval_cache.set_enabled false;
         let (report, rendered), entries =
           Journal.with_memory_sink (fun () ->
               let report = Solver.Obligations.solve_program program in
               (report, Serve.Check_render.run program report))
         in
+        Solver.Eval_cache.set_enabled true;
         let entries =
           List.map (fun (e : Journal.entry) -> { e with Journal.ts_ns = 0 }) entries
         in
         (report, fst rendered, entries)
-      in
-      let scratch_off program =
-        Solver.Eval_cache.set_enabled false;
-        let r = scratch program in
-        Solver.Eval_cache.set_enabled true;
-        r
       in
       let failing_trees (report : Solver.Obligations.report) =
         report.reports
@@ -508,70 +496,48 @@ let check_serve source =
                ^ "\n\n")
              trees)
       in
-      (* solve / tree on the live session vs a cache-off scratch of
-         the same program value: these payloads are cache-invariant,
-         so they must match whether the session solved warm or cold *)
-      let check_invariant ~what program =
-        let ref_report, ref_out, _ = scratch_off program in
-        let* solved = rpc "solve" [] in
-        let* out = str_member "output" solved in
-        if not (String.equal out ref_out) then
-          Error (what ^ ": solve output differs from scratch")
-        else
-          let* treed = rpc "tree" [] in
-          let* tree_out = str_member "output" treed in
-          let ref_trees = failing_trees ref_report in
-          if not (String.equal tree_out (tree_page ref_trees)) then
-            Error (what ^ ": tree page differs from scratch")
-          else Ok ref_trees
-      in
-      (* explain/profile payloads are rendered from the journal, and
-         the journal carries cache events (the failure narrative
-         even references their seq numbers) — so compare a COLD
-         session re-solve against a cache-on-cold scratch, both of
-         which record the same miss events *)
-      let check_journal_payloads ~what program =
-        Solver.Eval_cache.clear ();
-        let _, _, cold_entries = scratch program in
-        let* cold_tree =
-          match Journal.replay cold_entries with
+      (* every payload of the live session vs one cache-off scratch run
+         of the same program value *)
+      let check_step ~what program =
+        let ref_report, ref_out, ref_entries = scratch_off program in
+        let same label got want =
+          if String.equal got want then Ok ()
+          else Error (Printf.sprintf "%s: %s differs from cache-off scratch" what label)
+        in
+        let output m params =
+          let* v = rpc m params in
+          str_member "output" v
+        in
+        let* out = output "solve" [] in
+        let* () = same "solve output" out ref_out in
+        let* tree_out = output "tree" [] in
+        let ref_trees = failing_trees ref_report in
+        let* () = same "tree page" tree_out (tree_page ref_trees) in
+        let* ref_tree =
+          match Journal.replay ref_entries with
           | Ok t -> Ok t
-          | Error m -> Error (what ^ ": cold scratch replay failed: " ^ m)
+          | Error m -> Error (what ^ ": scratch replay failed: " ^ m)
         in
-        let failures_ref = Serve.Explain_render.failures cold_tree in
-        let summary_ref =
-          Serve.Explain_render.summary
-            ~entries:(List.length cold_entries) cold_tree
+        let* failures_out = output "explain" [ ("failures", Json.Bool true) ] in
+        let* () =
+          same "explain --failures" failures_out (Serve.Explain_render.failures ref_tree)
         in
-        let profile_ref =
-          Profile.top_table ~top:10 (Profile.of_entries cold_entries)
+        let* summary_out = output "explain" [] in
+        let* () =
+          same "explain summary" summary_out
+            (Serve.Explain_render.summary ~entries:(List.length ref_entries) ref_tree)
         in
-        Solver.Eval_cache.clear ();
-        let* _ = rpc "solve" [] in
-        let* expl_f = rpc "explain" [ ("failures", Json.Bool true) ] in
-        let* failures_out = str_member "output" expl_f in
-        if not (String.equal failures_out failures_ref) then
-          Error
-            (what ^ ": explain --failures differs from cache-on-cold scratch")
-        else
-          let* expl = rpc "explain" [] in
-          let* summary_out = str_member "output" expl in
-          if not (String.equal summary_out summary_ref) then
-            Error
-              (what ^ ": explain summary differs from cache-on-cold scratch")
-          else
-            let* prof = rpc "profile" [] in
-            let* profile_out = str_member "output" prof in
-            if not (String.equal profile_out profile_ref) then
-              Error
-                (what ^ ": profile table differs from cache-on-cold scratch")
-            else Ok ()
+        let* profile_out = output "profile" [] in
+        let* () =
+          same "profile table" profile_out
+            (Profile.top_table ~top:10 (Profile.of_entries ref_entries))
+        in
+        Ok ref_trees
       in
       let outcome =
         (* ---- cold session ---- *)
         let* _ = rpc "open" [ ("source", Json.String source) ] in
-        let* ref_trees = check_invariant ~what:"base" p1 in
-        let* () = check_journal_payloads ~what:"base" p1 in
+        let* ref_trees = check_step ~what:"base" p1 in
         (* ---- seeded expand/hover walk on goal 0 ---- *)
         let seed = Hashtbl.hash source in
         let* () =
@@ -630,13 +596,7 @@ let check_serve source =
                               (%s)"
                              i m)
                   in
-                  let* _ =
-                    check_invariant ~what:(Printf.sprintf "step %d" i) vp
-                  in
-                  let* () =
-                    check_journal_payloads
-                      ~what:(Printf.sprintf "step %d" i) vp
-                  in
+                  let* _ = check_step ~what:(Printf.sprintf "step %d" i) vp in
                   go (i + 1) v_src rest
             in
             let* last_src = go 1 source steps in

@@ -11,8 +11,10 @@ type name =
   | Wellformed
       (** generated programs parse, resolve, and solve without error *)
   | Cache
-      (** cache-off ≡ cache-cold ≡ cache-warm: statuses, rounds, proof
-          trees, and journal streams modulo cache_hit/cache_miss events *)
+      (** cache-off ≡ cache-cold ≡ cache-warm on unjournaled runs
+          (statuses, rounds, proof trees, {!fingerprint}), and a
+          journaled cache-on run ≡ the journaled cache-off run, event for
+          event, leaving the cache's entries unchanged *)
   | Journal
       (** journal replay rebuilds exactly the solver's direct trace
           forest *)
@@ -28,11 +30,11 @@ type name =
       (** drive the program through a live in-process {!Serve.Server}
           (open → solve → seeded expand/hover walk → explain → profile →
           edit-script reloads → re-solve) and byte-compare every
-          response payload against fresh scratch runs: cache-off for the
-          cache-invariant payloads (check output, trees, view lines,
-          failure narratives), cache-on-cold for the journal-derived
-          ones (explain summary, profile); an unchanged reload must be a
-          stamp-equal no-op that leaves the cache untouched *)
+          response payload against a fresh cache-off scratch run (check
+          output, trees, view lines, failure narrative, explain summary,
+          profile) at the base program and at every edit step; an
+          unchanged reload must be a stamp-equal no-op that leaves the
+          cache untouched *)
 
 (** All oracles, in campaign execution order ({!Wellformed} first). *)
 val all : name list

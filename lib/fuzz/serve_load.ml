@@ -9,12 +9,7 @@ type stats = {
   ls_throughput_rps : float;
   ls_p50_ns : int;
   ls_p99_ns : int;
-  ls_cold_hits : int;
-  ls_cold_misses : int;
-  ls_warm_hits : int;
-  ls_warm_misses : int;
-  ls_cold_hit_rate : float;
-  ls_warm_hit_rate : float;
+  ls_cache_lookups : int;
 }
 
 let line ~id m params =
@@ -40,17 +35,11 @@ let request server latencies errors l =
           incr errors;
           None)
 
-let cache_hits () =
-  Telemetry.counter_value "cache.tree.hits"
-  + Telemetry.counter_value "cache.result.hits"
-
-let cache_misses () =
-  Telemetry.counter_value "cache.tree.misses"
-  + Telemetry.counter_value "cache.result.misses"
-
-let rate hits misses =
-  let total = hits + misses in
-  if total = 0 then 0.0 else float_of_int hits /. float_of_int total
+let cache_lookups () =
+  List.fold_left
+    (fun acc name -> acc + Telemetry.counter_value name)
+    0
+    [ "cache.tree.hits"; "cache.tree.misses"; "cache.result.hits"; "cache.result.misses" ]
 
 let percentile sorted p =
   let n = Array.length sorted in
@@ -86,7 +75,7 @@ let run ?(programs = 8) ~clients ~seed () =
     ~finally:(fun () -> if not was_enabled then Telemetry.disable ())
     (fun () ->
       let t_start = Telemetry.now_ns () in
-      let hits0 = cache_hits () and misses0 = cache_misses () in
+      let lookups0 = cache_lookups () in
       (* cold phase: open + solve per client *)
       let cold_results =
         List.map
@@ -113,9 +102,8 @@ let run ?(programs = 8) ~clients ~seed () =
             (c, failing, !latencies, !errors))
           (List.init clients Fun.id)
       in
-      let hits1 = cache_hits () and misses1 = cache_misses () in
       (* warm phase: read-only exploration, then an edited reload +
-         re-solve against the now-populated cache *)
+         re-solve *)
       let warm_results =
         List.map
           (fun (c, failing, _, _) ->
@@ -138,7 +126,7 @@ let run ?(programs = 8) ~clients ~seed () =
             (!latencies, !errors))
           cold_results
       in
-      let hits2 = cache_hits () and misses2 = cache_misses () in
+      let lookups = cache_lookups () - lookups0 in
       let t_end = Telemetry.now_ns () in
       let latencies =
         List.concat_map (fun (_, _, ls, _) -> ls) cold_results
@@ -152,10 +140,6 @@ let run ?(programs = 8) ~clients ~seed () =
       Array.sort compare sorted;
       let requests = Array.length sorted in
       let wall_ns = max 1 (t_end - t_start) in
-      let cold_hits = hits1 - hits0
-      and cold_misses = misses1 - misses0
-      and warm_hits = hits2 - hits1
-      and warm_misses = misses2 - misses1 in
       {
         ls_clients = clients;
         ls_requests = requests;
@@ -165,10 +149,5 @@ let run ?(programs = 8) ~clients ~seed () =
           float_of_int requests /. (float_of_int wall_ns /. 1e9);
         ls_p50_ns = percentile sorted 50;
         ls_p99_ns = percentile sorted 99;
-        ls_cold_hits = cold_hits;
-        ls_cold_misses = cold_misses;
-        ls_warm_hits = warm_hits;
-        ls_warm_misses = warm_misses;
-        ls_cold_hit_rate = rate cold_hits cold_misses;
-        ls_warm_hit_rate = rate warm_hits warm_misses;
+        ls_cache_lookups = lookups;
       })

@@ -1,19 +1,17 @@
 (** The [argus bench serve] load generator: replays seeded session
     scripts from many clients, all open at once on one in-process
     {!Serve.Server}, and measures throughput, latency percentiles, and
-    cache hit rates.
+    evaluation-cache lookups.
 
     Each client runs a two-phase script against its own session:
 
-    - {b cold} — [open] a generated program, [solve] it (every cache
-      lookup misses: the program's stamp is fresh);
+    - {b cold} — [open] a generated program and [solve] it;
     - {b warm} — [tree], [expand], [hover], [explain], then [reload] a
-      1-step-edited version and [solve] again (green subtrees replay
-      from the shared cache).
+      1-step-edited version and [solve] again.
 
-    Cache counters are snapshotted at the phase barrier, so the
-    warm-vs-cold hit rates prove the eval cache survives across
-    requests and sessions — the property the daemon exists for. *)
+    Every serve [solve] records a journal for [explain] and [profile],
+    and a recording solve never consults the evaluation cache, so the
+    run should make no cache lookups at all. *)
 
 type stats = {
   ls_clients : int;
@@ -23,12 +21,9 @@ type stats = {
   ls_throughput_rps : float;  (** requests / wall seconds *)
   ls_p50_ns : int;  (** per-request latency median *)
   ls_p99_ns : int;
-  ls_cold_hits : int;  (** eval-cache hits during the cold phase *)
-  ls_cold_misses : int;
-  ls_warm_hits : int;
-  ls_warm_misses : int;
-  ls_cold_hit_rate : float;  (** hits / lookups, 0 when no lookups *)
-  ls_warm_hit_rate : float;
+  ls_cache_lookups : int;
+      (** eval-cache tree + result hits + misses over the run; 0 when
+          every solve recorded a journal *)
 }
 
 (** [run ~clients ~seed ()] drives [clients] sessions, one after

@@ -18,7 +18,7 @@
     This module sits {e below} the solver (the solver depends on it),
     so the provenance / candidate-source / failure payloads mirror the
     solver's types structurally; [Solver.Jlog] provides the
-    conversions.  JSONL serialization (schema [argus.journal/v1]) lives
+    conversions.  JSONL serialization (schema [argus.journal/v2]) lives
     in {!Argus_json.Journal_codec}. *)
 
 open Trait_lang
@@ -94,12 +94,6 @@ type event =
   | Probe_begin of { origin : string; alternatives : int }
   | Probe_end of { committed : int option }
   | Overlap_detected of { trait_ : Path.t; impl_a : int; impl_b : int; witness : Ty.t }
-  | Cache_hit of { goal : int; tier : string }
-      (** the evaluation cache answered the goal with node id [goal];
-          [tier] is ["tree"] or ["result"].  With a journal recording, the
-          solver still evaluates the goal (observe-only mode), so the
-          structural events that follow are unchanged. *)
-  | Cache_miss of { goal : int; tier : string }
 
 type entry = { seq : int; ts_ns : int; ev : event }
 
@@ -279,8 +273,6 @@ let event_kind = function
   | Probe_begin _ -> "probe_begin"
   | Probe_end _ -> "probe_end"
   | Overlap_detected _ -> "overlap_detected"
-  | Cache_hit _ -> "cache_hit"
-  | Cache_miss _ -> "cache_miss"
 
 (* ------------------------------------------------------------------ *)
 (* Equality (for round-trip tests and the replay validator) *)
@@ -362,8 +354,6 @@ let equal_event (a : event) (b : event) =
   | Overlap_detected a, Overlap_detected b ->
       Path.equal a.trait_ b.trait_ && a.impl_a = b.impl_a && a.impl_b = b.impl_b
       && Ty.equal a.witness b.witness
-  | Cache_hit a, Cache_hit b -> a.goal = b.goal && String.equal a.tier b.tier
-  | Cache_miss a, Cache_miss b -> a.goal = b.goal && String.equal a.tier b.tier
   | _ -> false
 
 let equal_entry (a : entry) (b : entry) =
@@ -488,8 +478,7 @@ let replay (entries : entry list) : (replay_tree, string) result =
         | [] -> ())
     | Cand_assembled _ | Cand_commit _ | Snapshot_open _ | Snapshot_commit _
     | Snapshot_rollback _ | Norm_resolved _ | Cycle_detected _ | Overflow_hit _
-    | Ambiguity _ | Probe_begin _ | Probe_end _ | Overlap_detected _ | Cache_hit _
-    | Cache_miss _ ->
+    | Ambiguity _ | Probe_begin _ | Probe_end _ | Overlap_detected _ ->
         ()
   in
   try

@@ -9,7 +9,7 @@
     link back to their originating event spans.  This library sits below
     the solver, so payload types structurally mirror [Solver.Trace] /
     [Solver.Unify]; [Solver.Jlog] converts.  The JSONL wire format
-    (schema [argus.journal/v1]) is {!Argus_json.Journal_codec}. *)
+    (schema [argus.journal/v2]) is {!Argus_json.Journal_codec}. *)
 
 open Trait_lang
 
@@ -71,17 +71,13 @@ type event =
   | Probe_begin of { origin : string; alternatives : int }
   | Probe_end of { committed : int option }
   | Overlap_detected of { trait_ : Path.t; impl_a : int; impl_b : int; witness : Ty.t }
-  | Cache_hit of { goal : int; tier : string }
-      (** the evaluation cache answered goal [goal] from tier ["tree"] or
-          ["result"]; with a journal recording the goal is still
-          evaluated (observe-only), so structural events are unchanged *)
-  | Cache_miss of { goal : int; tier : string }
 
 type entry = { seq : int; ts_ns : int; ev : event }
 
 (** {1 The sink} *)
 
-(** Is a sink installed (and not muted)?  The hot-path guard. *)
+(** Is a sink installed on this domain?  The hot-path guard.  Muting
+    does not change the answer: {!emit} drops muted events itself. *)
 val enabled : unit -> bool
 
 (** Install or remove the streaming sink.  Installing resets the

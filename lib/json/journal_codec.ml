@@ -1,5 +1,5 @@
 (** JSONL wire format for the solver search {!Journal} — schema
-    [argus.journal/v1].
+    [argus.journal/v2].
 
     A journal file is one JSON object per line: a header line naming the
     schema, then one line per event entry.  The codec round-trips every
@@ -9,7 +9,7 @@
 
 open Trait_lang
 
-let schema = "argus.journal/v1"
+let schema = "argus.journal/v2"
 
 type error = Decode.error = { path : string; message : string }
 
@@ -252,8 +252,6 @@ let event_fields : Journal.event -> (string * Json.t) list = function
         ("impl_b", Json.Int impl_b);
         ("witness", Encode.ty witness);
       ]
-  | Journal.Cache_hit { goal; tier } | Journal.Cache_miss { goal; tier } ->
-      [ ("goal", Json.Int goal); ("tier", Json.String tier) ]
 
 let entry_to_json (e : Journal.entry) : Json.t =
   Json.Obj
@@ -367,18 +365,6 @@ let event_of_json path kind j : Journal.event =
           impl_a = int_ (path ^ ".impl_a") (field path "impl_a" j);
           impl_b = int_ (path ^ ".impl_b") (field path "impl_b" j);
           witness = Decode.ty_of_json (field path "witness" j);
-        }
-  | "cache_hit" ->
-      Journal.Cache_hit
-        {
-          goal = int_ (path ^ ".goal") (field path "goal" j);
-          tier = str (path ^ ".tier") (field path "tier" j);
-        }
-  | "cache_miss" ->
-      Journal.Cache_miss
-        {
-          goal = int_ (path ^ ".goal") (field path "goal" j);
-          tier = str (path ^ ".tier") (field path "tier" j);
         }
   | k -> fail path ("unknown event kind " ^ k)
 

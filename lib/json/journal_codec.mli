@@ -1,5 +1,5 @@
 (** JSONL wire format for the solver search {!Journal} — schema
-    [argus.journal/v1]: a header line naming the schema, then one JSON
+    [argus.journal/v2]: a header line naming the schema, then one JSON
     object per event entry.  Round-trips every payload with full
     fidelity (including spans), so [argus explain] can reconstruct the
     search from the file alone.

@@ -3,7 +3,7 @@
     The journal stream is already a perfectly nested account of the
     solver's execution: [Goal_enter]/[Goal_exit] and
     [Cand_enter]/[Cand_exit] bracket every frame, each entry carries a
-    monotonic [ts_ns], and unify/cache events land between the brackets
+    monotonic [ts_ns], and unify events land between the brackets
     of the frame that caused them.  Attribution is therefore a single
     stack-driven fold: a frame's {e total} is its exit-minus-enter
     delta, its {e self} is that total minus its children's totals, and
@@ -29,8 +29,6 @@ type node = {
   mutable p_self_ns : int;
   mutable p_unify : int;
   mutable p_unify_failures : int;
-  mutable p_cache_hits : int;
-  mutable p_cache_misses : int;
   mutable p_total_w : float;
   mutable p_self_w : float;
   mutable p_children : node list;
@@ -88,8 +86,6 @@ let of_entries ?words (entries : Journal.entry list) : t =
         p_self_ns = 0;
         p_unify = 0;
         p_unify_failures = 0;
-        p_cache_hits = 0;
-        p_cache_misses = 0;
         p_total_w = 0.0;
         p_self_w = 0.0;
         p_children = [];
@@ -157,14 +153,6 @@ let of_entries ?words (entries : Journal.entry list) : t =
               n.p_unify <- n.p_unify + 1;
               if failure <> None then n.p_unify_failures <- n.p_unify_failures + 1
           | None -> ())
-      | Journal.Cache_hit _ -> (
-          match top_node () with
-          | Some n -> n.p_cache_hits <- n.p_cache_hits + 1
-          | None -> ())
-      | Journal.Cache_miss _ -> (
-          match top_node () with
-          | Some n -> n.p_cache_misses <- n.p_cache_misses + 1
-          | None -> ())
       | _ -> ()))
     entries;
   (* truncated stream: close whatever is still open at the last stamp *)
@@ -218,8 +206,6 @@ type agg = {
   a_self_ns : int;
   a_total_ns : int;
   a_unify : int;
-  a_cache_hits : int;
-  a_cache_misses : int;
   a_self_w : float;
 }
 
@@ -242,8 +228,6 @@ let aggregate ~keep t =
                    a_self_ns = 0;
                    a_total_ns = 0;
                    a_unify = 0;
-                   a_cache_hits = 0;
-                   a_cache_misses = 0;
                    a_self_w = 0.0;
                  }
              in
@@ -260,8 +244,6 @@ let aggregate ~keep t =
              (if List.mem lbl on_path then a.a_total_ns
               else a.a_total_ns + n.p_total_ns);
            a_unify = a.a_unify + n.p_unify;
-           a_cache_hits = a.a_cache_hits + n.p_cache_hits;
-           a_cache_misses = a.a_cache_misses + n.p_cache_misses;
            a_self_w = a.a_self_w +. n.p_self_w;
          }
      end);
@@ -342,19 +324,19 @@ let top_table ?(top = 10) t =
        with `argus check --timestamps` or a single-file subcommand\n";
   let header kind =
     Buffer.add_string b
-      (Printf.sprintf "%-44s %6s %9s %6s %9s %7s %5s %6s\n" kind "count" "self"
-         "self%" "total" "unify" "hits" "miss")
+      (Printf.sprintf "%-44s %6s %9s %6s %9s %7s\n" kind "count" "self"
+         "self%" "total" "unify")
   in
   let row a =
     Buffer.add_string b
-      (Printf.sprintf "%-44s %6d %9s %5.1f%% %9s %7d %5d %6d\n"
+      (Printf.sprintf "%-44s %6d %9s %5.1f%% %9s %7d\n"
          (if String.length a.a_label > 44 then String.sub a.a_label 0 41 ^ "..."
           else a.a_label)
          a.a_count
          (fmt (float_of_int a.a_self_ns))
          (pct a.a_self_ns t.total_ns)
          (fmt (float_of_int a.a_total_ns))
-         a.a_unify a.a_cache_hits a.a_cache_misses)
+         a.a_unify)
   in
   header (Printf.sprintf "hot goals (top %d by self time)" top);
   List.iter row (top_goals t top);

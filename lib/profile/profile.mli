@@ -4,7 +4,7 @@
     Telemetry answers {e how much} and the journal answers {e what
     happened}; this module joins them — every goal and candidate frame
     gets self/total wall time (from the stream's [ts_ns] deltas), unify
-    attempt and cache hit/miss tallies, and (when recorded live through
+    attempt tallies, and (when recorded live through
     {!record}) sampled GC allocation words.  The tree exports three
     ways: the [top -N] hot-goal table, folded-stack / speedscope
     flamegraphs (encoders in {!Argus_json.Flame}), and heat overlays on
@@ -32,8 +32,6 @@ type node = {
   mutable p_self_ns : int;  (** total minus the children's totals *)
   mutable p_unify : int;  (** unify attempts attributed to this frame *)
   mutable p_unify_failures : int;
-  mutable p_cache_hits : int;
-  mutable p_cache_misses : int;
   mutable p_total_w : float;  (** sampled GC words enter → exit; 0 offline *)
   mutable p_self_w : float;
   mutable p_children : node list;  (** in evaluation order *)
@@ -85,8 +83,6 @@ type agg = {
       (** recursion-safe: a frame's total is only added when no ancestor
           frame shares its label *)
   a_unify : int;
-  a_cache_hits : int;
-  a_cache_misses : int;
   a_self_w : float;
 }
 

@@ -24,10 +24,10 @@
       [-32003]).
 
     {b Determinism contract}: one session's response stream is a pure
-    function of its request stream — the interner and eval cache are
-    shared across sessions and requests, but cache warmth is
-    response-invisible (the PR 3 replay contract), and
-    journal/snapshot counters are domain-local and reset per solve.  So
+    function of its request stream — the interner is shared across
+    sessions and requests, but a [solve] records a journal and so never
+    consults the eval cache, and journal/snapshot counters are
+    domain-local and reset per solve.  So
     [solve]/[tree]/[explain] payloads are byte-identical to the
     equivalent one-shot CLI run, however many sessions interleave. *)
 

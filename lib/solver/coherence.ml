@@ -167,10 +167,9 @@ let check_impl_wf ?(cfg = Solve.default_config) (program : Program.t) : wf_failu
                       in
                       (* Result-tier fast path: bounds already proved under
                          this (program, where-clause) context skip the
-                         tree-building solve entirely; anything else — a
-                         miss, a cached failure, or a journal recording
-                         (observe-only) — re-derives the full tree, which a
-                         failure keeps as [wf_tree]. *)
+                         tree-building solve entirely; a miss or a cached
+                         failure re-derives the full tree, which a failure
+                         keeps as [wf_tree]. *)
                       let key =
                         if Eval_cache.enabled () then
                           Some
@@ -179,16 +178,7 @@ let check_impl_wf ?(cfg = Solve.default_config) (program : Program.t) : wf_failu
                         else None
                       in
                       let cached = Option.bind key Eval_cache.find_result in
-                      (match (cached, key) with
-                      | Some _, Some _ ->
-                          Jlog.cache_hit ~goal:(Journal.peek_id ()) ~tier:"result"
-                      | None, Some _ ->
-                          Jlog.cache_miss ~goal:(Journal.peek_id ()) ~tier:"result"
-                      | _, None -> ());
-                      let skip =
-                        (match cached with Some r -> Res.is_yes r | None -> false)
-                        && not (Journal.enabled ())
-                      in
+                      let skip = match cached with Some r -> Res.is_yes r | None -> false in
                       if not skip then begin
                         let node =
                           Solve.solve st

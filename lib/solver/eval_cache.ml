@@ -216,7 +216,12 @@ let evict_half (type e) (tbl : e Tbl.t) (lru_of : e -> int) =
 
 let enabled_flag = Atomic.make true
 let set_enabled b = Atomic.set enabled_flag b
-let enabled () = Atomic.get enabled_flag
+
+(* The one rule: the switch is on and no journal is recording on this
+   domain.  A recording solve must emit every event of the search, so
+   it neither reads nor fills the cache.  Every caller asks this before
+   a lookup; the tier functions below check only the switch. *)
+let enabled () = Atomic.get enabled_flag && not (Journal.enabled ())
 
 let clear () =
   Array.iter

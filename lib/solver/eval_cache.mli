@@ -23,6 +23,10 @@ open Trait_lang
     lookups miss silently (without counting) and inserts are dropped. *)
 val set_enabled : bool -> unit
 
+(** Is the cache in use on this domain: the switch is on {e and} no
+    journal is recording ({!Journal.enabled}).  A recording solve does
+    no lookups, no inserts and opens no frames, so its event stream is
+    the cache-off stream. *)
 val enabled : unit -> bool
 
 (** Empty both tiers (tests, and telemetry-isolation runs). *)

@@ -97,12 +97,6 @@ let ambiguity ~id ~succeeded =
 let norm_resolved ~id (resolved : Ty.t option) =
   if Journal.enabled () then Journal.emit (Journal.Norm_resolved { id; resolved })
 
-let cache_hit ~goal ~tier =
-  if Journal.enabled () then Journal.emit (Journal.Cache_hit { goal; tier })
-
-let cache_miss ~goal ~tier =
-  if Journal.enabled () then Journal.emit (Journal.Cache_miss { goal; tier })
-
 let probe_begin ~origin ~alternatives =
   if Journal.enabled () then Journal.emit (Journal.Probe_begin { origin; alternatives })
 

@@ -26,12 +26,6 @@ val overflow : id:int -> depth_limited:bool -> unit
 val ambiguity : id:int -> succeeded:int -> unit
 val norm_resolved : id:int -> Ty.t option -> unit
 
-(** Evaluation-cache outcome for goal [goal]; [tier] is ["tree"] or
-    ["result"].  With a journal recording, a hit never short-circuits
-    evaluation (observe-only), so structural events are unchanged. *)
-val cache_hit : goal:int -> tier:string -> unit
-
-val cache_miss : goal:int -> tier:string -> unit
 val probe_begin : origin:string -> alternatives:int -> unit
 val probe_end : committed:int option -> unit
 

@@ -192,17 +192,8 @@ let rec solve_goal st ~depth prov (pred0 : Predicate.t) : Trace.goal_node =
       else begin
         let key = Eval_cache.tree_key st.cache_ctx pred in
         match Eval_cache.find_tree key ~depth ~stack:st.stack with
-        | Some entry ->
-            Jlog.cache_hit ~goal:gid ~tier:"tree";
-            (* With a journal recording, never short-circuit: the stream
-               must contain the same structural events as a cache-off
-               run.  (Muted commit re-runs do replay — they emit nothing
-               and replay consumes the same IDs/variables/bindings as
-               re-evaluation.) *)
-            if Journal.enabled () then evaluate ()
-            else Eval_cache.replay st.icx ~gid ~depth ~prov entry
+        | Some entry -> Eval_cache.replay st.icx ~gid ~depth ~prov entry
         | None ->
-            Jlog.cache_miss ~goal:gid ~tier:"tree";
             let frame = Eval_cache.open_frame st.icx ~key ~gid ~depth in
             let node = evaluate () in
             Eval_cache.try_insert st.icx frame node;
@@ -895,17 +886,12 @@ let solve st ?(origin = "this expression") ?(span = Span.dummy) pred =
     consume this; callers needing the proof tree use {!solve}. *)
 let evaluate st ?(origin = "evaluate") ?(span = Span.dummy) pred : Res.t =
   assert (st.stack = []);
-  let run_full () = (solve st ~origin ~span pred).result in
-  if not (Eval_cache.enabled ()) then run_full ()
+  if not (Eval_cache.enabled ()) then (solve st ~origin ~span pred).result
   else begin
     let key = Eval_cache.result_key st.cache_ctx (Canonical.canonicalize st.icx pred) in
     match Eval_cache.find_result key with
-    | Some r ->
-        Jlog.cache_hit ~goal:(Journal.peek_id ()) ~tier:"result";
-        (* observe-only under a journal, as in [solve_goal] *)
-        if Journal.enabled () then run_full () else r
+    | Some r -> r
     | None ->
-        Jlog.cache_miss ~goal:(Journal.peek_id ()) ~tier:"result";
         let node = solve st ~origin ~span pred in
         let clean =
           Trace.fold_goals (fun acc g -> acc && not (Trace.is_overflow g)) true node

@@ -219,83 +219,54 @@ let test_corpus_equivalence () =
     (Corpus.Suite.entries @ Corpus.Suite.extended)
 
 (* ------------------------------------------------------------------ *)
-(* Journal streams: cache-on differs only by cache_hit/cache_miss events *)
+(* Journal streams: a recording solve never touches the cache *)
 
-let is_cache_event (en : Journal.entry) =
-  match en.ev with Journal.Cache_hit _ | Journal.Cache_miss _ -> true | _ -> false
+let cache_counters () =
+  List.filter
+    (fun (name, _) -> String.starts_with ~prefix:"cache." name)
+    (Telemetry.snapshot ()).sn_counters
 
-(** Snapshot serials are global and monotonic (never reset), so two
-    recordings taken after different amounts of prior solver activity
-    disagree on the absolute numbers.  Relabel them densely, in order of
-    first appearance, before comparing streams. *)
-let normalize_snaps entries =
-  let tbl = Hashtbl.create 64 and next = ref 0 in
-  let dense s =
-    match Hashtbl.find_opt tbl s with
-    | Some d -> d
-    | None ->
-        let d = !next in
-        incr next;
-        Hashtbl.add tbl s d;
-        d
-  in
-  List.map
-    (fun (en : Journal.entry) ->
-      match en.ev with
-      | Journal.Snapshot_open { snap; node } ->
-          { en with ev = Journal.Snapshot_open { snap = dense snap; node } }
-      | Journal.Snapshot_commit { snap } ->
-          { en with ev = Journal.Snapshot_commit { snap = dense snap } }
-      | Journal.Snapshot_rollback { snap } ->
-          { en with ev = Journal.Snapshot_rollback { snap = dense snap } }
-      | _ -> en)
-    entries
-
+(** For each program: record a cache-off journal, warm the cache with an
+    unjournaled run, then record again with the cache on.  The two
+    streams must be equal line for line (timestamps zeroed), and the
+    recording must leave the cache's entries and every [cache.*]
+    counter as they were. *)
 let test_journal_stream_equivalence () =
+  let record program =
+    Journal.reset ();
+    Solver.Infer_ctx.reset_snapshot_serial ();
+    let _, entries =
+      Journal.with_memory_sink (fun () -> Solver.Obligations.solve_program program)
+    in
+    List.map
+      (fun (en : Journal.entry) ->
+        Argus_json.Json.to_string
+          (Argus_json.Journal_codec.entry_to_json { en with ts_ns = 0 }))
+      entries
+  in
+  Telemetry.reset ();
+  Telemetry.enable ();
+  Fun.protect ~finally:Telemetry.disable @@ fun () ->
   List.iter
     (fun id ->
-      let e = Option.get (Corpus.Suite.find id) in
-      let program = Corpus.Harness.load e in
+      let program = Corpus.Harness.load (Option.get (Corpus.Suite.find id)) in
       Solver.Eval_cache.set_enabled false;
-      Journal.reset ();
-      let _, off = Journal.with_memory_sink (fun () -> Solver.Obligations.solve_program program) in
+      let off = record program in
       fresh_cache ();
-      Journal.reset ();
-      (* warm the cache once (unjournaled), then record against it *)
       ignore (Solver.Obligations.solve_program program);
-      Journal.reset ();
-      let _, on = Journal.with_memory_sink (fun () -> Solver.Obligations.solve_program program) in
-      (match Journal.replay on with
-      | Ok _ -> ()
-      | Error m -> Alcotest.failf "%s: cache-on stream fails replay: %s" id m);
-      let off = normalize_snaps off in
-      let on_stripped =
-        normalize_snaps (List.filter (fun en -> not (is_cache_event en)) on)
-      in
-      Alcotest.(check int)
-        (id ^ ": same structural event count")
-        (List.length off) (List.length on_stripped);
-      List.iter2
-        (fun (a : Journal.entry) (b : Journal.entry) ->
-          if not (Journal.equal_event a.ev b.ev) then
-            Alcotest.failf "%s: structural event differs: %s vs %s" id
-              (Argus_json.Json.to_string (Argus_json.Journal_codec.entry_to_json a))
-              (Argus_json.Json.to_string (Argus_json.Journal_codec.entry_to_json b)))
-        off on_stripped;
-      Alcotest.(check bool)
-        (id ^ ": journaled run observed cache traffic")
-        true
-        (List.exists is_cache_event on);
+      let stats = Solver.Eval_cache.stats () in
       (* ast-overflow's subtrees are all overflow-flagged, so nothing is
-         ever inserted and the warm run still misses — by design. *)
+         ever inserted — by design. *)
       if id <> "ast-overflow" then
-        Alcotest.(check bool)
-          (id ^ ": warm journaled run observed cache hits")
-          true
-          (List.exists
-             (fun (en : Journal.entry) ->
-               match en.ev with Journal.Cache_hit _ -> true | _ -> false)
-             on))
+        Alcotest.(check bool) (id ^ ": the unjournaled run filled the cache") true
+          (stats.cs_tree > 0);
+      let counters = cache_counters () in
+      let on = record program in
+      Alcotest.(check (list string)) (id ^ ": cache-on stream = cache-off stream") off on;
+      Alcotest.(check bool) (id ^ ": cache entries unchanged") true
+        (Solver.Eval_cache.stats () = stats);
+      Alcotest.(check (list (pair string int)))
+        (id ^ ": cache.* counters unchanged") counters (cache_counters ()))
     [ "diesel-missing-join"; "bevy-errant-param"; "ast-overflow"; "axum-body-first" ]
 
 (* ------------------------------------------------------------------ *)

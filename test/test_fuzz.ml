@@ -331,6 +331,21 @@ let test_cli_check_no_domains () =
   in
   Alcotest.(check (option int)) "pool.domains 0" (Some 0) domains
 
+(* `interactive` reads row numbers from the user: a non-numeric row is
+   reported like a missing one, and the loop carries on to `q`. *)
+let test_cli_interactive_bad_row () =
+  write_file "it_timer.trait"
+    "struct Timer;\ntrait Resource { }\ntrait SystemParam { }\nstruct ResMut<T>;\n\
+     impl<T> SystemParam for ResMut<T> where T: Resource { }\n\
+     goal ResMut<Timer>: SystemParam;\n";
+  let code =
+    Sys.command
+      (Printf.sprintf "printf 'e x\\nq\\n' | %s interactive it_timer.trait > it.out 2> it.err"
+         cli)
+  in
+  check_int "non-numeric row exits 0" 0 code;
+  check_bool "answers no such row" true (contains ~needle:"no such row" (read_file "it.out"))
+
 let test_cli_fuzz_zero_iters () =
   let code = Sys.command (cli ^ " fuzz --iters 0 > fz0.out 2> fz0.err") in
   check_int "--iters 0 is a clean no-op" 0 code;
@@ -401,5 +416,7 @@ let () =
             test_cli_check_no_domains;
           Alcotest.test_case "check: multi-file output and journal" `Quick
             test_cli_check_multi_file;
+          Alcotest.test_case "interactive: non-numeric row" `Quick
+            test_cli_interactive_bad_row;
         ] );
     ]

@@ -300,9 +300,10 @@ let ablation_inertia_weight_sensitivity () =
 (* ------------------------------------------------------------------ *)
 (* BENCH_pipeline.json: the machine-readable end-to-end numbers *)
 
-(** The commit the numbers were measured at, straight from [.git] (the
-    bench runs from the repo root; no subprocess).  "unknown" outside a
-    work tree. *)
+(** The commit checked out when a section is measured, straight from
+    [.git] (the bench runs from the repo root; no subprocess): the
+    commit the numbers belong to, or the parent of uncommitted changes.
+    "unknown" outside a work tree. *)
 let git_commit () =
   let first_line path =
     let ic = open_in path in
@@ -653,20 +654,23 @@ let read_whole_file path =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-(** The sections of the existing BENCH_pipeline.json (none if it is
-    missing or unreadable), so a partial re-run keeps the others. *)
-let existing_sections () =
-  match Json.of_string (read_whole_file pipeline_path) with
-  | Json.Obj fields ->
-      List.filter_map (function name, Json.List rows -> Some (name, rows) | _ -> None) fields
-  | _ -> []
-  | exception (Sys_error _ | Json.Parse_error _) -> []
+(** The existing BENCH_pipeline.json (an empty object if it is missing
+    or unreadable), so a partial re-run keeps the other sections. *)
+let existing_doc () =
+  try Json.of_string (read_whole_file pipeline_path)
+  with Sys_error _ | Json.Parse_error _ -> Json.Obj []
 
 (** Re-measure the sections [selected] picks and rewrite
     BENCH_pipeline.json, carrying every other section over from the
-    existing file. *)
+    existing file together with the commit it was measured at. *)
 let run_sections selected =
-  let existing = existing_sections () in
+  let existing = existing_doc () in
+  (* a v9 file has one document-level commit for every section *)
+  let old_commit name =
+    match Option.bind (Json.member "git_commits" existing) (Json.member name) with
+    | Some c -> c
+    | None -> Option.value ~default:(Json.String "unknown") (Json.member "git_commit" existing)
+  in
   (* Settle the heap before timing: the first collections promote all
      loaded data, a pause that reads as a 30x regression at [--runs 1]. *)
   Gc.full_major ();
@@ -675,23 +679,28 @@ let run_sections selected =
       (fun (name, title, measure) ->
         if selected name then begin
           section title;
-          (name, measure ())
+          (name, Json.String (git_commit ()), measure ())
         end
-        else (name, Option.value ~default:[] (List.assoc_opt name existing)))
+        else
+          let rows = match Json.member name existing with Some (Json.List r) -> r | _ -> [] in
+          (name, old_commit name, rows))
       bench_sections
   in
   let doc =
     Json.Obj
       ([
-         ("schema", Json.String "argus.bench.pipeline/v9");
+         ("schema", Json.String "argus.bench.pipeline/v10");
          ("runs", Json.Int !bench_runs);
          ("warmup", Json.Int !bench_warmup);
          ("ocaml_version", Json.String Sys.ocaml_version);
-         ("git_commit", Json.String (git_commit ()));
+         ("git_commits", Json.Obj (List.map (fun (name, commit, _) -> (name, commit)) sections));
          ( "diesel_lite_median_speedup",
-           Json.Float (diesel_median (List.assoc "cache" sections)) );
+           Json.Float
+             (diesel_median
+                (List.concat_map (fun (n, _, rows) -> if n = "cache" then rows else []) sections))
+         );
        ]
-      @ List.map (fun (name, rows) -> (name, Json.List rows)) sections)
+      @ List.map (fun (name, _, rows) -> (name, Json.List rows)) sections)
   in
   let oc = open_out pipeline_path in
   Fun.protect
@@ -702,7 +711,7 @@ let run_sections selected =
   Printf.printf "wrote %s (%s)\n" pipeline_path
     (String.concat ", "
        (List.map
-          (fun (name, rows) -> Printf.sprintf "%d %s rows" (List.length rows) name)
+          (fun (name, _, rows) -> Printf.sprintf "%d %s rows" (List.length rows) name)
           sections))
 
 (* ------------------------------------------------------------------ *)

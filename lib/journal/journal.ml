@@ -76,8 +76,8 @@ type event =
   | Cand_exit of { id : int; result : res; failure : unify_failure option }
   | Cand_assembled of { goal : int; param_env : int; impls : int; builtin : int }
   | Cand_commit of { goal : int; cand : int }
-      (** the uniquely successful candidate is re-run and committed;
-          the re-run's events are muted *)
+      (** the uniquely successful candidate is committed: the bindings
+          its probe made are written back, so no event follows *)
   | Unify of {
       node : int option;  (** innermost open goal/candidate *)
       left : Ty.t;
@@ -101,15 +101,14 @@ type entry = { seq : int; ts_ns : int; ev : event }
 (* The sink *)
 
 (* The whole journal state is domain-local: each domain records its own
-   stream with its own sequence numbers, node IDs, mute depth, and
-   open-node stack, so serve sessions running on pool workers need no
-   locks and never interleave their streams. *)
+   stream with its own sequence numbers, node IDs, and open-node stack,
+   so serve sessions running on pool workers need no locks and never
+   interleave their streams. *)
 type state = {
   mutable sink : (entry -> unit) option;
   mutable enabled : bool;
   mutable seq_counter : int;
   mutable id_counter : int;
-  mutable mute_depth : int;
   mutable open_nodes : int list;
       (** innermost open goal/candidate node first, maintained by [emit]
           from the structural enter/exit events; used to attach
@@ -124,7 +123,6 @@ let dls_key : state Domain.DLS.key =
         enabled = false;
         seq_counter = 0;
         id_counter = 0;
-        mute_depth = 0;
         open_nodes = [];
       })
 
@@ -160,32 +158,20 @@ let emit ev =
   match st.sink with
   | None -> ()
   | Some f ->
-      if st.mute_depth = 0 then begin
-        (match ev with
-        | Goal_enter { id; _ } | Cand_enter { id; _ } ->
-            st.open_nodes <- id :: st.open_nodes
-        | Goal_exit _ | Cand_exit _ -> (
-            match st.open_nodes with [] -> () | _ :: rest -> st.open_nodes <- rest)
-        | _ -> ());
-        let seq = st.seq_counter in
-        st.seq_counter <- seq + 1;
-        f { seq; ts_ns = Telemetry.now_ns (); ev }
-      end
-
-let mute () =
-  let st = state () in
-  st.mute_depth <- st.mute_depth + 1
-
-let unmute () =
-  let st = state () in
-  if st.mute_depth > 0 then st.mute_depth <- st.mute_depth - 1
+      (match ev with
+      | Goal_enter { id; _ } | Cand_enter { id; _ } -> st.open_nodes <- id :: st.open_nodes
+      | Goal_exit _ | Cand_exit _ -> (
+          match st.open_nodes with [] -> () | _ :: rest -> st.open_nodes <- rest)
+      | _ -> ());
+      let seq = st.seq_counter in
+      st.seq_counter <- seq + 1;
+      f { seq; ts_ns = Telemetry.now_ns (); ev }
 
 let set_sink s =
   let st = state () in
   st.sink <- s;
   st.enabled <- (match s with Some _ -> true | None -> false);
   st.seq_counter <- 0;
-  st.mute_depth <- 0;
   st.open_nodes <- []
 
 let reset () =
@@ -201,7 +187,6 @@ let with_memory_sink (f : unit -> 'a) : 'a * entry list =
   let saved_sink = st.sink
   and saved_enabled = st.enabled
   and saved_seq = st.seq_counter
-  and saved_mute = st.mute_depth
   and saved_open = st.open_nodes in
   let buf = ref [] in
   set_sink (Some (fun e -> buf := e :: !buf));
@@ -209,7 +194,6 @@ let with_memory_sink (f : unit -> 'a) : 'a * entry list =
     st.sink <- saved_sink;
     st.enabled <- saved_enabled;
     st.seq_counter <- saved_seq;
-    st.mute_depth <- saved_mute;
     st.open_nodes <- saved_open
   in
   let r = Fun.protect ~finally:restore f in

@@ -55,6 +55,8 @@ type event =
   | Cand_exit of { id : int; result : res; failure : unify_failure option }
   | Cand_assembled of { goal : int; param_env : int; impls : int; builtin : int }
   | Cand_commit of { goal : int; cand : int }
+      (** the uniquely successful candidate is committed by writing back
+          the bindings its probe made; it is not evaluated again *)
   | Unify of {
       node : int option;
       left : Ty.t;
@@ -76,24 +78,16 @@ type entry = { seq : int; ts_ns : int; ev : event }
 
 (** {1 The sink} *)
 
-(** Is a sink installed on this domain?  The hot-path guard.  Muting
-    does not change the answer: {!emit} drops muted events itself. *)
+(** Is a sink installed on this domain?  The hot-path guard. *)
 val enabled : unit -> bool
 
 (** Install or remove the streaming sink.  Installing resets the
-    sequence counter, the open-node stack, and the mute depth. *)
+    sequence counter and the open-node stack. *)
 val set_sink : (entry -> unit) option -> unit
 
 (** Emit an event (stamped with sequence number and monotonic-ns
-    timestamp).  A no-op when no sink is installed or emission is
-    muted. *)
+    timestamp).  A no-op when no sink is installed. *)
 val emit : event -> unit
-
-(** Suppress emission (nestable) — used around candidate-commit re-runs,
-    which re-execute already-journaled work. *)
-val mute : unit -> unit
-
-val unmute : unit -> unit
 
 (** Allocate the next stable node ID.  Unconditional, so trace nodes
     carry IDs even without a sink. *)
@@ -113,10 +107,9 @@ val current_node : unit -> int option
 
 (** Remove the sink and restart node IDs from 0.
 
-    The entire journal state (sink, sequence and ID counters, mute
-    depth, open-node stack) is {b domain-local}: each domain records its
-    own stream, so sessions served on different pool workers never
-    interleave.  Resetting before a solve makes its stream identical
+    The entire journal state (sink, sequence and ID counters, open-node
+    stack) is {b domain-local}: each domain records its own stream, so
+    sessions served on different pool workers never interleave.  Resetting before a solve makes its stream identical
     whichever domain runs it. *)
 val reset : unit -> unit
 

@@ -21,7 +21,7 @@ type solved = {
 
 type session = {
   ss_name : string;
-  ss_session : Solver.Session.t;
+  mutable ss_program : Trait_lang.Program.t;
   ss_lock : Mutex.t;
   mutable ss_source : string;
   mutable ss_solved : solved option;
@@ -192,36 +192,32 @@ let handle_open t params =
   match parse_program ~file source with
   | Error m -> Error (Rpc.error_obj ~code:Rpc.load_error m)
   | Ok program ->
-      let* session =
+      let* () =
         with_lock t.srv_lock (fun () ->
             if Hashtbl.mem t.srv_sessions name then
               Error
                 (Rpc.error_obj ~code:Rpc.session_exists
                    ("session already exists: " ^ name))
             else begin
-              let s =
+              Hashtbl.add t.srv_sessions name
                 {
                   ss_name = name;
-                  ss_session = Solver.Session.create ~cfg:t.srv_cfg ();
+                  ss_program = program;
                   ss_lock = Mutex.create ();
                   ss_source = source;
                   ss_solved = None;
                   ss_views = Hashtbl.create 4;
-                }
-              in
-              Hashtbl.add t.srv_sessions name s;
+                };
               Telemetry.incr c_sessions;
-              Ok s
+              Ok ()
             end)
       in
-      with_lock session.ss_lock (fun () ->
-          ignore (Solver.Session.edit session.ss_session program);
-          Ok
-            (Json.Obj
-               [
-                 ("session", Json.String name);
-                 ("goals", Json.Int (List.length (Trait_lang.Program.goals program)));
-               ]))
+      Ok
+        (Json.Obj
+           [
+             ("session", Json.String name);
+             ("goals", Json.Int (List.length (Trait_lang.Program.goals program)));
+           ])
 
 let handle_reload t params =
   Telemetry.incr c_reloads;
@@ -229,27 +225,18 @@ let handle_reload t params =
   let* s = find_session t name in
   let* file, source = source_of_params params in
   with_lock s.ss_lock (fun () ->
-      (* An unchanged source re-uses the already-resolved Program value:
-         program stamps are fresh per parse, so re-parsing would defeat
-         the stamp-equality short-circuit in Session.edit and evict the
-         whole cache for a no-op save. *)
+      (* An unchanged source re-uses the loaded Program value, so a no-op
+         save skips the parse and reports [noop] (program stamps are
+         fresh per parse). *)
       let program =
-        if String.equal source s.ss_source then
-          match Solver.Session.program s.ss_session with
-          | Some p -> Ok p
-          | None -> parse_program ~file source
+        if String.equal source s.ss_source then Ok s.ss_program
         else parse_program ~file source
       in
       match program with
       | Error m -> Error (Rpc.error_obj ~code:Rpc.load_error m)
       | Ok program ->
-          let noop =
-            match Solver.Session.program s.ss_session with
-            | Some old ->
-                Trait_lang.Program.stamp old = Trait_lang.Program.stamp program
-            | None -> false
-          in
-          ignore (Solver.Session.edit s.ss_session program);
+          let noop = program == s.ss_program in
+          s.ss_program <- program;
           s.ss_source <- source;
           s.ss_solved <- None;
           Hashtbl.reset s.ss_views;
@@ -260,37 +247,34 @@ let handle_solve t params =
   let* name = req_string "session" params in
   let* s = find_session t name in
   with_lock s.ss_lock (fun () ->
-      match Solver.Session.program s.ss_session with
-      | None -> Error (Rpc.error_obj ~code:Rpc.load_error "no program loaded")
-      | Some program ->
-          (* Resolve and render inside one journal window, mirroring
-             `argus check`: the type-check pass inside the renderer
-             generates obligations that journal through the same
-             machinery, so event order matches `argus check
-             --events-out` byte for byte. *)
-          let (output, issues), entries =
-            Journal.with_memory_sink (fun () ->
-                let report = Solver.Session.resolve s.ss_session in
-                Check_render.run ~profile_pipeline:(Telemetry.enabled ()) program
-                  report)
-          in
-          let entries =
-            List.map (fun (e : Journal.entry) -> { e with Journal.ts_ns = 0 }) entries
-          in
-          let report = Option.get (Solver.Session.report s.ss_session) in
-          let trees =
-            report.Solver.Obligations.reports
-            |> List.filter (fun (r : Solver.Obligations.goal_report) ->
-                   r.status <> Solver.Obligations.Proved)
-            |> List.map Argus.Extract.of_report
-            |> Array.of_list
-          in
-          s.ss_solved <-
-            Some { sv_output = output; sv_issues = issues; sv_journal = entries; sv_trees = trees };
-          Hashtbl.reset s.ss_views;
-          Ok
-            (Json.Obj
-               [ ("output", Json.String output); ("issues", Json.Int issues) ]))
+      let program = s.ss_program in
+      (* Resolve and render inside one journal window, mirroring `argus
+         check`: the type-check pass inside the renderer generates
+         obligations that journal through the same machinery, so event
+         order matches `argus check --events-out` byte for byte.  The ID
+         and snapshot counters restart first, so the stream matches a
+         from-scratch run. *)
+      let (report, (output, issues)), entries =
+        Journal.with_memory_sink (fun () ->
+            Journal.reset_ids ();
+            Solver.Infer_ctx.reset_snapshot_serial ();
+            let report = Solver.Obligations.solve_program ~cfg:t.srv_cfg program in
+            (report, Check_render.run ~profile_pipeline:(Telemetry.enabled ()) program report))
+      in
+      let entries =
+        List.map (fun (e : Journal.entry) -> { e with Journal.ts_ns = 0 }) entries
+      in
+      let trees =
+        report.Solver.Obligations.reports
+        |> List.filter (fun (r : Solver.Obligations.goal_report) ->
+               r.status <> Solver.Obligations.Proved)
+        |> List.map Argus.Extract.of_report
+        |> Array.of_list
+      in
+      s.ss_solved <-
+        Some { sv_output = output; sv_issues = issues; sv_journal = entries; sv_trees = trees };
+      Hashtbl.reset s.ss_views;
+      Ok (Json.Obj [ ("output", Json.String output); ("issues", Json.Int issues) ]))
 
 let handle_tree t params =
   let* name = req_string "session" params in

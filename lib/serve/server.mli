@@ -6,11 +6,9 @@
 
     {b Verbs} (see docs/SERVE.md for the wire schema):
     - [open]: create a named session from source text or a file path
-      (parse + {!Solver.Session.edit}; no solve yet);
-    - [reload]: swap in an edited version ({!Solver.Session.edit}, which
-      evicts the previous version's cache entries when the program
-      stamp changes) and report [noop]: an unchanged source re-uses the
-      loaded program, a stamp-equal no-op that evicts nothing;
+      (parse only; no solve yet);
+    - [reload]: swap in an edited version and report [noop]: an
+      unchanged source re-uses the loaded program;
     - [solve]: resolve and render the [argus check] report (recording
       the search journal for [explain]/[profile]);
     - [tree]: the fully-expanded proof-tree page per failing goal

@@ -17,7 +17,9 @@ type overlap = {
     reasoning), as in rustc's basic check. *)
 val overlap_of_pair : Infer_ctx.t -> Decl.impl -> Decl.impl -> overlap option
 
-(** All pairwise overlaps in a program. *)
+(** All pairwise overlaps in a program, in the order of the loop over
+    all pairs of [Program.impls].  Only same-trait pairs whose self
+    heads can unify ({!Fast_reject.compatible}) are probed. *)
 val check : Program.t -> overlap list
 
 (** {1 The orphan rule (E0117)} *)

@@ -2,8 +2,9 @@
     variables with an undo log for snapshot/rollback.
 
     Candidate probing is speculative — the solver tries a candidate under a
-    snapshot and rolls back unless the candidate is committed — exactly the
-    discipline rustc's [InferCtxt] uses. *)
+    snapshot and rolls back, keeping the bindings of a success so the
+    committed candidate's can be written back — the discipline rustc's
+    [InferCtxt] uses. *)
 
 open Trait_lang
 
@@ -92,18 +93,28 @@ let snapshot t : snapshot =
     Journal.emit (Journal.Snapshot_open { snap = serial; node = Journal.current_node () });
   { mark; serial }
 
-let rollback_to t ({ mark; serial } : snapshot) =
+type bindings = (int * binding) list
+
+(* Pop the undo log down to the snapshot's mark, unbinding each slot;
+   with [keep], also return the undone slots, oldest first. *)
+let rollback ~keep t ({ mark; serial } : snapshot) : bindings =
   Telemetry.incr c_rollbacks;
   if Journal.enabled () then Journal.emit (Journal.Snapshot_rollback { snap = serial });
-  let rec pop log n = if n <= mark then log else match log with
+  let rec pop kept log n = if n <= mark then (log, kept) else match log with
     | Set i :: rest ->
+        let kept = if keep then (i, t.table.(i)) :: kept else kept in
         t.table.(i) <- Unbound;
-        pop rest (n - 1)
-    | [] -> []
+        pop kept rest (n - 1)
+    | [] -> ([], kept)
   in
-  t.undo_log <- pop t.undo_log t.undo_len;
+  let log, kept = pop [] t.undo_log t.undo_len in
+  t.undo_log <- log;
   t.undo_len <- min t.undo_len mark;
-  t.snapshots <- List.filter (fun m -> m < mark) t.snapshots
+  t.snapshots <- List.filter (fun m -> m < mark) t.snapshots;
+  kept
+
+let rollback_to t snap = ignore (rollback ~keep:false t snap)
+let rollback_keep t snap = rollback ~keep:true t snap
 
 (** Commit: simply forget the snapshot; bindings stay. *)
 let commit t ({ mark; serial } : snapshot) =
@@ -168,6 +179,8 @@ let set_slot t i (b : binding) =
       t.undo_len <- t.undo_len + 1
 
 let undo_mark t = t.undo_len
+
+let reapply t (bs : bindings) = List.iter (fun (i, b) -> set_slot t i b) bs
 
 (** Variables set (and not since rolled back) after undo mark [mark],
     oldest first. *)

@@ -36,6 +36,14 @@ val reset_snapshot_serial : unit -> unit
 (** Undo every binding made since the snapshot was opened. *)
 val rollback_to : t -> snapshot -> unit
 
+(** The slots a probe set, oldest first, with their final bindings. *)
+type bindings = (int * binding) list
+
+(** {!rollback_to}, returning the bindings it undid: a probe's answer
+    substitution, which {!reapply} commits later without re-deriving
+    it. *)
+val rollback_keep : t -> snapshot -> bindings
+
 (** Keep the bindings; forget the snapshot. *)
 val commit : t -> snapshot -> unit
 
@@ -81,6 +89,11 @@ val slot : t -> int -> binding
 (** Write a slot.  The slot must currently be [Unbound]; writing
     [Unbound] is a no-op.  Undo-logged. *)
 val set_slot : t -> int -> binding -> unit
+
+(** Write back bindings returned by {!rollback_keep}, through
+    {!set_slot}: every slot must be [Unbound] again, and the writes are
+    undo-logged, so an enclosing snapshot still rolls them back. *)
+val reapply : t -> bindings -> unit
 
 (** Current undo-log position, for {!sets_since}. *)
 val undo_mark : t -> int

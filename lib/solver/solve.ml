@@ -9,9 +9,11 @@
       [Sized]) are all probed as alternatives — the OR branching of the
       AND/OR tree;
     - {b speculative probing}: each candidate is evaluated under an
-      inference snapshot and rolled back; a uniquely successful candidate
-      is then re-run and committed, which is how trait solving guides type
-      inference (the Bevy marker-type deduction of §2.3);
+      inference snapshot and rolled back, keeping the bindings it made; a
+      uniquely successful candidate is committed by writing those
+      bindings back, never by evaluating it again — which is how trait
+      solving guides type inference (the Bevy marker-type deduction of
+      §2.3);
     - {b normalization}: associated-type projections are normalized through
       impls via *stateful* [NormalizesTo] nodes whose value is captured
       after their subtree executes (§4);
@@ -22,8 +24,8 @@
     Every step is journaled (see lib/journal): goals and candidates open
     and close event frames carrying the stable IDs stored in the trace
     nodes, so the event stream replays to exactly the tree this module
-    returns.  Candidate-commit re-runs are muted — they re-execute
-    already-journaled work and their traces are discarded. *)
+    returns.  Every goal the solver evaluates is in the stream: a commit
+    re-derives nothing. *)
 
 open Trait_lang
 
@@ -125,12 +127,23 @@ let is_sized trait_path = Path.name trait_path = "Sized"
 let head_known icx ty =
   match Unify.shallow icx ty with Ty.Infer _ -> false | _ -> true
 
-(** Run a candidate-commit re-run with journal emission muted: the
-    re-run replays events already journaled during probing, and its
-    trace is discarded. *)
-let muted f =
-  Journal.mute ();
-  Fun.protect ~finally:Journal.unmute f
+(** Close a candidate probe: roll back to [snap], keeping the bindings
+    of a successful probe so {!select} can commit them. *)
+let finish_probe st snap (node : Trace.cand_node) : Trace.cand_node * Infer_ctx.bindings =
+  let bindings =
+    if Res.is_yes node.cand_result then Infer_ctx.rollback_keep st.icx snap
+    else begin
+      Infer_ctx.rollback_to st.icx snap;
+      []
+    end
+  in
+  Jlog.cand_exit node;
+  (node, bindings)
+
+(** A candidate that makes no bindings. *)
+let no_probe (node : Trace.cand_node) : Trace.cand_node * Infer_ctx.bindings =
+  Jlog.cand_exit node;
+  (node, [])
 
 (* ------------------------------------------------------------------ *)
 (* The mutually recursive solver core. *)
@@ -228,15 +241,15 @@ and solve_trait st ~gid ~depth ~prov pred (tp : Predicate.trait_pred) : Trace.go
           (fun envp ->
             match envp with
             | Predicate.Trait etp when Path.equal etp.trait_ref.trait tp.trait_ref.trait ->
-                Some (eval_env_candidate st ~goal:gid ~commit:false envp etp tp)
+                Some (eval_env_candidate st ~goal:gid envp etp tp)
             | _ -> None)
           st.env
       in
       let impl_cands =
         Fast_reject.candidates st.program tp.trait_ref.trait self
-        |> List.map (fun impl -> eval_impl_candidate st ~goal:gid ~depth ~commit:false impl tp)
+        |> List.map (fun impl -> eval_impl_candidate st ~goal:gid ~depth impl tp)
       in
-      let builtin_cands = builtin_candidates st ~goal:gid ~depth ~commit:false tp in
+      let builtin_cands = builtin_candidates st ~goal:gid ~depth tp in
       Telemetry.add c_cand_env (List.length env_cands);
       Telemetry.add c_cand_impl (List.length impl_cands);
       Telemetry.add c_cand_builtin (List.length builtin_cands);
@@ -244,16 +257,18 @@ and solve_trait st ~gid ~depth ~prov pred (tp : Predicate.trait_pred) : Trace.go
         ~param_env:(List.length env_cands)
         ~impls:(List.length impl_cands)
         ~builtin:(List.length builtin_cands);
-      let candidates = env_cands @ impl_cands @ builtin_cands in
-      select st ~gid ~depth ~prov pred tp candidates
+      select st ~gid ~depth ~prov pred (env_cands @ impl_cands @ builtin_cands)
 
 (** Candidate selection: commit a uniquely successful candidate so its
-    inference-variable bindings guide the rest of solving. *)
-and select st ~gid ~depth ~prov pred tp candidates : Trace.goal_node =
-  let yes = List.filter (fun (c : Trace.cand_node) -> Res.is_yes c.cand_result) candidates in
+    inference-variable bindings guide the rest of solving.  The winner
+    was already evaluated and rolled back; committing writes back the
+    bindings its probe made. *)
+and select st ~gid ~depth ~prov pred probed : Trace.goal_node =
+  let yes = List.filter (fun ((c : Trace.cand_node), _) -> Res.is_yes c.cand_result) probed in
+  let candidates = List.map fst probed in
   let env_yes =
     List.filter
-      (fun (c : Trace.cand_node) ->
+      (fun ((c : Trace.cand_node), _) ->
         match c.source with Trace.Cand_param_env _ -> true | _ -> false)
       yes
   in
@@ -271,23 +286,14 @@ and select st ~gid ~depth ~prov pred tp candidates : Trace.goal_node =
         else (Res.No, [], None)
   in
   (match to_commit with
-  | Some c ->
+  | Some ((c : Trace.cand_node), bindings) ->
       Jlog.cand_commit ~goal:gid ~cand:c.cid;
-      muted (fun () -> commit_candidate st ~goal:gid ~depth c tp)
+      Infer_ctx.reapply st.icx bindings
   | None -> ());
   { gid; pred; result; candidates; depth; provenance = prov; flags }
 
-and commit_candidate st ~goal ~depth (c : Trace.cand_node) tp =
-  match c.source with
-  | Trace.Cand_impl impl -> ignore (eval_impl_candidate st ~goal ~depth ~commit:true impl tp)
-  | Trace.Cand_param_env envp -> (
-      match envp with
-      | Predicate.Trait etp -> ignore (eval_env_candidate st ~goal ~commit:true envp etp tp)
-      | _ -> ())
-  | Trace.Cand_builtin _ -> ignore (builtin_recommit st ~goal ~depth c tp)
-
-and eval_env_candidate st ~goal ~commit envp (etp : Predicate.trait_pred)
-    (tp : Predicate.trait_pred) : Trace.cand_node =
+and eval_env_candidate st ~goal envp (etp : Predicate.trait_pred) (tp : Predicate.trait_pred) :
+    Trace.cand_node * Infer_ctx.bindings =
   let cid = Journal.fresh_id () in
   Jlog.cand_enter ~id:cid ~goal (Trace.Cand_param_env envp);
   let snap = Infer_ctx.snapshot st.icx in
@@ -303,13 +309,10 @@ and eval_env_candidate st ~goal ~commit envp (etp : Predicate.trait_pred)
     | Error f ->
         { cid; source = Trace.Cand_param_env envp; cand_result = Res.No; subgoals = []; failure = Some f }
   in
-  if commit && Result.is_ok outcome then Infer_ctx.commit st.icx snap
-  else Infer_ctx.rollback_to st.icx snap;
-  Jlog.cand_exit node;
-  node
+  finish_probe st snap node
 
-and eval_impl_candidate st ~goal ~depth ~commit (impl : Decl.impl) (tp : Predicate.trait_pred) :
-    Trace.cand_node =
+and eval_impl_candidate st ~goal ~depth (impl : Decl.impl) (tp : Predicate.trait_pred) :
+    Trace.cand_node * Infer_ctx.bindings =
   let cid = Journal.fresh_id () in
   Jlog.cand_enter ~id:cid ~goal (Trace.Cand_impl impl);
   let snap = Infer_ctx.snapshot st.icx in
@@ -350,10 +353,7 @@ and eval_impl_candidate st ~goal ~depth ~commit (impl : Decl.impl) (tp : Predica
         in
         { Trace.cid; source = Trace.Cand_impl impl; cand_result = result; subgoals = all; failure = None }
   in
-  if commit && Res.is_yes node.cand_result then Infer_ctx.commit st.icx snap
-  else Infer_ctx.rollback_to st.icx snap;
-  Jlog.cand_exit node;
-  node
+  finish_probe st snap node
 
 (** Unify two trait refs, routing projection/rigid clashes through
     normalization.  Returns the normalization nodes generated — on both
@@ -391,14 +391,14 @@ and unify_trait_refs_norm st ~depth (a : Ty.trait_ref) (b : Ty.trait_ref) :
 
 (* --- built-in candidates ------------------------------------------- *)
 
-and builtin_candidates st ~goal ~depth ~commit (tp : Predicate.trait_pred) :
-    Trace.cand_node list =
+and builtin_candidates st ~goal ~depth (tp : Predicate.trait_pred) :
+    (Trace.cand_node * Infer_ctx.bindings) list =
   let self = Infer_ctx.resolve st.icx tp.self_ty in
   if is_sized tp.trait_ref.trait then [ builtin_sized ~goal self ]
   else if is_fn_family tp.trait_ref.trait then begin
     match self with
     | Ty.FnPtr (inputs, _) | Ty.FnItem (_, inputs, _) ->
-        [ builtin_fn st ~goal ~depth ~commit tp inputs ]
+        [ builtin_fn st ~goal ~depth tp inputs ]
     | _ -> []
   end
   else if Path.name tp.trait_ref.trait = "Tuple" then begin
@@ -406,36 +406,32 @@ and builtin_candidates st ~goal ~depth ~commit (tp : Predicate.trait_pred) :
     | Ty.Tuple _ | Ty.Unit ->
         let cid = Journal.fresh_id () in
         Jlog.cand_enter ~id:cid ~goal (Trace.Cand_builtin "tuple");
-        let node =
-          {
-            Trace.cid;
-            source = Trace.Cand_builtin "tuple";
-            cand_result = Res.Yes;
-            subgoals = [];
-            failure = None;
-          }
-        in
-        Jlog.cand_exit node;
-        [ node ]
+        [
+          no_probe
+            {
+              Trace.cid;
+              source = Trace.Cand_builtin "tuple";
+              cand_result = Res.Yes;
+              subgoals = [];
+              failure = None;
+            };
+        ]
     | _ -> []
   end
   else []
 
-and builtin_sized ~goal (self : Ty.t) : Trace.cand_node =
+and builtin_sized ~goal (self : Ty.t) : Trace.cand_node * Infer_ctx.bindings =
   let cid = Journal.fresh_id () in
   Jlog.cand_enter ~id:cid ~goal (Trace.Cand_builtin "sized");
   let result = match self with Ty.Dynamic _ -> Res.No | _ -> Res.Yes in
-  let node : Trace.cand_node =
+  no_probe
     { cid; source = Trace.Cand_builtin "sized"; cand_result = result; subgoals = []; failure = None }
-  in
-  Jlog.cand_exit node;
-  node
 
 (** [fn(A, B) -> R] implements [Fn<(A, B)>]; the trait's single type
     argument is the tupled inputs.  Projections in the expected argument
     tuple (e.g. [Fn<(<I as Iterator>::Item,)>]) are normalized first. *)
-and builtin_fn st ~goal ~depth ~commit (tp : Predicate.trait_pred) (inputs : Ty.t list) :
-    Trace.cand_node =
+and builtin_fn st ~goal ~depth (tp : Predicate.trait_pred) (inputs : Ty.t list) :
+    Trace.cand_node * Infer_ctx.bindings =
   let cid = Journal.fresh_id () in
   Jlog.cand_enter ~id:cid ~goal (Trace.Cand_builtin "fn-item");
   let snap = Infer_ctx.snapshot st.icx in
@@ -473,20 +469,7 @@ and builtin_fn st ~goal ~depth ~commit (tp : Predicate.trait_pred) (inputs : Ty.
           failure = Some f;
         }
   in
-  if commit && Res.is_yes node.cand_result then Infer_ctx.commit st.icx snap
-  else Infer_ctx.rollback_to st.icx snap;
-  Jlog.cand_exit node;
-  node
-
-and builtin_recommit st ~goal ~depth (c : Trace.cand_node) (tp : Predicate.trait_pred) : unit =
-  ignore depth;
-  match c.source with
-  | Trace.Cand_builtin "fn-item" -> (
-      match Infer_ctx.resolve st.icx tp.self_ty with
-      | Ty.FnPtr (inputs, _) | Ty.FnItem (_, inputs, _) ->
-          ignore (builtin_fn st ~goal ~depth ~commit:true tp inputs)
-      | _ -> ())
-  | _ -> ()
+  finish_probe st snap node
 
 (* --- projection predicates ----------------------------------------- *)
 
@@ -498,8 +481,7 @@ and solve_projection st ~gid ~depth ~prov pred (pp : Predicate.proj_pred) : Trac
        the candidate list (and hence the journal's event order). *)
     let impl_cands =
       Fast_reject.candidates st.program proj.proj_trait.trait (Unify.shallow st.icx proj.self_ty)
-      |> List.map (fun impl ->
-             eval_proj_impl_candidate st ~goal:gid ~depth ~commit:false impl proj pp)
+      |> List.map (fun impl -> eval_proj_impl_candidate st ~goal:gid ~depth impl proj pp)
     in
     (* Built-in: <fn-like as Fn<..>>::Output normalizes to the return. *)
     let builtin =
@@ -515,37 +497,12 @@ and solve_projection st ~gid ~depth ~prov pred (pp : Predicate.proj_pred) : Trac
     Jlog.cand_assembled ~goal:gid ~param_env:0
       ~impls:(List.length impl_cands)
       ~builtin:(if builtin = None then 0 else 1);
-    let candidates = impl_cands @ Option.to_list builtin in
-    let yes = List.filter (fun (c : Trace.cand_node) -> Res.is_yes c.cand_result) candidates in
-    let result, flags, to_commit =
-      match yes with
-      | [ c ] -> (Res.Yes, [], Some c)
-      | _ :: _ :: _ ->
-          Telemetry.incr c_ambiguous;
-          Jlog.ambiguity ~id:gid ~succeeded:(List.length yes);
-          (Res.Maybe, [ Trace.Ambiguous_selection ], None)
-      | [] ->
-          if List.exists (fun (c : Trace.cand_node) -> Res.is_maybe c.cand_result) candidates
-          then (Res.Maybe, [], None)
-          else (Res.No, [], None)
-    in
-    (match to_commit with
-    | Some ({ source = Trace.Cand_impl impl; _ } as c) ->
-        Jlog.cand_commit ~goal:gid ~cand:c.cid;
-        muted (fun () ->
-            ignore (eval_proj_impl_candidate st ~goal:gid ~depth ~commit:true impl proj pp))
-    | Some ({ source = Trace.Cand_builtin _; _ } as c) ->
-        Jlog.cand_commit ~goal:gid ~cand:c.cid;
-        muted (fun () ->
-            match Unify.shallow st.icx proj.self_ty with
-            | Ty.FnPtr (_, ret) | Ty.FnItem (_, _, ret) ->
-                ignore (Unify.unify st.icx pp.term ret)
-            | _ -> ())
-    | _ -> ());
-    { gid; pred; result; candidates; depth; provenance = prov; flags }
+    (* no param-env candidates here, so [select] commits a unique success *)
+    select st ~gid ~depth ~prov pred (impl_cands @ Option.to_list builtin)
   end
 
-and eval_proj_builtin st ~goal ret (pp : Predicate.proj_pred) : Trace.cand_node =
+and eval_proj_builtin st ~goal ret (pp : Predicate.proj_pred) :
+    Trace.cand_node * Infer_ctx.bindings =
   let cid = Journal.fresh_id () in
   Jlog.cand_enter ~id:cid ~goal (Trace.Cand_builtin "fn-output");
   let snap = Infer_ctx.snapshot st.icx in
@@ -557,16 +514,14 @@ and eval_proj_builtin st ~goal ret (pp : Predicate.proj_pred) : Trace.cand_node 
     | Error f ->
         { cid; source = Trace.Cand_builtin "fn-output"; cand_result = Res.No; subgoals = []; failure = Some f }
   in
-  Infer_ctx.rollback_to st.icx snap;
-  Jlog.cand_exit node;
-  node
+  finish_probe st snap node
 
 (** A projection candidate: the impl must (1) head-match the projection's
     self type and trait args, (2) satisfy its where-clauses, and (3) have
     its associated-type binding unify with the expected term — a failure
     at step (3) is rustc's E0271 "type mismatch resolving". *)
-and eval_proj_impl_candidate st ~goal ~depth ~commit (impl : Decl.impl) (proj : Ty.projection)
-    (pp : Predicate.proj_pred) : Trace.cand_node =
+and eval_proj_impl_candidate st ~goal ~depth (impl : Decl.impl) (proj : Ty.projection)
+    (pp : Predicate.proj_pred) : Trace.cand_node * Infer_ctx.bindings =
   let cid = Journal.fresh_id () in
   Jlog.cand_enter ~id:cid ~goal (Trace.Cand_impl impl);
   let snap = Infer_ctx.snapshot st.icx in
@@ -632,10 +587,7 @@ and eval_proj_impl_candidate st ~goal ~depth ~commit (impl : Decl.impl) (proj : 
                   failure = Some f;
                 }))
   in
-  if commit && Res.is_yes node.Trace.cand_result then Infer_ctx.commit st.icx snap
-  else Infer_ctx.rollback_to st.icx snap;
-  Jlog.cand_exit node;
-  node
+  finish_probe st snap node
 
 (** Look up the impl's binding for [assoc], falling back to the trait's
     declared default. *)
@@ -781,11 +733,13 @@ and normalize_via_impls st ~gid ~depth ~prov pred (proj : Ty.projection) : proj_
   let impls =
     Fast_reject.candidates st.program proj.proj_trait.trait (Unify.shallow st.icx proj.self_ty)
   in
-  (* Probe which impls head-match.  The substitution of a successful
-     probe is kept: rollback unbinds the fresh variables it allocated
-     but leaves them allocated, so a uniquely matching impl can be
-     committed by re-unifying under the same substitution instead of
-     instantiating its generics a second time. *)
+  (* Probe which impls head-match.  Unlike {!select}'s candidates, these
+     probes cover only the head match: the winner's where-clauses are
+     solved once, after the commit, as the node's subtree.  Committing
+     re-unifies the heads under the probe's substitution (rollback
+     unbinds the variables it allocated but leaves them allocated), and
+     those unifications are the candidate frame's journaled head
+     match. *)
   let probe impl =
     let snap = Infer_ctx.snapshot st.icx in
     let subst = Infer_ctx.instantiate_generics st.icx impl.Decl.impl_generics in

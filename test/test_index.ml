@@ -2,7 +2,9 @@
     the load-bearing soundness property that a head-incompatible
     (goal, impl) pair can never unify — fast reject only ever discards
     impls unification was guaranteed to fail on — plus the candidate
-    lists it keeps, in declaration order, on known programs. *)
+    lists it keeps, in declaration order, on known programs, and the
+    coherence check that skips head-incompatible impl pairs on the same
+    argument. *)
 
 open Trait_lang
 
@@ -189,6 +191,70 @@ let test_mega_library () =
   Alcotest.(check int) "MgT2 wildcard" 0 (wilds "MgT2")
 
 (* ------------------------------------------------------------------ *)
+(* Coherence probes only head-compatible pairs *)
+
+(* The reference: probe every pair of [Program.impls], in order. *)
+let all_pairs_overlaps program =
+  let icx = Solver.Infer_ctx.for_program program in
+  let impls = Array.of_list (Program.impls program) in
+  let out = ref [] in
+  Array.iteri
+    (fun i a ->
+      for j = i + 1 to Array.length impls - 1 do
+        match Solver.Coherence.overlap_of_pair icx a impls.(j) with
+        | Some o -> out := o :: !out
+        | None -> ()
+      done)
+    impls;
+  List.rev !out
+
+let overlaps_agree name program =
+  let show (o : Solver.Coherence.overlap) =
+    Printf.sprintf "%s: #%d #%d at %s" (Path.to_string o.trait_) o.impl_a.impl_id
+      o.impl_b.impl_id (Pretty.ty o.witness)
+  in
+  Alcotest.(check (list string))
+    (name ^ ": overlaps equal the all-pairs loop, in order")
+    (List.map show (all_pairs_overlaps program))
+    (List.map show (Solver.Coherence.check program))
+
+let test_coherence_matches_all_pairs () =
+  (* two traits interleaved; rigid groups, blanket impls on both sides *)
+  let p =
+    parse
+      {|
+      struct A; struct C; struct B<X>;
+      trait T {} trait U {}
+      impl<X> T for B<X> {}
+      impl U for A {}
+      impl T for B<A> {}
+      impl<X> U for X {}
+      impl T for C {}
+      impl U for B<C> {}
+      impl<X> T for X {}
+      impl T for A {}
+    |}
+  in
+  Alcotest.(check int) "hand-written: overlaps found" 7
+    (List.length (Solver.Coherence.check p));
+  overlaps_agree "hand-written" p;
+  for iter = 0 to 199 do
+    overlaps_agree
+      (Printf.sprintf "generated seed 7 iter %d" iter)
+      (parse (Fuzz.Gen.render (Fuzz.Gen.generate ~seed:7 ~iter ~size:Fuzz.Gen.default_size)))
+  done;
+  let mega = parse (Fuzz.Gen.render (Fuzz.Gen.generate_mega ~goals:16 ~seed:1 ~impls:1000)) in
+  Alcotest.(check bool) "mega-1000 has overlaps" true (Solver.Coherence.check mega <> []);
+  overlaps_agree "mega-1000" mega;
+  List.iter
+    (fun (e : Corpus.Harness.entry) ->
+      Alcotest.(check int)
+        (e.id ^ ": no E0119 overlap")
+        0
+        (List.length (Solver.Coherence.check (Corpus.Harness.load e))))
+    Corpus.Suite.(entries @ extended @ extras @ extended_ok)
+
+(* ------------------------------------------------------------------ *)
 (* Telemetry visibility *)
 
 let test_index_counters_in_telemetry () =
@@ -219,6 +285,11 @@ let () =
           Alcotest.test_case "declaration order" `Quick test_declaration_order;
         ] );
       ("mega", [ Alcotest.test_case "mega library" `Quick test_mega_library ]);
+      ( "coherence",
+        [
+          Alcotest.test_case "overlaps match the all-pairs loop" `Quick
+            test_coherence_matches_all_pairs;
+        ] );
       ( "telemetry",
         [ Alcotest.test_case "counters" `Quick test_index_counters_in_telemetry ] );
     ]

@@ -236,19 +236,37 @@ let test_overlap_event () =
          match e.ev with Journal.Overlap_detected _ -> true | _ -> false)
        entries)
 
+(* Nothing is evaluated off the record: committing a candidate writes
+   back its probe's bindings instead of re-deriving them, so every goal
+   the solver counts is a goal the journal opened.  (Normalization steps
+   inside a candidate open goal frames of [Normalization] provenance
+   without passing through goal evaluation; [solver.goals] excludes
+   them.) *)
+let test_goals_all_journaled () =
+  List.iter
+    (fun (e : Corpus.Harness.entry) ->
+      let program = Corpus.Harness.load e in
+      Telemetry.reset ();
+      Telemetry.enable ();
+      let _, entries = Fun.protect ~finally:Telemetry.disable (fun () -> record_solve program) in
+      let enters =
+        List.length
+          (List.filter
+             (fun (en : Journal.entry) ->
+               match en.ev with
+               | Journal.Goal_enter { prov = Journal.Normalization; _ } -> false
+               | Journal.Goal_enter _ -> true
+               | _ -> false)
+             entries)
+      in
+      Alcotest.(check int)
+        (e.id ^ ": solver.goals = goal_enter events")
+        enters
+        (Telemetry.counter_value "solver.goals"))
+    Corpus.Suite.(entries @ extended @ extras @ extended_ok)
+
 (* ------------------------------------------------------------------ *)
 (* Sink mechanics *)
-
-let test_mute () =
-  let (), entries =
-    Journal.with_memory_sink (fun () ->
-        Journal.mute ();
-        Fun.protect ~finally:Journal.unmute (fun () ->
-            ignore
-              (Solver.Obligations.solve_program
-                 (parse "struct A; trait T {} goal A: T;"))))
-  in
-  Alcotest.(check int) "muted solving emits nothing" 0 (List.length entries)
 
 let test_disabled_is_quiet () =
   Journal.set_sink None;
@@ -367,10 +385,11 @@ let () =
           Alcotest.test_case "ambiguous selection" `Quick test_ambiguity_sequence;
           Alcotest.test_case "method probing" `Quick test_probe_sequence;
           Alcotest.test_case "coherence overlap" `Quick test_overlap_event;
+          Alcotest.test_case "every evaluated goal is journaled" `Quick
+            test_goals_all_journaled;
         ] );
       ( "sink",
         [
-          Alcotest.test_case "mute suppresses emission" `Quick test_mute;
           Alcotest.test_case "disabled is quiet" `Quick test_disabled_is_quiet;
           Alcotest.test_case "jsonl header validation" `Quick test_jsonl_header_errors;
         ] );

@@ -224,6 +224,36 @@ let test_solve_commits_unique_candidate () =
   check_bool "hole bound to i32" true
     (Ty.equal (Solver.Infer_ctx.resolve icx (Ty.Infer 0)) Ty.Int)
 
+(* A committed candidate keeps the bindings its probe made and is not
+   evaluated again, so a d-deep chain costs d + 1 goals with the cache
+   off and under a journal (which also runs without the cache). *)
+let test_solve_deep_chain_linear () =
+  let d = 20 in
+  let goal_ty = List.fold_left (fun t _ -> "W<" ^ t ^ ">") "A" (List.init d Fun.id) in
+  let program =
+    resolve
+      (Printf.sprintf
+         "trait Tr {} struct A; struct W<T>; impl Tr for A {} impl<T> Tr for W<T> where T: Tr {} \
+          goal %s: Tr;"
+         goal_ty)
+  in
+  let goals_of solve =
+    Telemetry.reset ();
+    Telemetry.enable ();
+    let report = Fun.protect ~finally:Telemetry.disable solve in
+    check_bool "chain proved" true (Solver.Obligations.all_proved report);
+    Telemetry.counter_value "solver.goals"
+  in
+  check_int "cache off: d + 1 goals" (d + 1)
+    (goals_of (fun () ->
+         Solver.Eval_cache.set_enabled false;
+         Fun.protect
+           ~finally:(fun () -> Solver.Eval_cache.set_enabled true)
+           (fun () -> Solver.Obligations.solve_program program)));
+  check_int "journaled: d + 1 goals" (d + 1)
+    (goals_of (fun () ->
+         fst (Journal.with_memory_sink (fun () -> Solver.Obligations.solve_program program))))
+
 let test_solve_marker_inference () =
   let src =
     {|
@@ -802,6 +832,7 @@ let () =
           Alcotest.test_case "fast-reject prunes" `Quick test_solve_fast_reject_prunes_candidates;
           Alcotest.test_case "commit unique" `Quick test_solve_commits_unique_candidate;
           Alcotest.test_case "marker inference" `Quick test_solve_marker_inference;
+          Alcotest.test_case "deep chain is linear" `Quick test_solve_deep_chain_linear;
           Alcotest.test_case "self hole ambiguous" `Quick test_solve_ambiguous_self_is_maybe;
           Alcotest.test_case "two yes ambiguous" `Quick test_solve_ambiguous_two_impls;
           Alcotest.test_case "param env" `Quick test_solve_param_env_candidate;

@@ -1,4 +1,4 @@
-.PHONY: build test bench bench-json bench-journal bench-fuzz bench-scale bench-serve bench-diff fuzz perf profile serve-smoke perfbench-smoke ci clean
+.PHONY: build test bench bench-json bench-journal bench-fuzz bench-scale bench-serve bench-diff fuzz perf profile serve-smoke perfbench-smoke lint-single-domain loc ci clean
 
 build:
 	dune build @all
@@ -105,9 +105,22 @@ perfbench-smoke:
 perf:
 	dune exec bench/main.exe -- --cache-only
 
+# argus runs on one domain: no module under lib/, bin/ or bench/ may use
+# the multicore primitives.  Fails on, and prints, any line that names
+# Domain, Atomic, Mutex or Condition.
+lint-single-domain:
+	! grep -rnE '\b(Domain|Atomic|Mutex|Condition)\.' --include='*.ml' --include='*.mli' lib bin bench
+
+# The line-count metric that ROADMAP.md tracks: lines of *.ml/*.mli in
+# lib/ bin/ bench/ together, in test/, and in perfbench/.
+loc:
+	@for d in 'lib bin bench' test perfbench; do \
+	  printf '%-14s %s\n' "$$d" "$$(find $$d \( -name '*.ml' -o -name '*.mli' \) -exec cat {} + | wc -l)"; \
+	done
+
 # What CI runs (.github/workflows/ci.yml, step for step): full build,
-# full test suite, a corpus smoke (every bundled program, one verdict
-# line each), a 200-iteration fuzz smoke at the pinned seed (all seven
+# full test suite, the single-domain lint, a corpus smoke (every
+# bundled program, one verdict line each), a 200-iteration fuzz smoke at the pinned seed (all seven
 # oracles, serve included), a non-interactive
 # `argus watch --once` smoke, the serve stdio-transport smoke, the
 # end-to-end benchmark's correctness smoke, the bench smokes that
@@ -117,6 +130,7 @@ perf:
 ci:
 	dune build @all
 	dune runtest
+	$(MAKE) lint-single-domain
 	dune exec bin/argus_cli.exe -- corpus --all
 	dune exec bin/argus_cli.exe -- fuzz --iters 200 --seed 42
 	dune exec bin/argus_cli.exe -- watch --once examples/timer.trait; test $$? -eq 1

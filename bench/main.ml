@@ -339,11 +339,16 @@ let git_commit () =
     plain pipeline entries; the enabled cost is dominated by JSON
     encoding.  The evaluation cache is off for both sides: a recording
     solve never consults it, so leaving it on would bill the disabled
-    runs' cache savings to the journal. *)
+    runs' cache savings to the journal.  One untimed pass over the suite
+    runs first, so the first program timed does not absorb the process's
+    warm-up cost. *)
 let bench_journal_entries () =
   Printf.printf "  %-28s %12s %12s %8s %9s\n" "program" "disabled" "enabled" "events"
     "overhead";
   Solver.Eval_cache.set_enabled false;
+  List.iter
+    (fun e -> ignore (Solver.Obligations.solve_program (Corpus.Harness.load e)))
+    Corpus.Suite.entries;
   let rows =
   List.map
     (fun (e : Corpus.Harness.entry) ->

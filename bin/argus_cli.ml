@@ -96,7 +96,7 @@ let trace_buffer_arg =
     & opt (some int) None
     & info [ "trace-buffer" ] ~docv:"N"
         ~doc:
-          "Cap the per-domain telemetry event buffer at $(docv) events \
+          "Cap the telemetry event buffer at $(docv) events \
            (default 65536, minimum 256). The $(b,--profile) report counts \
            events dropped at the cap; raise it for long runs that truncate.")
 

@@ -35,10 +35,9 @@ type t = private {
       (** The bottom-up root order, [ranker.rank tree], before the
           visibility filter.  It is per (tree, ranker): {!create} and
           {!set_ranker} set it, every other operation carries it over, and
-          it is forced on the first bottom-up {!roots} call.  A [Lazy.t]
-          must not be forced from two domains at once; the serve daemon
-          forces it only under the session lock ([ss_lock], held by
-          [Server.handle_view_op]). *)
+          it is forced on the first bottom-up {!roots} call.  Forcing it
+          is safe because argus runs on one domain: a [Lazy.t] must not
+          be forced from two domains at once. *)
 }
 
 val create :

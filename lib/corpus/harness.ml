@@ -80,9 +80,9 @@ type unit_result = {
   b_journal : Journal.entry list;
 }
 
-(* Load + solve (+ optional journal recording), with the domain's
+(* Load + solve (+ optional journal recording), with the
    journal/snapshot state reset first, so the unit's output does not
-   depend on anything that ran before it on the same domain.
+   depend on anything that ran before it in the process.
    Timestamps are the one stream field wall-clock-dependent by nature,
    so the journal normalizes them to 0. *)
 let solve_unit ~journal (e : entry) : unit_result =

@@ -47,7 +47,6 @@ type unit_result = {
           to 0 so the stream is wall-clock-independent *)
 }
 
-(** Solve one entry with the domain's journal/snapshot state reset
-    first, so its trace IDs and journal stream are a pure function of
+(** Solve one entry with the journal/snapshot state reset first, so its trace IDs and journal stream are a pure function of
     the entry. *)
 val solve_unit : journal:bool -> entry -> unit_result

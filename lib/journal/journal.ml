@@ -100,10 +100,8 @@ type entry = { seq : int; ts_ns : int; ev : event }
 (* ------------------------------------------------------------------ *)
 (* The sink *)
 
-(* The whole journal state is domain-local: each domain records its own
-   stream with its own sequence numbers, node IDs, and open-node stack,
-   so serve sessions running on pool workers need no locks and never
-   interleave their streams. *)
+(* The whole journal state: one stream, with its sequence numbers, node
+   IDs and open-node stack, as plain module state. *)
 type state = {
   mutable sink : (entry -> unit) option;
   mutable enabled : bool;
@@ -116,25 +114,14 @@ type state = {
           caused them *)
 }
 
-let dls_key : state Domain.DLS.key =
-  Domain.DLS.new_key (fun () ->
-      {
-        sink = None;
-        enabled = false;
-        seq_counter = 0;
-        id_counter = 0;
-        open_nodes = [];
-      })
+let st = { sink = None; enabled = false; seq_counter = 0; id_counter = 0; open_nodes = [] }
 
-let state () = Domain.DLS.get dls_key
-
-let enabled () = (state ()).enabled
+let enabled () = st.enabled
 
 (* IDs are assigned unconditionally (a plain increment) so that trace
    nodes carry stable IDs even when no sink is installed — the IDs only
    become *addressable* when a journal was recorded. *)
 let fresh_id () =
-  let st = state () in
   let i = st.id_counter in
   st.id_counter <- i + 1;
   i
@@ -142,19 +129,15 @@ let fresh_id () =
 (* The evaluation cache replays memoized subtrees by offsetting their
    stored ids; these two keep the counter consistent with the ids a
    replayed subtree occupies. *)
-let peek_id () = (state ()).id_counter
+let peek_id () = st.id_counter
 
 let bump_ids n =
-  if n > 0 then begin
-    let st = state () in
-    st.id_counter <- st.id_counter + n
-  end
+  if n > 0 then st.id_counter <- st.id_counter + n
 
 let current_node () =
-  match (state ()).open_nodes with [] -> None | n :: _ -> Some n
+  match st.open_nodes with [] -> None | n :: _ -> Some n
 
 let emit ev =
-  let st = state () in
   match st.sink with
   | None -> ()
   | Some f ->
@@ -168,7 +151,6 @@ let emit ev =
       f { seq; ts_ns = Telemetry.now_ns (); ev }
 
 let set_sink s =
-  let st = state () in
   st.sink <- s;
   st.enabled <- (match s with Some _ -> true | None -> false);
   st.seq_counter <- 0;
@@ -176,14 +158,13 @@ let set_sink s =
 
 let reset () =
   set_sink None;
-  (state ()).id_counter <- 0
+  st.id_counter <- 0
 
-let reset_ids () = (state ()).id_counter <- 0
+let reset_ids () = st.id_counter <- 0
 
 (** Record events into memory while running [f]; the previously
     installed sink (if any) is saved and restored. *)
 let with_memory_sink (f : unit -> 'a) : 'a * entry list =
-  let st = state () in
   let saved_sink = st.sink
   and saved_enabled = st.enabled
   and saved_seq = st.seq_counter

@@ -78,7 +78,7 @@ type entry = { seq : int; ts_ns : int; ev : event }
 
 (** {1 The sink} *)
 
-(** Is a sink installed on this domain?  The hot-path guard. *)
+(** Is a sink installed?  The hot-path guard. *)
 val enabled : unit -> bool
 
 (** Install or remove the streaming sink.  Installing resets the
@@ -107,10 +107,9 @@ val current_node : unit -> int option
 
 (** Remove the sink and restart node IDs from 0.
 
-    The entire journal state (sink, sequence and ID counters, open-node
-    stack) is {b domain-local}: each domain records its own stream, so
-    sessions served on different pool workers never interleave.  Resetting before a solve makes its stream identical
-    whichever domain runs it. *)
+    The journal state (sink, sequence and ID counters, open-node stack)
+    is plain module state: one stream per process.  Resetting before a
+    solve makes its stream identical to a fresh process's. *)
 val reset : unit -> unit
 
 (** Restart node IDs from 0 {b without} touching the installed sink —

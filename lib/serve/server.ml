@@ -22,7 +22,6 @@ type solved = {
 type session = {
   ss_name : string;
   mutable ss_program : Trait_lang.Program.t;
-  ss_lock : Mutex.t;
   mutable ss_source : string;
   mutable ss_solved : solved option;
   ss_views : (int, Argus.View_state.t) Hashtbl.t;  (** per failing goal *)
@@ -31,25 +30,19 @@ type session = {
 type t = {
   srv_cfg : Solver.Solve.config;
   srv_sessions : (string, session) Hashtbl.t;
-  srv_lock : Mutex.t;
-  srv_next : int Atomic.t;
-  srv_down : bool Atomic.t;
+  mutable srv_next : int;
+  mutable srv_down : bool;
 }
 
 let create ?(cfg = Solver.Solve.default_config) () =
   {
     srv_cfg = cfg;
     srv_sessions = Hashtbl.create 8;
-    srv_lock = Mutex.create ();
-    srv_next = Atomic.make 1;
-    srv_down = Atomic.make false;
+    srv_next = 1;
+    srv_down = false;
   }
 
-let shutting_down t = Atomic.get t.srv_down
-
-let with_lock m f =
-  Mutex.lock m;
-  Fun.protect ~finally:(fun () -> Mutex.unlock m) f
+let shutting_down t = t.srv_down
 
 (* ------------------------------------------------------------------ *)
 (* Param accessors: every getter returns [Error] with a -32602 object
@@ -164,7 +157,7 @@ let view_json ~goal vs =
 (* Session lookup *)
 
 let find_session t name =
-  match with_lock t.srv_lock (fun () -> Hashtbl.find_opt t.srv_sessions name) with
+  match Hashtbl.find_opt t.srv_sessions name with
   | Some s -> Ok s
   | None ->
       Error (Rpc.error_obj ~code:Rpc.unknown_session ("unknown session: " ^ name))
@@ -187,94 +180,88 @@ let handle_open t params =
   let name =
     match name with
     | Some n -> n
-    | None -> Printf.sprintf "s%d" (Atomic.fetch_and_add t.srv_next 1)
+    | None ->
+        let n = t.srv_next in
+        t.srv_next <- n + 1;
+        Printf.sprintf "s%d" n
   in
   match parse_program ~file source with
   | Error m -> Error (Rpc.error_obj ~code:Rpc.load_error m)
   | Ok program ->
-      let* () =
-        with_lock t.srv_lock (fun () ->
-            if Hashtbl.mem t.srv_sessions name then
-              Error
-                (Rpc.error_obj ~code:Rpc.session_exists
-                   ("session already exists: " ^ name))
-            else begin
-              Hashtbl.add t.srv_sessions name
-                {
-                  ss_name = name;
-                  ss_program = program;
-                  ss_lock = Mutex.create ();
-                  ss_source = source;
-                  ss_solved = None;
-                  ss_views = Hashtbl.create 4;
-                };
-              Telemetry.incr c_sessions;
-              Ok ()
-            end)
-      in
-      Ok
-        (Json.Obj
-           [
-             ("session", Json.String name);
-             ("goals", Json.Int (List.length (Trait_lang.Program.goals program)));
-           ])
+      if Hashtbl.mem t.srv_sessions name then
+        Error (Rpc.error_obj ~code:Rpc.session_exists ("session already exists: " ^ name))
+      else begin
+        Hashtbl.add t.srv_sessions name
+          {
+            ss_name = name;
+            ss_program = program;
+            ss_source = source;
+            ss_solved = None;
+            ss_views = Hashtbl.create 4;
+          };
+        Telemetry.incr c_sessions;
+        Ok
+          (Json.Obj
+             [
+               ("session", Json.String name);
+               ("goals", Json.Int (List.length (Trait_lang.Program.goals program)));
+             ])
+      end
 
 let handle_reload t params =
   Telemetry.incr c_reloads;
   let* name = req_string "session" params in
   let* s = find_session t name in
   let* file, source = source_of_params params in
-  with_lock s.ss_lock (fun () ->
-      (* An unchanged source re-uses the loaded Program value, so a no-op
-         save skips the parse and reports [noop] (program stamps are
-         fresh per parse). *)
-      let program =
-        if String.equal source s.ss_source then Ok s.ss_program
-        else parse_program ~file source
-      in
-      match program with
-      | Error m -> Error (Rpc.error_obj ~code:Rpc.load_error m)
-      | Ok program ->
-          let noop = program == s.ss_program in
-          s.ss_program <- program;
-          s.ss_source <- source;
-          s.ss_solved <- None;
-          Hashtbl.reset s.ss_views;
-          Ok (Json.Obj [ ("noop", Json.Bool noop) ]))
+  (* An unchanged source re-uses the loaded Program value, so a no-op
+     save skips the parse and reports [noop] (program stamps are
+     fresh per parse). *)
+  let program =
+    if String.equal source s.ss_source then Ok s.ss_program
+    else parse_program ~file source
+  in
+  match program with
+  | Error m -> Error (Rpc.error_obj ~code:Rpc.load_error m)
+  | Ok program ->
+      let noop = program == s.ss_program in
+      s.ss_program <- program;
+      s.ss_source <- source;
+      s.ss_solved <- None;
+      Hashtbl.reset s.ss_views;
+      Ok (Json.Obj [ ("noop", Json.Bool noop) ])
 
 let handle_solve t params =
   Telemetry.incr c_solves;
   let* name = req_string "session" params in
   let* s = find_session t name in
-  with_lock s.ss_lock (fun () ->
-      let program = s.ss_program in
-      (* Resolve and render inside one journal window, mirroring `argus
-         check`: the type-check pass inside the renderer generates
-         obligations that journal through the same machinery, so event
-         order matches `argus check --events-out` byte for byte.  The ID
-         and snapshot counters restart first, so the stream matches a
-         from-scratch run. *)
-      let (report, (output, issues)), entries =
-        Journal.with_memory_sink (fun () ->
-            Journal.reset_ids ();
-            Solver.Infer_ctx.reset_snapshot_serial ();
-            let report = Solver.Obligations.solve_program ~cfg:t.srv_cfg program in
-            (report, Check_render.run ~profile_pipeline:(Telemetry.enabled ()) program report))
-      in
-      let entries =
-        List.map (fun (e : Journal.entry) -> { e with Journal.ts_ns = 0 }) entries
-      in
-      let trees =
-        report.Solver.Obligations.reports
-        |> List.filter (fun (r : Solver.Obligations.goal_report) ->
-               r.status <> Solver.Obligations.Proved)
-        |> List.map Argus.Extract.of_report
-        |> Array.of_list
-      in
-      s.ss_solved <-
-        Some { sv_output = output; sv_issues = issues; sv_journal = entries; sv_trees = trees };
-      Hashtbl.reset s.ss_views;
-      Ok (Json.Obj [ ("output", Json.String output); ("issues", Json.Int issues) ]))
+  let program = s.ss_program in
+  (* Resolve and render inside one journal window, mirroring `argus
+     check`: the type-check pass inside the renderer generates
+     obligations that journal through the same machinery, so event
+     order matches `argus check --events-out` byte for byte.  The ID
+     and snapshot counters restart first, so the stream matches a
+     from-scratch run. *)
+  let (report, (output, issues)), entries =
+    Journal.with_memory_sink (fun () ->
+        Journal.reset_ids ();
+        Solver.Infer_ctx.reset_snapshot_serial ();
+        let report = Solver.Obligations.solve_program ~cfg:t.srv_cfg program in
+        (report, Check_render.run ~profile_pipeline:(Telemetry.enabled ()) program report))
+  in
+  let entries =
+    List.map (fun (e : Journal.entry) -> { e with Journal.ts_ns = 0 }) entries
+  in
+  let trees =
+    report.Solver.Obligations.reports
+    |> List.filter (fun (r : Solver.Obligations.goal_report) ->
+           r.status <> Solver.Obligations.Proved)
+    |> List.map Argus.Extract.of_report
+    |> Array.of_list
+  in
+  s.ss_solved <-
+    Some { sv_output = output; sv_issues = issues; sv_journal = entries; sv_trees = trees };
+  Hashtbl.reset s.ss_views;
+  Ok (Json.Obj [ ("output", Json.String output); ("issues", Json.Int issues) ])
 
 let handle_tree t params =
   let* name = req_string "session" params in
@@ -287,15 +274,14 @@ let handle_tree t params =
     | Some other ->
         Error (invalid (Printf.sprintf "unknown direction %S" other))
   in
-  with_lock s.ss_lock (fun () ->
-      let* sv = solved_of s in
-      let buf = Buffer.create 256 in
-      Array.iter
-        (fun tree ->
-          Buffer.add_string buf (Argus.Render.tree_to_string ~direction tree);
-          Buffer.add_string buf "\n\n")
-        sv.sv_trees;
-      Ok (Json.Obj [ ("output", Json.String (Buffer.contents buf)) ]))
+  let* sv = solved_of s in
+  let buf = Buffer.create 256 in
+  Array.iter
+    (fun tree ->
+      Buffer.add_string buf (Argus.Render.tree_to_string ~direction tree);
+      Buffer.add_string buf "\n\n")
+    sv.sv_trees;
+  Ok (Json.Obj [ ("output", Json.String (Buffer.contents buf)) ])
 
 (* expand/hover share everything but the state transition applied to the
    addressed node. *)
@@ -305,33 +291,32 @@ let handle_view_op t params op =
   let* goal = opt_int "goal" params in
   let goal = Option.value goal ~default:0 in
   let* row = req_int "row" params in
-  with_lock s.ss_lock (fun () ->
-      let* sv = solved_of s in
-      if goal < 0 || goal >= Array.length sv.sv_trees then
-        Error
-          (invalid
-             (Printf.sprintf "no failing goal %d (session has %d)" goal
-                (Array.length sv.sv_trees)))
-      else begin
+  let* sv = solved_of s in
+  if goal < 0 || goal >= Array.length sv.sv_trees then
+    Error
+      (invalid
+         (Printf.sprintf "no failing goal %d (session has %d)" goal
+            (Array.length sv.sv_trees)))
+  else begin
+    let vs =
+      match Hashtbl.find_opt s.ss_views goal with
+      | Some vs -> vs
+      | None -> Argus.View_state.create sv.sv_trees.(goal)
+    in
+    let lines = Argus.Render.view vs in
+    match
+      List.find_opt (fun (l : Argus.Render.line) -> l.index = row) lines
+    with
+    | None -> Error (invalid (Printf.sprintf "no such row %d" row))
+    | Some l ->
         let vs =
-          match Hashtbl.find_opt s.ss_views goal with
-          | Some vs -> vs
-          | None -> Argus.View_state.create sv.sv_trees.(goal)
+          if l.node = Argus.Render.others_row then
+            Argus.View_state.toggle_others vs
+          else op vs l.node
         in
-        let lines = Argus.Render.view vs in
-        match
-          List.find_opt (fun (l : Argus.Render.line) -> l.index = row) lines
-        with
-        | None -> Error (invalid (Printf.sprintf "no such row %d" row))
-        | Some l ->
-            let vs =
-              if l.node = Argus.Render.others_row then
-                Argus.View_state.toggle_others vs
-              else op vs l.node
-            in
-            Hashtbl.replace s.ss_views goal vs;
-            Ok (view_json ~goal vs)
-      end)
+        Hashtbl.replace s.ss_views goal vs;
+        Ok (view_json ~goal vs)
+  end
 
 let handle_explain t params =
   let* name = req_string "session" params in
@@ -339,44 +324,42 @@ let handle_explain t params =
   let* failures = opt_bool "failures" params in
   let failures = Option.value failures ~default:false in
   let* node = opt_int "node" params in
-  with_lock s.ss_lock (fun () ->
-      let* sv = solved_of s in
-      match Journal.replay sv.sv_journal with
-      | Error m ->
-          Error (Rpc.error_obj ~code:Rpc.load_error ("inconsistent journal: " ^ m))
-      | Ok tree -> (
-          let output =
-            match node with
-            | Some id -> Explain_render.node tree id
-            | None ->
-                if failures then Ok (Explain_render.failures tree)
-                else
-                  Ok
-                    (Explain_render.summary
-                       ~entries:(List.length sv.sv_journal) tree)
-          in
-          match output with
-          | Error m -> Error (invalid m)
-          | Ok out -> Ok (Json.Obj [ ("output", Json.String out) ])))
+  let* sv = solved_of s in
+  match Journal.replay sv.sv_journal with
+  | Error m ->
+      Error (Rpc.error_obj ~code:Rpc.load_error ("inconsistent journal: " ^ m))
+  | Ok tree -> (
+      let output =
+        match node with
+        | Some id -> Explain_render.node tree id
+        | None ->
+            if failures then Ok (Explain_render.failures tree)
+            else
+              Ok
+                (Explain_render.summary
+                   ~entries:(List.length sv.sv_journal) tree)
+      in
+      match output with
+      | Error m -> Error (invalid m)
+      | Ok out -> Ok (Json.Obj [ ("output", Json.String out) ]))
 
 let handle_profile t params =
   let* name = req_string "session" params in
   let* s = find_session t name in
   let* top = opt_int "top" params in
   let top = Option.value top ~default:10 in
-  with_lock s.ss_lock (fun () ->
-      let* sv = solved_of s in
-      let prof = Profile.of_entries sv.sv_journal in
-      Ok
-        (Json.Obj
-           [
-             ("output", Json.String (Profile.top_table ~top prof));
-             ("total_ns", Json.Int prof.Profile.total_ns);
-             ("zero_ts", Json.Bool prof.Profile.zero_ts);
-           ]))
+  let* sv = solved_of s in
+  let prof = Profile.of_entries sv.sv_journal in
+  Ok
+    (Json.Obj
+       [
+         ("output", Json.String (Profile.top_table ~top prof));
+         ("total_ns", Json.Int prof.Profile.total_ns);
+         ("zero_ts", Json.Bool prof.Profile.zero_ts);
+       ])
 
 let handle_shutdown t _params =
-  Atomic.set t.srv_down true;
+  t.srv_down <- true;
   Ok (Json.Obj [ ("ok", Json.Bool true) ])
 
 (* ------------------------------------------------------------------ *)
@@ -420,33 +403,17 @@ let handle_line t line =
           in
           Some (Rpc.response_to_line resp))
 
-let handle_batch ?pool t items =
+let handle_batch ?pool:_ t items =
   Telemetry.incr c_batches;
-  (* Group by client, preserving each client's request order; one
-     worker owns a whole client group, which is the per-session
-     serialization that keeps per-client streams deterministic. *)
-  let tbl = Hashtbl.create 8 in
-  let order = ref [] in
-  List.iteri
-    (fun i (client, line) ->
-      match Hashtbl.find_opt tbl client with
-      | None ->
-          order := client :: !order;
-          Hashtbl.add tbl client (ref [ (i, line) ])
-      | Some r -> r := (i, line) :: !r)
-    items;
-  let groups =
-    List.rev_map (fun c -> (c, List.rev !(Hashtbl.find tbl c))) !order
+  (* Run client groups in the order each client first appears, each
+     client's requests in its own order; answer in input order. *)
+  let first = Hashtbl.create 8 in
+  List.iteri (fun i (c, _) -> if not (Hashtbl.mem first c) then Hashtbl.add first c i) items;
+  let runs =
+    List.stable_sort
+      (fun (_, (a, _)) (_, (b, _)) -> compare (Hashtbl.find first a) (Hashtbl.find first b))
+      (List.mapi (fun i item -> (i, item)) items)
   in
-  let run_group (client, reqs) =
-    List.map (fun (i, line) -> (i, client, handle_line t line)) reqs
-  in
-  let results =
-    match pool with
-    | Some p -> Pool.map p run_group groups
-    | None -> List.map run_group groups
-  in
-  let n = List.length items in
-  let arr = Array.make n (0, None) in
-  List.iter (List.iter (fun (i, c, r) -> arr.(i) <- (c, r))) results;
-  Array.to_list arr
+  let responses = Array.make (List.length items) None in
+  List.iter (fun (i, (_, line)) -> responses.(i) <- handle_line t line) runs;
+  List.mapi (fun i (c, _) -> (c, responses.(i))) items

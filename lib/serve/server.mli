@@ -24,8 +24,8 @@
     {b Determinism contract}: one session's response stream is a pure
     function of its request stream — the interner is shared across
     sessions and requests, but a [solve] records a journal and so never
-    consults the eval cache, and journal/snapshot counters are
-    domain-local and reset per solve.  So
+    consults the eval cache, and journal/snapshot counters are reset
+    per solve.  So
     [solve]/[tree]/[explain] payloads are byte-identical to the
     equivalent one-shot CLI run, however many sessions interleave. *)
 
@@ -44,11 +44,11 @@ val shutting_down : t -> bool
     malformed lines produce JSON-RPC error responses. *)
 val handle_line : t -> string -> string option
 
-(** Handle a batch of [(client, line)] requests concurrently on the
-    domain pool: requests are grouped by client, each client's group
-    runs in order on one worker (per-session serialization), and results
-    return in input order.  Without [pool] the groups run in order on
-    the calling domain. *)
+(** Handle a batch of [(client, line)] requests on the calling domain:
+    requests are grouped by client, the groups run in the order each
+    client first appears, each client's requests in their own order, and
+    results return in input order.  [pool] is ignored; it stays only
+    for callers that still pass one. *)
 val handle_batch :
   ?pool:Pool.t -> t -> (int * string) list -> (int * string option) list
 

@@ -45,20 +45,12 @@
     refused when any of them matches the current stack, and when the
     replayed subtree would not clear the current depth limit.
 
-    {2 Domain safety}
+    {2 Storage}
 
-    The cache is shared across domains and {b sharded}: [num_shards]
-    independent shards, selected by the canonical key hash, each with
-    its own tables, LRU clock, and mutex, so serve sessions on pool
-    workers contend on a shard only when two domains touch keys that hash
-    together.  Entry validation ([try_insert]'s subtree walk) runs
-    outside the lock — it reads only domain-local solver state — and the
-    critical sections are plain table operations.  Keys embed the
-    program stamp and the inserting domain's interned predicate
-    (compared with [==]), so entries are only ever hit by the domain
-    that canonicalized the same terms — cross-domain lookups miss
-    harmlessly rather than alias.  [cache.shard.contention] counts
-    lock acquisitions that had to wait. *)
+    One table per tier, with one LRU clock across both, as plain module
+    state: argus runs on one domain.  Keys embed the program stamp and
+    the interned predicate (compared with [==]).  A full tier evicts its
+    least-recently-used half. *)
 
 open Trait_lang
 
@@ -68,7 +60,6 @@ let c_tree_insert = Telemetry.counter "cache.tree.inserts"
 let c_tree_reject = Telemetry.counter "cache.tree.rejects"
 let c_result_hit = Telemetry.counter "cache.result.hits"
 let c_result_miss = Telemetry.counter "cache.result.misses"
-let c_shard_contention = Telemetry.counter "cache.shard.contention"
 
 (* ------------------------------------------------------------------ *)
 (* Keys *)
@@ -155,56 +146,20 @@ type tree_entry = {
 type result_entry = { r_res : Res.t; mutable r_lru : int }
 
 (* ------------------------------------------------------------------ *)
-(* Shards *)
+(* Tables *)
 
-(* Sixteen independent shards, selected by the low bits of the canonical
-   key hash.  Each shard owns its own tables, LRU clock, and mutex, so
-   two domains only contend when their keys hash into the same shard.
-   Per-shard capacity is generous (1024 per tier × 16 shards ≥ the old
-   4096 global budget) so eviction pressure — the only cross-unit
-   interaction left once keys embed fresh program stamps — stays out of
-   the way of a whole-corpus run. *)
+(* Capacity per tier is generous, so eviction pressure — the only
+   cross-unit interaction left once keys embed fresh program stamps —
+   stays out of the way of a whole-corpus run. *)
+let capacity = 16 * 1024
 
-type shard = {
-  s_mutex : Mutex.t;
-  s_tree : tree_entry Tbl.t;
-  s_result : result_entry Tbl.t;
-  mutable s_clock : int;
-}
+let tree_tbl : tree_entry Tbl.t = Tbl.create 1024
+let result_tbl : result_entry Tbl.t = Tbl.create 1024
+let clock = ref 0
 
-let num_shards = 16
-let shard_capacity = 1024
-
-let shards =
-  Array.init num_shards (fun _ ->
-      {
-        s_mutex = Mutex.create ();
-        s_tree = Tbl.create 64;
-        s_result = Tbl.create 64;
-        s_clock = 0;
-      })
-
-let shard_of (key : key) = shards.(key.k_hash land (num_shards - 1))
-
-let lock_shard s =
-  if not (Mutex.try_lock s.s_mutex) then begin
-    Telemetry.incr c_shard_contention;
-    Mutex.lock s.s_mutex
-  end
-
-let with_shard s f =
-  lock_shard s;
-  match f s with
-  | v ->
-      Mutex.unlock s.s_mutex;
-      v
-  | exception e ->
-      Mutex.unlock s.s_mutex;
-      raise e
-
-let tick s =
-  s.s_clock <- s.s_clock + 1;
-  s.s_clock
+let tick () =
+  incr clock;
+  !clock
 
 (* Evict the least-recently-used half when full: O(n log n) amortized
    over n/2 inserts. *)
@@ -214,36 +169,23 @@ let evict_half (type e) (tbl : e Tbl.t) (lru_of : e -> int) =
   let n = List.length sorted / 2 in
   List.iteri (fun i (k, _) -> if i < n then Tbl.remove tbl k) sorted
 
-let enabled_flag = Atomic.make true
-let set_enabled b = Atomic.set enabled_flag b
+let enabled_flag = ref true
+let set_enabled b = enabled_flag := b
 
-(* The one rule: the switch is on and no journal is recording on this
-   domain.  A recording solve must emit every event of the search, so
-   it neither reads nor fills the cache.  Every caller asks this before
-   a lookup; the tier functions below check only the switch. *)
-let enabled () = Atomic.get enabled_flag && not (Journal.enabled ())
+(* The one rule: the switch is on and no journal is recording.  A
+   recording solve must emit every event of the search, so it neither
+   reads nor fills the cache.  Every caller asks this before a lookup;
+   the tier functions below check only the switch. *)
+let enabled () = !enabled_flag && not (Journal.enabled ())
 
 let clear () =
-  Array.iter
-    (fun s ->
-      with_shard s (fun s ->
-          Tbl.reset s.s_tree;
-          Tbl.reset s.s_result;
-          s.s_clock <- 0))
-    shards
+  Tbl.reset tree_tbl;
+  Tbl.reset result_tbl;
+  clock := 0
 
 type stats = { cs_tree : int; cs_result : int }
 
-let stats () =
-  Array.fold_left
-    (fun acc s ->
-      with_shard s (fun s ->
-          {
-            cs_tree = acc.cs_tree + Tbl.length s.s_tree;
-            cs_result = acc.cs_result + Tbl.length s.s_result;
-          }))
-    { cs_tree = 0; cs_result = 0 }
-    shards
+let stats () = { cs_tree = Tbl.length tree_tbl; cs_result = Tbl.length result_tbl }
 
 (* ------------------------------------------------------------------ *)
 (* Tree tier: lookup *)
@@ -254,24 +196,21 @@ let stats () =
     still pass), and no ground predicate inside it may cycle-match the
     current evaluation stack. *)
 let find_tree key ~depth ~(stack : Predicate.t list) : tree_entry option =
-  if not (Atomic.get enabled_flag) then None
+  if not !enabled_flag then None
   else
     let hit =
-      with_shard (shard_of key) (fun s ->
-          match Tbl.find_opt s.s_tree key with
-          | None -> None
-          | Some e ->
-              if
-                depth + e.e_max_depth_off <= key.k_ctx.x_depth_limit
-                && not
-                     (List.exists
-                        (fun p -> List.exists (Predicate.equal p) stack)
-                        e.e_touched)
-              then begin
-                e.e_lru <- tick s;
-                Some e
-              end
-              else None)
+      match Tbl.find_opt tree_tbl key with
+      | None -> None
+      | Some e ->
+          if
+            depth + e.e_max_depth_off <= key.k_ctx.x_depth_limit
+            && not
+                 (List.exists (fun p -> List.exists (Predicate.equal p) stack) e.e_touched)
+          then begin
+            e.e_lru <- tick ();
+            Some e
+          end
+          else None
     in
     (match hit with
     | Some _ -> Telemetry.incr c_tree_hit
@@ -320,7 +259,7 @@ let failure_ok ~start (f : Unify.failure) =
       evaluation, or references one from a binding or failure payload
       (cannot be renumbered into another solver's variable space). *)
 let try_insert icx (f : frame) (node : Trace.goal_node) =
-  if Atomic.get enabled_flag then begin
+  if !enabled_flag then begin
     let start = f.f_var_start in
     let ok = ref true in
     let max_depth = ref f.f_depth in
@@ -356,27 +295,22 @@ let try_insert icx (f : frame) (node : Trace.goal_node) =
     in
     if !ok then begin
       Telemetry.incr c_tree_insert;
-      (* Validation above reads only domain-local solver state; only the
-         table mutation itself takes the shard lock. *)
-      let ids = Journal.peek_id () - f.f_id_mark in
-      with_shard (shard_of f.f_key) (fun s ->
-          if Tbl.length s.s_tree >= shard_capacity then
-            evict_half s.s_tree (fun e -> e.e_lru);
-          (* [replace], not [add]: re-insertion after an unusable hit (e.g.
-             insufficient depth headroom) keeps the freshest entry. *)
-          Tbl.replace s.s_tree f.f_key
-            {
-              e_node = node;
-              e_root_gid = f.f_gid;
-              e_ids = ids;
-              e_var_start = start;
-              e_vars = n_vars;
-              e_slots = slots;
-              e_depth = f.f_depth;
-              e_max_depth_off = !max_depth - f.f_depth;
-              e_touched = !touched;
-              e_lru = tick s;
-            })
+      if Tbl.length tree_tbl >= capacity then evict_half tree_tbl (fun e -> e.e_lru);
+      (* [replace], not [add]: re-insertion after an unusable hit (e.g.
+         insufficient depth headroom) keeps the freshest entry. *)
+      Tbl.replace tree_tbl f.f_key
+        {
+          e_node = node;
+          e_root_gid = f.f_gid;
+          e_ids = Journal.peek_id () - f.f_id_mark;
+          e_var_start = start;
+          e_vars = n_vars;
+          e_slots = slots;
+          e_depth = f.f_depth;
+          e_max_depth_off = !max_depth - f.f_depth;
+          e_touched = !touched;
+          e_lru = tick ();
+        }
     end
     else Telemetry.incr c_tree_reject
   end
@@ -444,25 +378,23 @@ let replay icx ~gid ~depth ~prov (e : tree_entry) : Trace.goal_node =
 (* Result tier *)
 
 let find_result key : Res.t option =
-  if not (Atomic.get enabled_flag) then None
+  if not !enabled_flag then None
   else
     let hit =
-      with_shard (shard_of key) (fun s ->
-          match Tbl.find_opt s.s_result key with
-          | Some e ->
-              e.r_lru <- tick s;
-              Some e.r_res
-          | None -> None)
+      match Tbl.find_opt result_tbl key with
+      | Some e ->
+          e.r_lru <- tick ();
+          Some e.r_res
+      | None -> None
     in
     Telemetry.incr (if Option.is_some hit then c_result_hit else c_result_miss);
     hit
 
 let insert_result key res =
-  if Atomic.get enabled_flag then
-    with_shard (shard_of key) (fun s ->
-        if Tbl.length s.s_result >= shard_capacity then
-          evict_half s.s_result (fun e -> e.r_lru);
-        Tbl.replace s.s_result key { r_res = res; r_lru = tick s })
+  if !enabled_flag then begin
+    if Tbl.length result_tbl >= capacity then evict_half result_tbl (fun e -> e.r_lru);
+    Tbl.replace result_tbl key { r_res = res; r_lru = tick () }
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Stamp eviction *)
@@ -471,7 +403,7 @@ let insert_result key res =
     [stamp], returning how many went.  Stamps are never reused, so once
     a session moves off a program its entries could only be hit by
     another holder of the same program value; without this they sit in
-    the shards until the LRU cap pushes them out. *)
+    the tables until the LRU cap pushes them out. *)
 let evict_stamp stamp =
   let n = ref 0 in
   let drop tbl =
@@ -484,10 +416,6 @@ let evict_stamp stamp =
         else Some e)
       tbl
   in
-  Array.iter
-    (fun s ->
-      with_shard s (fun s ->
-          drop s.s_tree;
-          drop s.s_result))
-    shards;
+  drop tree_tbl;
+  drop result_tbl;
   !n

@@ -10,10 +10,9 @@
     - {b result tier}: bare verdicts for canonicalized goals evaluated
       from an empty stack ({!Solve.evaluate}).
 
-    The cache is shared across domains, sharded by canonical key hash
-    with one mutex per shard; lookups and inserts are safe to call from
-    the serve pool's workers.  [cache.shard.contention] counts lock
-    acquisitions that had to wait. *)
+    One table per tier, with one LRU clock, as plain module state; a
+    full tier (16 × 1024 entries) evicts its least-recently-used
+    half. *)
 
 open Trait_lang
 
@@ -23,7 +22,7 @@ open Trait_lang
     lookups miss silently (without counting) and inserts are dropped. *)
 val set_enabled : bool -> unit
 
-(** Is the cache in use on this domain: the switch is on {e and} no
+(** Is the cache in use: the switch is on {e and} no
     journal is recording ({!Journal.enabled}).  A recording solve does
     no lookups, no inserts and opens no frames, so its event stream is
     the cache-off stream. *)

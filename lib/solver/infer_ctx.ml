@@ -74,21 +74,19 @@ type snapshot = {
   serial : int;  (** globally unique, for journal correlation *)
 }
 
-(* Serials are per-domain rather than per-context so a journal stream
+(* Serials are per-process rather than per-context so a journal stream
    interleaving several inference contexts still has unambiguous
-   snapshot IDs; domain-local state keeps serve sessions on pool workers
-   race-free and — reset before each solve — deterministic. *)
-let snap_serial : int ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref 0)
+   snapshot IDs; reset before each solve, they are deterministic. *)
+let snap_serial = ref 0
 
-let reset_snapshot_serial () = Domain.DLS.get snap_serial := 0
+let reset_snapshot_serial () = snap_serial := 0
 
 let snapshot t : snapshot =
   Telemetry.incr c_snapshots;
   let mark = t.undo_len in
   t.snapshots <- mark :: t.snapshots;
-  let counter = Domain.DLS.get snap_serial in
-  incr counter;
-  let serial = !counter in
+  incr snap_serial;
+  let serial = !snap_serial in
   if Journal.enabled () then
     Journal.emit (Journal.Snapshot_open { snap = serial; node = Journal.current_node () });
   { mark; serial }

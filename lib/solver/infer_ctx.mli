@@ -28,7 +28,7 @@ type snapshot
 
 val snapshot : t -> snapshot
 
-(** Restart the calling domain's snapshot serials from 0.  Callers reset
+(** Restart the snapshot serials from 0.  Callers reset
     before a solve so its journal stream is deterministic; don't call
     mid-solve. *)
 val reset_snapshot_serial : unit -> unit

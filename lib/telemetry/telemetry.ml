@@ -22,11 +22,9 @@
       64-bit, so reading the clock does not allocate either;
     - {b bounded traces}: span begin/end events land in a fixed-capacity
       buffer for Chrome-trace export; overflow is counted, never silent;
-    - {b domain-safe}: counters are atomic, histograms take a
-      per-histogram mutex (enabled path only), and span/trace events
-      accumulate in {e per-domain} buffers that a worker flushes into the
-      merged trace with {!flush_domain_events} — so serve sessions on
-      pool workers record race-free without contending on every event.
+    - {b one domain}: argus runs on the main domain only, so counters
+      are plain mutable ints and every span lands in one event buffer,
+      in emission order, with no locks on any path.
 
     The JSON exporter lives in {!Argus_json.Telemetry_export} (it needs the
     JSON library, which sits above this one in the dependency order). *)
@@ -34,65 +32,41 @@
 (* ------------------------------------------------------------------ *)
 (* The global sink toggle *)
 
-(* Atomic rather than a plain ref: worker domains must observe toggles
-   made by the main domain between batches (e.g. the bench enabling
-   telemetry for one counted run against a live pool). *)
-let enabled_flag = Atomic.make false
+let enabled_flag = ref false
 
-let enabled () = Atomic.get enabled_flag
-let enable () = Atomic.set enabled_flag true
-let disable () = Atomic.set enabled_flag false
+let enabled () = !enabled_flag
+let enable () = enabled_flag := true
+let disable () = enabled_flag := false
 
 (** Monotonic nanoseconds.  [int] holds ±292 years of nanoseconds on
     64-bit platforms, and unlike [Int64.t] it never boxes. *)
 let now_ns () = Int64.to_int (Monotonic_clock.clock_linux_get_time ())
 
-(* Registration is rare (module init, mostly on the main domain before
-   workers spawn), so one mutex over both registries suffices. *)
-let registry_mutex = Mutex.create ()
-
-let with_lock m f =
-  Mutex.lock m;
-  Fun.protect ~finally:(fun () -> Mutex.unlock m) f
-
 (* ------------------------------------------------------------------ *)
 (* Counters *)
 
-type counter = { c_name : string; c_value : int Atomic.t }
+type counter = int ref
 
 let counters : (string, counter) Hashtbl.t = Hashtbl.create 64
 
 let counter name =
-  with_lock registry_mutex (fun () ->
-      match Hashtbl.find_opt counters name with
-      | Some c -> c
-      | None ->
-          let c = { c_name = name; c_value = Atomic.make 0 } in
-          Hashtbl.add counters name c;
-          c)
+  match Hashtbl.find_opt counters name with
+  | Some c -> c
+  | None ->
+      let c = ref 0 in
+      Hashtbl.add counters name c;
+      c
 
-let incr c = if Atomic.get enabled_flag then ignore (Atomic.fetch_and_add c.c_value 1)
-let add c n = if Atomic.get enabled_flag then ignore (Atomic.fetch_and_add c.c_value n)
+let incr c = if !enabled_flag then c := !c + 1
+let add c n = if !enabled_flag then c := !c + n
 
 (** High-water-mark semantics: keep the largest value ever recorded. *)
-let record_max c n =
-  if Atomic.get enabled_flag then begin
-    let rec loop () =
-      let cur = Atomic.get c.c_value in
-      if n > cur && not (Atomic.compare_and_set c.c_value cur n) then loop ()
-    in
-    loop ()
-  end
+let record_max c n = if !enabled_flag && n > !c then c := n
 
-let value c = Atomic.get c.c_value
+let value c = !c
 
 (** Look a counter's current value up by name; 0 if never registered. *)
-let counter_value name =
-  match
-    with_lock registry_mutex (fun () -> Hashtbl.find_opt counters name)
-  with
-  | Some c -> Atomic.get c.c_value
-  | None -> 0
+let counter_value name = match Hashtbl.find_opt counters name with Some c -> !c | None -> 0
 
 (* ------------------------------------------------------------------ *)
 (* Log-bucketed histograms *)
@@ -103,7 +77,6 @@ let num_buckets = 64
 
 type histogram = {
   h_name : string;
-  h_mutex : Mutex.t;  (** guards every mutable field; enabled path only *)
   h_buckets : int array;
   mutable h_count : int;
   mutable h_sum : int;
@@ -114,38 +87,35 @@ type histogram = {
 let histograms : (string, histogram) Hashtbl.t = Hashtbl.create 64
 
 let histogram name =
-  with_lock registry_mutex (fun () ->
-      match Hashtbl.find_opt histograms name with
-      | Some h -> h
-      | None ->
-          let h =
-            {
-              h_name = name;
-              h_mutex = Mutex.create ();
-              h_buckets = Array.make num_buckets 0;
-              h_count = 0;
-              h_sum = 0;
-              h_min = 0;
-              h_max = 0;
-            }
-          in
-          Hashtbl.add histograms name h;
-          h)
+  match Hashtbl.find_opt histograms name with
+  | Some h -> h
+  | None ->
+      let h =
+        {
+          h_name = name;
+          h_buckets = Array.make num_buckets 0;
+          h_count = 0;
+          h_sum = 0;
+          h_min = 0;
+          h_max = 0;
+        }
+      in
+      Hashtbl.add histograms name h;
+      h
 
 let bucket_of v =
   let rec bits acc v = if v = 0 then acc else bits (acc + 1) (v lsr 1) in
   min (num_buckets - 1) (bits 0 v)
 
 let observe h v =
-  if Atomic.get enabled_flag then begin
+  if !enabled_flag then begin
     let v = if v < 0 then 0 else v in
     let b = bucket_of v in
-    with_lock h.h_mutex (fun () ->
-        h.h_buckets.(b) <- h.h_buckets.(b) + 1;
-        if h.h_count = 0 || v < h.h_min then h.h_min <- v;
-        if v > h.h_max then h.h_max <- v;
-        h.h_count <- h.h_count + 1;
-        h.h_sum <- h.h_sum + v)
+    h.h_buckets.(b) <- h.h_buckets.(b) + 1;
+    if h.h_count = 0 || v < h.h_min then h.h_min <- v;
+    if v > h.h_max then h.h_max <- v;
+    h.h_count <- h.h_count + 1;
+    h.h_sum <- h.h_sum + v
   end
 
 (** Estimate the [q]-quantile (0 < q <= 1) from the buckets: find the
@@ -186,25 +156,24 @@ type event = {
   ev_depth : int;  (** nesting depth at emission, for sanity checks *)
 }
 
-(** Bounded trace buffer: 64k events (≈ 32k spans) per domain between
-    flushes by default.  Overflow increments the dropped count so
+(** Bounded trace buffer: 64k events (≈ 32k spans) between resets by
+    default.  Overflow increments the dropped count so
     exporters can report the truncation instead of silently losing the
     tail.  The cap is configurable ([--trace-buffer N] in the CLI) for
     long runs that would otherwise truncate. *)
 let default_max_events = 1 lsl 16
 
-let max_events_ref = Atomic.make default_max_events
-let max_events () = Atomic.get max_events_ref
+let max_events_ref = ref default_max_events
+let max_events () = !max_events_ref
 
 (* Floor of 256 keeps the growth doubling in [push_event] sound and the
    buffer big enough to hold at least a few spans. *)
-let set_max_events n = Atomic.set max_events_ref (max 256 n)
+let set_max_events n = max_events_ref := max 256 n
 
 let ev_dummy = { ev_name = ""; ev_phase = Span_begin; ev_ts = 0; ev_depth = 0 }
 
-(* Per-domain event state: the buffer, its length, the overflow count,
-   and the span-nesting depth.  Workers record locally (no locks on the
-   recording path) and publish with [flush_domain_events]. *)
+(* The event state: the buffer, its length, the overflow count, and the
+   span-nesting depth. *)
 type ev_state = {
   mutable buf : event array;
   mutable len : int;
@@ -212,19 +181,9 @@ type ev_state = {
   mutable depth : int;
 }
 
-let ev_key : ev_state Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> { buf = [||]; len = 0; dropped = 0; depth = 0 })
+let st = { buf = [||]; len = 0; dropped = 0; depth = 0 }
 
-let ev_state () = Domain.DLS.get ev_key
-
-(* Flushed per-domain segments, oldest flush first.  Each segment is
-   internally well-formed (balanced begin/end), so the concatenation the
-   exporters see respects the stack discipline too. *)
-let merged_segments : event list list ref = ref []
-let merged_dropped = ref 0
-let merge_mutex = Mutex.create ()
-
-let push_event st e =
+let push_event e =
   let max_events = max_events () in
   if st.len >= max_events then st.dropped <- st.dropped + 1
   else begin
@@ -247,21 +206,19 @@ let span name = { s_name = name; s_hist = histogram name }
     disabled (in which case the matching [end_] is a no-op even if the
     sink was enabled in between). *)
 let begin_ s =
-  if not (Atomic.get enabled_flag) then -1
+  if not !enabled_flag then -1
   else begin
-    let st = ev_state () in
     let t = now_ns () in
-    push_event st { ev_name = s.s_name; ev_phase = Span_begin; ev_ts = t; ev_depth = st.depth };
+    push_event { ev_name = s.s_name; ev_phase = Span_begin; ev_ts = t; ev_depth = st.depth };
     st.depth <- st.depth + 1;
     t
   end
 
 let end_ s t0 =
-  if Atomic.get enabled_flag && t0 >= 0 then begin
-    let st = ev_state () in
+  if !enabled_flag && t0 >= 0 then begin
     let t = now_ns () in
     st.depth <- max 0 (st.depth - 1);
-    push_event st { ev_name = s.s_name; ev_phase = Span_end; ev_ts = t; ev_depth = st.depth };
+    push_event { ev_name = s.s_name; ev_phase = Span_end; ev_ts = t; ev_depth = st.depth };
     observe s.s_hist (t - t0)
   end
 
@@ -269,31 +226,8 @@ let with_span s f =
   let t0 = begin_ s in
   Fun.protect ~finally:(fun () -> end_ s t0) f
 
-let local_events st = Array.to_list (Array.sub st.buf 0 st.len)
-
-(** Publish the calling domain's buffered events into the merged trace
-    and clear the local buffer.  Worker domains call this after each
-    task (the pool does it for them); the main domain's unflushed buffer
-    is always visible through {!events}, so single-domain runs never
-    need to flush. *)
-let flush_domain_events () =
-  let st = ev_state () in
-  if st.len > 0 || st.dropped > 0 then begin
-    let seg = local_events st in
-    let dropped = st.dropped in
-    st.len <- 0;
-    st.dropped <- 0;
-    with_lock merge_mutex (fun () ->
-        if seg <> [] then merged_segments := !merged_segments @ [ seg ];
-        merged_dropped := !merged_dropped + dropped)
-  end
-
-let events () =
-  let merged = with_lock merge_mutex (fun () -> List.concat !merged_segments) in
-  merged @ local_events (ev_state ())
-
-let dropped_events () =
-  with_lock merge_mutex (fun () -> !merged_dropped) + (ev_state ()).dropped
+let events () = Array.to_list (Array.sub st.buf 0 st.len)
+let dropped_events () = st.dropped
 
 (** Check strict begin/end nesting: every [Span_end] closes the most
     recently opened span of the same name.  Exporters and tests use this
@@ -312,27 +246,19 @@ let well_formed_events evs =
 (* ------------------------------------------------------------------ *)
 (* Reset *)
 
-(** Zero every counter, histogram, the merged trace, and the calling
-    domain's event buffer.  Handles held by instrumented modules stay
-    valid — registries are mutated in place.  Worker domains flush after
-    every task, so between batches their local buffers are already
-    empty; a reset from the main domain therefore clears everything. *)
+(** Zero every counter, histogram, and the event buffer.  Handles held
+    by instrumented modules stay valid — registries are mutated in
+    place. *)
 let reset () =
-  with_lock registry_mutex (fun () ->
-      Hashtbl.iter (fun _ c -> Atomic.set c.c_value 0) counters;
-      Hashtbl.iter
-        (fun _ h ->
-          with_lock h.h_mutex (fun () ->
-              Array.fill h.h_buckets 0 num_buckets 0;
-              h.h_count <- 0;
-              h.h_sum <- 0;
-              h.h_min <- 0;
-              h.h_max <- 0))
-        histograms);
-  with_lock merge_mutex (fun () ->
-      merged_segments := [];
-      merged_dropped := 0);
-  let st = ev_state () in
+  Hashtbl.iter (fun _ c -> c := 0) counters;
+  Hashtbl.iter
+    (fun _ h ->
+      Array.fill h.h_buckets 0 num_buckets 0;
+      h.h_count <- 0;
+      h.h_sum <- 0;
+      h.h_min <- 0;
+      h.h_max <- 0)
+    histograms;
   st.len <- 0;
   st.dropped <- 0;
   st.depth <- 0
@@ -357,29 +283,24 @@ type snapshot = {
 }
 
 let snapshot () =
-  let cs, hs =
-    with_lock registry_mutex (fun () ->
-        let cs =
-          Hashtbl.fold (fun name c acc -> (name, Atomic.get c.c_value) :: acc) counters []
-          |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-        in
-        let hs =
-          Hashtbl.fold
-            (fun name h acc ->
-              with_lock h.h_mutex (fun () ->
-                  {
-                    hs_name = name;
-                    hs_count = h.h_count;
-                    hs_sum_ns = h.h_sum;
-                    hs_p50 = quantile h 0.50;
-                    hs_p90 = quantile h 0.90;
-                    hs_p99 = quantile h 0.99;
-                  })
-              :: acc)
-            histograms []
-          |> List.sort (fun a b -> String.compare a.hs_name b.hs_name)
-        in
-        (cs, hs))
+  let cs =
+    Hashtbl.fold (fun name c acc -> (name, !c) :: acc) counters []
+    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  in
+  let hs =
+    Hashtbl.fold
+      (fun name h acc ->
+        {
+          hs_name = name;
+          hs_count = h.h_count;
+          hs_sum_ns = h.h_sum;
+          hs_p50 = quantile h 0.50;
+          hs_p90 = quantile h 0.90;
+          hs_p99 = quantile h 0.99;
+        }
+        :: acc)
+      histograms []
+    |> List.sort (fun a b -> String.compare a.hs_name b.hs_name)
   in
   { sn_counters = cs; sn_spans = hs; sn_events = events (); sn_dropped = dropped_events () }
 
@@ -414,7 +335,7 @@ let report_to_string ?(title = "telemetry report") sn =
     (fun (name, v) -> Buffer.add_string b (Printf.sprintf "%-34s %10d\n" name v))
     sn.sn_counters;
   Buffer.add_string b
-    (Printf.sprintf "%d trace events buffered, %d dropped (buffer cap %d per domain)\n"
+    (Printf.sprintf "%d trace events buffered, %d dropped (buffer cap %d)\n"
        (List.length sn.sn_events) sn.sn_dropped (max_events ()));
   if sn.sn_dropped > 0 then
     Buffer.add_string b

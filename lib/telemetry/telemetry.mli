@@ -7,10 +7,8 @@
     constraints.  Chrome-trace JSON export lives in
     {!Argus_json.Telemetry_export}.
 
-    Domain safety: counters are atomic, histograms lock per-histogram on
-    the enabled path, and span/trace events accumulate per domain —
-    worker domains publish theirs with {!flush_domain_events} (the
-    domain pool does this automatically after every task). *)
+    Single-domain: all state is plain module state, read and written by
+    the main domain only. *)
 
 (** {1 The global sink} *)
 
@@ -84,29 +82,21 @@ val end_ : span -> int -> unit
 (** [with_span s f] wraps [f ()] in a span, closing it on exceptions. *)
 val with_span : span -> (unit -> 'a) -> 'a
 
-(** Buffered trace events: every flushed per-domain segment (in flush
-    order) followed by the calling domain's unflushed buffer.  In a
-    single-domain run this is simply the emission order. *)
+(** Buffered trace events, in emission order. *)
 val events : unit -> event list
 
-(** Events discarded after a domain's buffer filled (bounded at
-    {!max_events} per domain between flushes, 64k by default). *)
+(** Events discarded after the buffer filled (bounded at {!max_events}
+    between resets, 64k by default). *)
 val dropped_events : unit -> int
 
-(** The per-domain event-buffer cap currently in force. *)
+(** The event-buffer cap currently in force. *)
 val max_events : unit -> int
 
-(** Resize the per-domain event-buffer cap (clamped to at least 256).
+(** Resize the event-buffer cap (clamped to at least 256).
     Applies to events recorded after the call; already-buffered events
     are never discarded by shrinking.  Exposed as [--trace-buffer N] in
     the CLI. *)
 val set_max_events : int -> unit
-
-(** Publish the calling domain's buffered events into the merged trace
-    and clear its local buffer.  Worker domains must call this before
-    going idle for their events to appear in {!events}/{!snapshot};
-    {!Pool} calls it after every task.  A no-op on an empty buffer. *)
-val flush_domain_events : unit -> unit
 
 (** Strict stack discipline: every end closes the most recent begin of
     the same name. *)

@@ -16,22 +16,9 @@
     interning is O(size) the first time a term is seen and O(size) with
     all-hit table lookups thereafter (each lookup itself O(1)).
 
-    {2 Domain safety}
-
-    The tables are {b domain-local} ({!Domain.DLS}): each domain interns
-    into its own tables with no locks on the hot path, so serve sessions
-    on pool workers intern without contention.  The canonicality guarantee is
-    therefore {e per-domain}: two structurally equal terms interned by
-    the {e same} domain are physically equal; terms interned by
-    different domains compare equal only structurally (the [==] fast
-    paths degrade to the full comparison, never to a wrong answer).  The
-    serve pool runs each client's requests — load, solve, render — on
-    one worker, so every term a solver instance touches is canonical in
-    its own domain.
-
-    The tables grow for the lifetime of the domain; {!clear} empties the
-    calling domain's tables (existing terms stay valid, they just stop
-    being canonical). *)
+    The tables are plain module state, used by the main domain only.
+    They grow for the lifetime of the process; {!clear} empties them
+    (existing terms stay valid, they just stop being canonical). *)
 
 (* Telemetry: node-level hit/miss counts across all tables. *)
 let c_hit = Telemetry.counter "interner.hit"
@@ -79,44 +66,29 @@ type pred_key =
    polymorphic hash sees the whole key without deep recursion. *)
 let key_hash k = Hashtbl.hash_param 64 128 k
 
-(* The per-domain table set.  One id space across every table, so an id
-   identifies a term of any sort (within its domain). *)
-type tables = {
-  ty_tbl : (ty_key, Ty.t interned) Hashtbl.t;
-  arg_tbl : (arg_key, Ty.arg interned) Hashtbl.t;
-  trait_ref_tbl : (trait_ref_key, Ty.trait_ref interned) Hashtbl.t;
-  projection_tbl : (projection_key, Ty.projection interned) Hashtbl.t;
-  pred_tbl : (pred_key, Predicate.t interned) Hashtbl.t;
-  mutable next_id : int;
-}
+(* The tables.  One id space across every table, so an id identifies a
+   term of any sort. *)
+let ty_tbl : (ty_key, Ty.t interned) Hashtbl.t = Hashtbl.create 1024
+let arg_tbl : (arg_key, Ty.arg interned) Hashtbl.t = Hashtbl.create 1024
+let trait_ref_tbl : (trait_ref_key, Ty.trait_ref interned) Hashtbl.t = Hashtbl.create 256
+let projection_tbl : (projection_key, Ty.projection interned) Hashtbl.t = Hashtbl.create 256
+let pred_tbl : (pred_key, Predicate.t interned) Hashtbl.t = Hashtbl.create 512
+let next_id = ref 0
 
-let make_tables () =
-  {
-    ty_tbl = Hashtbl.create 1024;
-    arg_tbl = Hashtbl.create 1024;
-    trait_ref_tbl = Hashtbl.create 256;
-    projection_tbl = Hashtbl.create 256;
-    pred_tbl = Hashtbl.create 512;
-    next_id = 0;
-  }
-
-let dls_key : tables Domain.DLS.key = Domain.DLS.new_key make_tables
-let tables () = Domain.DLS.get dls_key
-
-let fresh_id t =
-  let id = t.next_id in
-  t.next_id <- id + 1;
+let fresh_id () =
+  let id = !next_id in
+  next_id := id + 1;
   id
 
-let memo : tables -> ('k, 'v interned) Hashtbl.t -> 'k -> (unit -> 'v) -> 'v interned =
- fun t tbl key build ->
+let memo : ('k, 'v interned) Hashtbl.t -> 'k -> (unit -> 'v) -> 'v interned =
+ fun tbl key build ->
   match Hashtbl.find_opt tbl key with
   | Some info ->
       Telemetry.incr c_hit;
       info
   | None ->
       Telemetry.incr c_miss;
-      let info = { node = build (); id = fresh_id t; hash = key_hash key } in
+      let info = { node = build (); id = fresh_id (); hash = key_hash key } in
       Hashtbl.add tbl key info;
       info
 
@@ -139,131 +111,122 @@ let map_sharing f l =
 
 (* ------------------------------------------------------------------ *)
 (* Interning proper.  Children are interned first; the parent's key is  *)
-(* then assembled from their ids.  Every function threads the calling   *)
-(* domain's table set.                                                  *)
+(* then assembled from their ids.                                      *)
 
-let rec ty_info_in tb (t : Ty.t) : Ty.t interned =
+let rec ty_info (t : Ty.t) : Ty.t interned =
   match t with
-  | Unit -> memo tb tb.ty_tbl KUnit (fun () -> t)
-  | Bool -> memo tb tb.ty_tbl KBool (fun () -> t)
-  | Int -> memo tb tb.ty_tbl KInt (fun () -> t)
-  | Uint -> memo tb tb.ty_tbl KUint (fun () -> t)
-  | Float -> memo tb tb.ty_tbl KFloat (fun () -> t)
-  | Str -> memo tb tb.ty_tbl KStr (fun () -> t)
-  | Param name -> memo tb tb.ty_tbl (KParam name) (fun () -> t)
-  | Infer i -> memo tb tb.ty_tbl (KInfer i) (fun () -> t)
+  | Unit -> memo ty_tbl KUnit (fun () -> t)
+  | Bool -> memo ty_tbl KBool (fun () -> t)
+  | Int -> memo ty_tbl KInt (fun () -> t)
+  | Uint -> memo ty_tbl KUint (fun () -> t)
+  | Float -> memo ty_tbl KFloat (fun () -> t)
+  | Str -> memo ty_tbl KStr (fun () -> t)
+  | Param name -> memo ty_tbl (KParam name) (fun () -> t)
+  | Infer i -> memo ty_tbl (KInfer i) (fun () -> t)
   | Ref (r, inner) ->
-      let i = ty_info_in tb inner in
-      memo tb tb.ty_tbl (KRef (r, i.id)) (fun () ->
+      let i = ty_info inner in
+      memo ty_tbl (KRef (r, i.id)) (fun () ->
           share1 t inner i.node (fun () -> Ty.Ref (r, i.node)))
   | RefMut (r, inner) ->
-      let i = ty_info_in tb inner in
-      memo tb tb.ty_tbl (KRefMut (r, i.id)) (fun () ->
+      let i = ty_info inner in
+      memo ty_tbl (KRefMut (r, i.id)) (fun () ->
           share1 t inner i.node (fun () -> Ty.RefMut (r, i.node)))
   | Ctor (p, args) ->
-      let infos = List.map (arg_info_in tb) args in
-      memo tb tb.ty_tbl
+      let infos = List.map arg_info args in
+      memo ty_tbl
         (KCtor (p, List.map (fun (i : _ interned) -> i.id) infos))
         (fun () ->
-          let args' = map_sharing (arg_in tb) args in
+          let args' = map_sharing arg args in
           share1 t args args' (fun () -> Ty.Ctor (p, args')))
   | Tuple ts ->
-      let infos = List.map (ty_info_in tb) ts in
-      memo tb tb.ty_tbl
+      let infos = List.map ty_info ts in
+      memo ty_tbl
         (KTuple (List.map (fun (i : _ interned) -> i.id) infos))
         (fun () ->
-          let ts' = map_sharing (ty_in tb) ts in
+          let ts' = map_sharing ty ts in
           share1 t ts ts' (fun () -> Ty.Tuple ts'))
   | FnPtr (args, ret) ->
-      let ais = List.map (ty_info_in tb) args and ri = ty_info_in tb ret in
-      memo tb tb.ty_tbl
+      let ais = List.map ty_info args and ri = ty_info ret in
+      memo ty_tbl
         (KFnPtr (List.map (fun (i : _ interned) -> i.id) ais, ri.id))
         (fun () ->
-          let args' = map_sharing (ty_in tb) args in
+          let args' = map_sharing ty args in
           if args' == args && ri.node == ret then t else Ty.FnPtr (args', ri.node))
   | FnItem (p, args, ret) ->
-      let ais = List.map (ty_info_in tb) args and ri = ty_info_in tb ret in
-      memo tb tb.ty_tbl
+      let ais = List.map ty_info args and ri = ty_info ret in
+      memo ty_tbl
         (KFnItem (p, List.map (fun (i : _ interned) -> i.id) ais, ri.id))
         (fun () ->
-          let args' = map_sharing (ty_in tb) args in
+          let args' = map_sharing ty args in
           if args' == args && ri.node == ret then t else Ty.FnItem (p, args', ri.node))
   | Dynamic tr ->
-      let i = trait_ref_info_in tb tr in
-      memo tb tb.ty_tbl (KDynamic i.id) (fun () ->
+      let i = trait_ref_info tr in
+      memo ty_tbl (KDynamic i.id) (fun () ->
           share1 t tr i.node (fun () -> Ty.Dynamic i.node))
   | Proj p ->
-      let i = projection_info_in tb p in
-      memo tb tb.ty_tbl (KProj i.id) (fun () ->
+      let i = projection_info p in
+      memo ty_tbl (KProj i.id) (fun () ->
           share1 t p i.node (fun () -> Ty.Proj i.node))
 
-and arg_info_in tb (a : Ty.arg) : Ty.arg interned =
+and arg_info (a : Ty.arg) : Ty.arg interned =
   match a with
   | Ty t ->
-      let i = ty_info_in tb t in
-      memo tb tb.arg_tbl (KTy i.id) (fun () -> share1 a t i.node (fun () -> Ty.Ty i.node))
-  | Lifetime r -> memo tb tb.arg_tbl (KLifetime r) (fun () -> a)
+      let i = ty_info t in
+      memo arg_tbl (KTy i.id) (fun () -> share1 a t i.node (fun () -> Ty.Ty i.node))
+  | Lifetime r -> memo arg_tbl (KLifetime r) (fun () -> a)
 
-and trait_ref_info_in tb (tr : Ty.trait_ref) : Ty.trait_ref interned =
-  let infos = List.map (arg_info_in tb) tr.args in
-  memo tb tb.trait_ref_tbl
+and trait_ref_info (tr : Ty.trait_ref) : Ty.trait_ref interned =
+  let infos = List.map arg_info tr.args in
+  memo trait_ref_tbl
     (tr.trait, List.map (fun (i : _ interned) -> i.id) infos)
     (fun () ->
-      let args' = map_sharing (arg_in tb) tr.args in
+      let args' = map_sharing arg tr.args in
       share1 tr tr.args args' (fun () : Ty.trait_ref -> { tr with args = args' }))
 
-and projection_info_in tb (p : Ty.projection) : Ty.projection interned =
-  let si = ty_info_in tb p.self_ty
-  and ti = trait_ref_info_in tb p.proj_trait
-  and ais = List.map (arg_info_in tb) p.assoc_args in
-  memo tb tb.projection_tbl
+and projection_info (p : Ty.projection) : Ty.projection interned =
+  let si = ty_info p.self_ty
+  and ti = trait_ref_info p.proj_trait
+  and ais = List.map arg_info p.assoc_args in
+  memo projection_tbl
     (si.id, ti.id, p.assoc, List.map (fun (i : _ interned) -> i.id) ais)
     (fun () ->
-      let assoc_args' = map_sharing (arg_in tb) p.assoc_args in
+      let assoc_args' = map_sharing arg p.assoc_args in
       if si.node == p.self_ty && ti.node == p.proj_trait && assoc_args' == p.assoc_args
       then p
       else
         { p with self_ty = si.node; proj_trait = ti.node; assoc_args = assoc_args' })
 
-and ty_in tb t = (ty_info_in tb t).node
-and arg_in tb a = (arg_info_in tb a).node
+and ty t = (ty_info t).node
+and arg a = (arg_info a).node
 
-let predicate_info_in tb (p : Predicate.t) : Predicate.t interned =
+let predicate_info (p : Predicate.t) : Predicate.t interned =
   match p with
   | Trait { self_ty; trait_ref = tr } ->
-      let si = ty_info_in tb self_ty and ti = trait_ref_info_in tb tr in
-      memo tb tb.pred_tbl (KTrait (si.id, ti.id)) (fun () ->
+      let si = ty_info self_ty and ti = trait_ref_info tr in
+      memo pred_tbl (KTrait (si.id, ti.id)) (fun () ->
           if si.node == self_ty && ti.node == tr then p
           else Predicate.Trait { self_ty = si.node; trait_ref = ti.node })
   | Projection { projection = pr; term } ->
-      let pi = projection_info_in tb pr and ti = ty_info_in tb term in
-      memo tb tb.pred_tbl (KProjectionEq (pi.id, ti.id)) (fun () ->
+      let pi = projection_info pr and ti = ty_info term in
+      memo pred_tbl (KProjectionEq (pi.id, ti.id)) (fun () ->
           if pi.node == pr && ti.node == term then p
           else Predicate.Projection { projection = pi.node; term = ti.node })
   | TypeOutlives (t, r) ->
-      let i = ty_info_in tb t in
-      memo tb tb.pred_tbl (KTypeOutlives (i.id, r)) (fun () ->
+      let i = ty_info t in
+      memo pred_tbl (KTypeOutlives (i.id, r)) (fun () ->
           if i.node == t then p else Predicate.TypeOutlives (i.node, r))
-  | RegionOutlives (a, b) -> memo tb tb.pred_tbl (KRegionOutlives (a, b)) (fun () -> p)
+  | RegionOutlives (a, b) -> memo pred_tbl (KRegionOutlives (a, b)) (fun () -> p)
   | WellFormed t ->
-      let i = ty_info_in tb t in
-      memo tb tb.pred_tbl (KWellFormed i.id) (fun () ->
+      let i = ty_info t in
+      memo pred_tbl (KWellFormed i.id) (fun () ->
           if i.node == t then p else Predicate.WellFormed i.node)
-  | ObjectSafe path -> memo tb tb.pred_tbl (KObjectSafe path) (fun () -> p)
-  | ConstEvaluatable s -> memo tb tb.pred_tbl (KConstEvaluatable s) (fun () -> p)
+  | ObjectSafe path -> memo pred_tbl (KObjectSafe path) (fun () -> p)
+  | ConstEvaluatable s -> memo pred_tbl (KConstEvaluatable s) (fun () -> p)
   | NormalizesTo (pr, v) ->
-      let i = projection_info_in tb pr in
-      memo tb tb.pred_tbl (KNormalizesTo (i.id, v)) (fun () ->
+      let i = projection_info pr in
+      memo pred_tbl (KNormalizesTo (i.id, v)) (fun () ->
           if i.node == pr then p else Predicate.NormalizesTo (i.node, v))
 
-(* Public entry points resolve the calling domain's tables once. *)
-
-let ty_info t = ty_info_in (tables ()) t
-let trait_ref_info tr = trait_ref_info_in (tables ()) tr
-let projection_info p = projection_info_in (tables ()) p
-let predicate_info p = predicate_info_in (tables ()) p
-let ty t = (ty_info t).node
-let arg a = (arg_info_in (tables ()) a).node
 let trait_ref tr = (trait_ref_info tr).node
 let projection p = (projection_info p).node
 let predicate p = (predicate_info p).node
@@ -280,19 +243,17 @@ type stats = {
 }
 
 let stats () =
-  let tb = tables () in
   {
-    st_tys = Hashtbl.length tb.ty_tbl;
-    st_args = Hashtbl.length tb.arg_tbl;
-    st_trait_refs = Hashtbl.length tb.trait_ref_tbl;
-    st_projections = Hashtbl.length tb.projection_tbl;
-    st_predicates = Hashtbl.length tb.pred_tbl;
+    st_tys = Hashtbl.length ty_tbl;
+    st_args = Hashtbl.length arg_tbl;
+    st_trait_refs = Hashtbl.length trait_ref_tbl;
+    st_projections = Hashtbl.length projection_tbl;
+    st_predicates = Hashtbl.length pred_tbl;
   }
 
 let clear () =
-  let tb = tables () in
-  Hashtbl.reset tb.ty_tbl;
-  Hashtbl.reset tb.arg_tbl;
-  Hashtbl.reset tb.trait_ref_tbl;
-  Hashtbl.reset tb.projection_tbl;
-  Hashtbl.reset tb.pred_tbl
+  Hashtbl.reset ty_tbl;
+  Hashtbl.reset arg_tbl;
+  Hashtbl.reset trait_ref_tbl;
+  Hashtbl.reset projection_tbl;
+  Hashtbl.reset pred_tbl

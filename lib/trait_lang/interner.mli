@@ -11,16 +11,12 @@
     allocates only shallow lookup keys.  Telemetry counters
     [interner.hit] / [interner.miss] count node-level table outcomes.
 
-    The tables are {b domain-local}: canonicality (and the [==]
-    guarantee) holds among terms interned by the same domain, with no
-    locks on the hot path.  Terms interned by different domains compare
-    equal only structurally — the fast paths degrade gracefully.  Keep
-    each solving work unit on one domain (the serve pool runs a client's
-    requests on one worker). *)
+    The tables are plain module state: argus runs on one domain, so the
+    hot path takes no locks. *)
 
 type 'a interned = {
   node : 'a;  (** the canonical (maximally shared) term *)
-  id : int;  (** unique across every table of this domain, stable until {!clear} *)
+  id : int;  (** unique across every table, stable until {!clear} *)
   hash : int;  (** precomputed; suitable for Hashtbl keys *)
 }
 
@@ -49,10 +45,10 @@ type stats = {
   st_predicates : int;
 }
 
-(** Live entry counts per table, for the calling domain. *)
+(** Live entry counts per table. *)
 val stats : unit -> stats
 
-(** Empty the calling domain's tables.  Previously interned terms stay
+(** Empty the tables.  Previously interned terms stay
     valid values but are no longer canonical: terms interned afterwards
     will not be physically equal to them.  Intended for tests. *)
 val clear : unit -> unit

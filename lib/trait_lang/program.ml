@@ -31,12 +31,13 @@ type t = {
    need not hold).  The solver's global evaluation cache keys on the
    stamp to keep entries from leaking between programs.  Goal edits keep
    the stamp: goals are inputs to the solver, not part of the context it
-   searches.  The counter is atomic so programs can be loaded
-   concurrently from several domains; a stamp's numeric value carries no
-   meaning beyond uniqueness. *)
-let stamp_counter = Atomic.make 0
+   searches.  A stamp's numeric value carries no meaning beyond
+   uniqueness. *)
+let stamp_counter = ref 0
 
-let fresh_stamp () = Atomic.fetch_and_add stamp_counter 1 + 1
+let fresh_stamp () =
+  incr stamp_counter;
+  !stamp_counter
 
 let empty =
   {

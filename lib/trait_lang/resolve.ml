@@ -408,8 +408,7 @@ let lower (items : Ast.t) : Program.t =
   let base_env =
     { tables; bound_params = []; self_ty = None; fresh_infer }
   in
-  (* Local accumulators, built reversed: [lower] may run on several
-     domains at once. *)
+  (* Local accumulators, built reversed. *)
   let decls = ref [] and goals = ref [] in
   let rec go crate rev_mods items =
     List.iter

@@ -161,16 +161,32 @@ let test_no_cache_when_disabled () =
 let test_lru_bound () =
   fresh_cache ();
   let ctx = Solver.Eval_cache.make_ctx ~stamp:424242 ~depth_limit:64 [] in
-  (* Overfill the sharded result tier (16 shards × 1024 capacity each):
-     eviction must keep every shard — and so the total — bounded. *)
-  for i = 0 to 20_000 do
+  let key i =
     let pred = trait_pred (Ty.ctor (Path.local [ "S" ^ string_of_int i ]) []) in
-    let key = Solver.Eval_cache.result_key ctx (Solver.Canonical.canonicalize_resolved pred) in
-    Solver.Eval_cache.insert_result key Solver.Res.Yes
+    Solver.Eval_cache.result_key ctx (Solver.Canonical.canonicalize_resolved pred)
+  in
+  let hits i = Solver.Eval_cache.find_result (key i) = Some Solver.Res.Yes in
+  let capacity = 16 * 1024 in
+  (* The tier holds 16 × 1024 entries before anything goes. *)
+  for i = 0 to capacity - 1 do
+    Solver.Eval_cache.insert_result (key i) Solver.Res.Yes
+  done;
+  Alcotest.(check int) "a full tier, nothing evicted" capacity
+    (Solver.Eval_cache.stats ()).cs_result;
+  (* Overfill it: one LRU order across the whole tier decides what goes.
+     The newest key and the touched key 1 survive; key 0, the oldest,
+     does not. *)
+  ignore (hits 1);
+  let last = 20_000 in
+  for i = capacity to last do
+    Solver.Eval_cache.insert_result (key i) Solver.Res.Yes
   done;
   let s = Solver.Eval_cache.stats () in
-  Alcotest.(check bool) "result tier stays bounded" true (s.cs_result <= 16 * 1024);
+  Alcotest.(check bool) "result tier stays bounded" true (s.cs_result <= capacity);
   Alcotest.(check bool) "eviction keeps recent entries" true (s.cs_result > 0);
+  Alcotest.(check bool) "the newest key still hits" true (hits last);
+  Alcotest.(check bool) "a recently read key still hits" true (hits 1);
+  Alcotest.(check bool) "the oldest key was evicted" false (hits 0);
   Solver.Eval_cache.clear ()
 
 (* ------------------------------------------------------------------ *)

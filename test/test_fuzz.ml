@@ -313,24 +313,6 @@ let test_cli_bench_serve_nonpositive () =
         | exception Invalid_argument _ -> true))
     [ (0, 4); (8, 0) ]
 
-(* A multi-file check runs in this process: no domain is spawned,
-   whatever the host's core count. *)
-let test_cli_check_no_domains () =
-  write_file "jobs_ok.trait" "struct A; trait T { }\nimpl T for A { }\ngoal A: T;\n";
-  let code =
-    Sys.command (cli ^ " check --profile jobs_ok.trait jobs_ok.trait > jd.out 2> jd.err")
-  in
-  check_int "two-file check exits 0" 0 code;
-  let domains =
-    List.find_map
-      (fun line ->
-        match String.split_on_char ' ' line |> List.filter (( <> ) "") with
-        | [ "pool.domains"; n ] -> int_of_string_opt n
-        | _ -> None)
-      (String.split_on_char '\n' (read_file "jd.err"))
-  in
-  Alcotest.(check (option int)) "pool.domains 0" (Some 0) domains
-
 (* `interactive` reads row numbers from the user: a non-numeric row is
    reported like a missing one, and the loop carries on to `q`. *)
 let test_cli_interactive_bad_row () =
@@ -412,8 +394,6 @@ let () =
           Alcotest.test_case "fuzz: unknown oracle" `Quick test_cli_fuzz_unknown_oracle;
           Alcotest.test_case "fuzz: missing replay file" `Quick test_cli_fuzz_replay_missing;
           Alcotest.test_case "fuzz: smoke campaign" `Quick test_cli_fuzz_smoke;
-          Alcotest.test_case "check: sequential by default" `Quick
-            test_cli_check_no_domains;
           Alcotest.test_case "check: multi-file output and journal" `Quick
             test_cli_check_multi_file;
           Alcotest.test_case "interactive: non-numeric row" `Quick

@@ -394,13 +394,13 @@ let test_corpus_cli_equivalence () =
     Corpus.Suite.entries
 
 (* ------------------------------------------------------------------ *)
-(* Concurrency determinism *)
+(* Batches *)
 
 (* N clients, each with its own session and program.  Run each client's
    script alone against a fresh cold server, then all of them
-   interleaved round-robin through handle_batch on a 4-worker pool:
-   every response must be byte-identical either way, and the pool.* and
-   serve.* counters must account for the work. *)
+   interleaved round-robin through handle_batch, which runs each
+   client's group in turn: every response must be byte-identical either
+   way, and the serve.* counters must account for the work. *)
 let test_concurrent_determinism () =
   fresh_state ();
   Telemetry.enable ();
@@ -444,19 +444,13 @@ let test_concurrent_determinism () =
       [ 0; 1; 2; 3 ]
   in
   let requests0 = Telemetry.counter_value "serve.requests" in
-  let tasks0 = Telemetry.counter_value "pool.tasks" in
-  let pool = Pool.create ~jobs:4 in
-  let results =
-    Fun.protect
-      ~finally:(fun () -> Pool.shutdown pool)
-      (fun () -> Serve.Server.handle_batch ~pool server batch)
-  in
+  let results = Serve.Server.handle_batch server batch in
   Alcotest.(check int) "one result per request" (List.length batch)
     (List.length results);
   Alcotest.(check bool) "serve.requests counts the batch" true
     (Telemetry.counter_value "serve.requests" - requests0 >= List.length batch);
-  Alcotest.(check bool) "pool.tasks advanced" true
-    (Telemetry.counter_value "pool.tasks" > tasks0);
+  Alcotest.(check (list int)) "results in input order" (List.map fst batch)
+    (List.map fst results);
   (* reassemble per-client streams in order and compare byte-for-byte *)
   List.iteri
     (fun c responses ->
@@ -470,10 +464,10 @@ let test_concurrent_determinism () =
         responses got)
     solo
 
-(* Shutdown mid-flight: a batch that carries a shutdown among live
+(* Shutdown mid-batch: a batch that carries a shutdown among live
    requests drains cleanly — every request gets a well-formed response
-   (a result or a structured error, including -32003 for requests
-   processed after the shutdown wins), and the server stays down. *)
+   (a result, or -32003 for requests run after the shutdown), and the
+   server stays down. *)
 let test_shutdown_drains () =
   fresh_state ();
   let server = Serve.Server.create () in
@@ -489,23 +483,25 @@ let test_shutdown_drains () =
       (2, line ~id:4 "explain" [ ("session", Json.String "d") ]);
     ]
   in
-  let pool = Pool.create ~jobs:2 in
-  let results =
-    Fun.protect
-      ~finally:(fun () -> Pool.shutdown pool)
-      (fun () -> Serve.Server.handle_batch ~pool server batch)
-  in
+  let results = Serve.Server.handle_batch server batch in
   Alcotest.(check int) "every request answered" (List.length batch)
     (List.length results);
-  List.iter
-    (fun (_, resp) ->
-      match resp with
-      | None -> Alcotest.fail "request dropped during shutdown"
-      | Some r -> (
-          match Rpc.response_of_line r with
-          | Ok _ -> ()
-          | Error e -> Alcotest.failf "malformed response during drain: %s" e))
-    results;
+  let codes =
+    List.map
+      (fun (_, resp) ->
+        match resp with
+        | None -> Alcotest.fail "request dropped during shutdown"
+        | Some r -> (
+            match Rpc.response_of_line r with
+            | Ok { Rpc.resp_result = Ok _; _ } -> 0
+            | Ok { Rpc.resp_result = Error e; _ } -> e.Rpc.code
+            | Error e -> Alcotest.failf "malformed response during drain: %s" e))
+      results
+  in
+  (* Client 0's group (solve, tree) runs before client 1's shutdown,
+     and client 2's explain after it. *)
+  Alcotest.(check (list int)) "client groups run in first-appearance order"
+    [ 0; 0; 0; Rpc.shutting_down ] codes;
   Alcotest.(check bool) "server is down after the batch" true
     (Serve.Server.shutting_down server);
   let e = call_err server "solve" [ ("session", Json.String "d") ] in

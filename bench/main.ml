@@ -9,9 +9,9 @@
     - Fig 11: the (simulated) user study with all reported statistics;
     - Fig 12a: distance-to-root-cause, inertia vs baselines vs rustc;
     - Fig 12b: DNF normalization time vs inference-tree size;
-    - ablations: eager vs lazy DNF minimization (Bechamel), solver
-      depth-limit sweep, end-to-end solve cost per corpus program,
-      heuristic ranking cost, inertia weight sensitivity. *)
+    - ablations: solver depth-limit sweep, end-to-end solve cost per
+      corpus program, heuristic ranking cost, inertia weight
+      sensitivity. *)
 
 open Trait_lang
 module Json = Argus_json.Json
@@ -171,9 +171,21 @@ let fig12a () =
 (* ------------------------------------------------------------------ *)
 (* Fig 12b: DNF normalization time vs tree size *)
 
+let fig12b_synthetic () =
+  List.map
+    (fun n -> (Printf.sprintf "synthetic-%d" n, Argus.Synthetic.of_size n))
+    Argus.Synthetic.fig12b_sizes
+
+(** Goal count, median DNF normalization time and conjunct count of one
+    tree.  The failure formula is built once, outside the timed runs. *)
+let time_dnf tree =
+  let f, _ = Argus.Formula.of_tree tree in
+  let ns = time_median (fun () -> Argus.Dnf.of_formula f) in
+  (Argus.Proof_tree.goal_count tree, ns, Argus.Dnf.num_conjuncts (Argus.Dnf.of_formula f))
+
 let fig12b () =
   section "Fig 12b — DNF normalization time vs inference-tree size";
-  (* the corpus trees (the paper's real data points)... *)
+  (* the corpus trees (the paper's real data points) plus synthetic ones *)
   let corpus_points =
     List.map
       (fun (e : Corpus.Harness.entry) ->
@@ -181,28 +193,15 @@ let fig12b () =
         (e.id, tree))
       Corpus.Suite.entries
   in
-  (* ...plus synthetic trees up to the paper's max of 36,794 nodes *)
-  let synthetic_points =
-    List.map
-      (fun n -> (Printf.sprintf "synthetic-%d" n, Argus.Synthetic.of_size n))
-      [ 10; 100; 500; 1000; 2554; 5000; 10000; 20000; 36794 ]
-  in
   Printf.printf "%-28s %10s %12s %10s\n" "tree" "goals" "time" "conjuncts";
-  let times = ref [] in
-  List.iter
-    (fun (name, tree) ->
-      let goals = Argus.Proof_tree.goal_count tree in
-      let dnf_of () =
-        let f, _ = Argus.Formula.of_tree tree in
-        Argus.Dnf.of_formula f
-      in
-      let ns = time_median dnf_of in
-      times := (goals, ns) :: !times;
-      let d = dnf_of () in
-      Printf.printf "%-28s %10d %10.3fms %10d\n" name goals (ns /. 1e6)
-        (Argus.Dnf.num_conjuncts d))
-    (corpus_points @ synthetic_points);
-  let ms = List.map (fun (_, ns) -> ns /. 1e6) !times in
+  let ms =
+    List.map
+      (fun (name, tree) ->
+        let goals, ns, conjuncts = time_dnf tree in
+        Printf.printf "%-28s %10d %10.3fms %10d\n" name goals (ns /. 1e6) conjuncts;
+        ns /. 1e6)
+      (corpus_points @ fig12b_synthetic ())
+  in
   Printf.printf
     "median %.3fms, max %.3fms (paper: median 0.1ms, max 6.1ms; trees 1..36,794 nodes)\n"
     (Stats.Descriptive.median ms)
@@ -210,22 +209,6 @@ let fig12b () =
 
 (* ------------------------------------------------------------------ *)
 (* Ablations *)
-
-let ablation_dnf_minimization () =
-  section "Ablation — eager vs lazy DNF minimization (Bechamel)";
-  let tree = Argus.Synthetic.of_size 2554 in
-  let f, _ = Argus.Formula.of_tree tree in
-  let open Bechamel in
-  let tests =
-    Test.make_grouped ~name:"dnf"
-      [
-        Test.make ~name:"minimize-eagerly" (Staged.stage (fun () -> Argus.Dnf.of_formula f));
-        Test.make ~name:"minimize-at-end"
-          (Staged.stage (fun () ->
-               Argus.Dnf.of_formula ~cfg:{ Argus.Dnf.minimize_eagerly = false } f));
-      ]
-  in
-  print_bechamel_rows (run_bechamel tests)
 
 let ablation_solver_cost () =
   section "Ablation — end-to-end solve cost per corpus program (Bechamel)";
@@ -631,6 +614,23 @@ let bench_corpus_entries () =
       ("extended-ok", Corpus.Suite.extended_ok);
     ]
 
+(** The [dnf] suite: Fig. 12b's synthetic trees as rows, so the
+    regression gate watches the exponential step at every size. *)
+let bench_dnf_entries () =
+  List.map
+    (fun (name, tree) ->
+      let goals, ns, conjuncts = time_dnf tree in
+      Printf.printf "  %-22s %8d goals %10.2f us %4d conjuncts\n" name goals (ns /. 1e3)
+        conjuncts;
+      Json.Obj
+        [
+          ("tree", Json.String name);
+          ("goals", Json.Int goals);
+          ("ns", Json.Float ns);
+          ("conjuncts", Json.Int conjuncts);
+        ])
+    (fig12b_synthetic ())
+
 (** The sections of BENCH_pipeline.json, in document order: the JSON
     key (also the [--NAME-only] flag that re-measures just it, except
     for [entries]), the banner printed before it, and the measurement
@@ -649,6 +649,7 @@ let bench_sections =
     ( "serve",
       "serve: 1000-client session scripts against one live server (seed 42)",
       bench_serve_entries );
+    ("dnf", "dnf: Fig. 12b normalization time per synthetic tree", bench_dnf_entries);
   ]
 
 let pipeline_path = "BENCH_pipeline.json"
@@ -694,7 +695,7 @@ let run_sections selected =
   let doc =
     Json.Obj
       ([
-         ("schema", Json.String "argus.bench.pipeline/v10");
+         ("schema", Json.String "argus.bench.pipeline/v11");
          ("runs", Json.Int !bench_runs);
          ("warmup", Json.Int !bench_warmup);
          ("ocaml_version", Json.String Sys.ocaml_version);
@@ -804,7 +805,6 @@ let () =
     fig11 ();
     fig12a ();
     fig12b ();
-    ablation_dnf_minimization ();
     ablation_solver_cost ();
     ablation_depth_limit ();
     ablation_ranking_cost ();

@@ -12,22 +12,12 @@ type conjunct = int list
 (** A DNF.  [[]] is unsatisfiable; [[[]]] is trivially true. *)
 type t = conjunct list
 
-val conj_union : conjunct -> conjunct -> conjunct
+(** [conj_subset a b]: every variable of [a] is in [b]. *)
 val conj_subset : conjunct -> conjunct -> bool
 
-(** Drop duplicate and absorbed (superset) conjuncts. *)
-val minimize : t -> t
-
-(** Cross product (conjunction) of two DNFs. *)
-val cross : t -> t -> t
-
-type config = { minimize_eagerly : bool }
-
-val default_config : config
-
-(** Normalize a formula.  With [minimize_eagerly] off (the ablation
-    bench), absorption runs only once at the end. *)
-val of_formula : ?cfg:config -> Formula.t -> t
+(** Normalize a formula: its minimal conjuncts, each once, in
+    lexicographic order. *)
+val of_formula : Formula.t -> t
 
 val eval : (int -> bool) -> t -> bool
 val num_conjuncts : t -> int

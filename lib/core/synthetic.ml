@@ -143,3 +143,5 @@ let generate (cfg : config) : Proof_tree.t =
 
 (** Generate a tree with roughly [n] goal nodes. *)
 let of_size n : Proof_tree.t = generate (config_of_size n)
+
+let fig12b_sizes = [ 10; 100; 500; 1000; 2554; 5000; 10000; 20000; 36794 ]

@@ -16,3 +16,7 @@ val generate : config -> Proof_tree.t
 
 (** A tree with roughly [n] goal nodes. *)
 val of_size : int -> Proof_tree.t
+
+(** The sizes Fig. 12b is measured at, up to the paper's maximum of
+    36,794 nodes. *)
+val fig12b_sizes : int list

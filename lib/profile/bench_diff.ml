@@ -47,6 +47,8 @@ let sections =
     ("scale", "impls", [ "ns_per_goal"; "parse_ns_per_kb"; "lower_ns_per_kb" ]);
     (* absent from pre-v8 baselines, tolerated the same way *)
     ("serve", "name", [ "p50_ns"; "p99_ns" ]);
+    (* absent from pre-v11 baselines, tolerated the same way *)
+    ("dnf", "tree", [ "ns" ]);
   ]
 
 let number_opt = function

@@ -2,7 +2,7 @@
     documents metric by metric.
 
     Every timing metric in every section (pipeline entries, journal
-    overhead, cache on/off, fuzz throughput, scale, serve)
+    overhead, cache on/off, fuzz throughput, scale, serve, DNF)
     is matched by key between the two files and judged by its new/old
     ratio against two configurable thresholds: [warn_above] flags
     drift, [fail_above] is a regression.  A bootstrap confidence interval over all ratios

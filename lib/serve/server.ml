@@ -181,9 +181,13 @@ let handle_open t params =
     match name with
     | Some n -> n
     | None ->
-        let n = t.srv_next in
-        t.srv_next <- n + 1;
-        Printf.sprintf "s%d" n
+        (* the next [s<n>] no client has already chosen *)
+        let rec fresh () =
+          let n = Printf.sprintf "s%d" t.srv_next in
+          t.srv_next <- t.srv_next + 1;
+          if Hashtbl.mem t.srv_sessions n then fresh () else n
+        in
+        fresh ()
   in
   match parse_program ~file source with
   | Error m -> Error (Rpc.error_obj ~code:Rpc.load_error m)

@@ -155,10 +155,55 @@ let test_dnf_true_false () =
   check_int "true" 1 (Argus.Dnf.num_conjuncts (Argus.Dnf.of_formula Argus.Formula.True));
   check_int "false" 0 (Argus.Dnf.num_conjuncts (Argus.Dnf.of_formula Argus.Formula.False))
 
+let check_dnf msg expected f =
+  Alcotest.(check (list (list int))) msg expected (Argus.Dnf.of_formula f)
+
+let test_dnf_edge_shapes () =
+  let open Argus.Formula in
+  check_dnf "x | x" [ [ 0 ] ] (Or [ Var 0; Var 0 ]);
+  check_dnf "(x & y) | x" [ [ 0 ] ] (Or [ And [ Var 0; Var 1 ]; Var 0 ]);
+  check_dnf "(y & x) | (x & y)" [ [ 0; 1 ] ] (Or [ And [ Var 1; Var 0 ]; And [ Var 0; Var 1 ] ]);
+  check_dnf "x & true" [ [ 0 ] ] (And [ Var 0; True ]);
+  check_dnf "true & x" [ [ 0 ] ] (And [ True; Var 0 ]);
+  check_dnf "x & false" [] (And [ Var 0; False ]);
+  check_dnf "false & x" [] (And [ False; Var 0 ]);
+  check_dnf "empty and" [ [] ] (And []);
+  check_dnf "empty or" [] (Or []);
+  check_dnf "x | true" [ [] ] (Or [ Var 0; True ]);
+  check_dnf "lexicographic order" [ [ 0; 2 ]; [ 1 ]; [ 2; 3 ] ]
+    (Or [ And [ Var 3; Var 2 ]; Var 1; And [ Var 2; Var 0 ] ])
+
+(* The naive reference: distribute every AND, then deduplicate and
+   absorb once at the end.  Shares no code with [Dnf]. *)
+let reference_dnf f =
+  let union a b = List.sort_uniq Int.compare (a @ b) in
+  let subset a b = List.for_all (fun x -> List.mem x b) a in
+  let rec go = function
+    | Argus.Formula.True -> [ [] ]
+    | Argus.Formula.False -> []
+    | Argus.Formula.Var i -> [ [ i ] ]
+    | Argus.Formula.Or fs -> List.concat_map go fs
+    | Argus.Formula.And fs ->
+        List.fold_left
+          (fun acc f ->
+            let d = go f in
+            List.concat_map (fun ca -> List.map (union ca) d) acc)
+          [ [] ] fs
+  in
+  let d = List.sort_uniq compare (go f) in
+  List.filter (fun c -> not (List.exists (fun c' -> c' <> c && subset c' c) d)) d
+
 (* random formulas for the equivalence property *)
 let formula_gen =
   let open QCheck.Gen in
-  let leaf = oneof [ map (fun i -> Argus.Formula.Var (abs i mod 6)) int ] in
+  let leaf =
+    frequency
+      [
+        (8, map (fun i -> Argus.Formula.Var (abs i mod 6)) int);
+        (1, return Argus.Formula.True);
+        (1, return Argus.Formula.False);
+      ]
+  in
   let rec node depth =
     if depth = 0 then leaf
     else
@@ -201,19 +246,9 @@ let prop_dnf_minimal =
           not (List.exists (fun c' -> c' <> c && Argus.Dnf.conj_subset c' c) d))
         d)
 
-let prop_dnf_lazy_same_semantics =
-  QCheck.Test.make ~name:"eager and lazy minimization agree semantically" ~count:200
-    arbitrary_formula (fun f ->
-      let eager = Argus.Dnf.of_formula f in
-      let lazy_ =
-        Argus.Dnf.of_formula ~cfg:{ Argus.Dnf.minimize_eagerly = false } f
-      in
-      let ok = ref true in
-      for mask = 0 to 63 do
-        let assign i = mask land (1 lsl i) <> 0 in
-        if Argus.Dnf.eval assign eager <> Argus.Dnf.eval assign lazy_ then ok := false
-      done;
-      !ok)
+let prop_dnf_matches_reference =
+  QCheck.Test.make ~name:"DNF equals the naive reference, order included" ~count:500
+    arbitrary_formula (fun f -> Argus.Dnf.of_formula f = reference_dnf f)
 
 (* ------------------------------------------------------------------ *)
 (* Inertia: the Appendix A.1 table, verbatim *)
@@ -564,6 +599,18 @@ let identity_trees () =
         tree );
     ]
 
+(* Every tree above, and every Fig. 12b size, normalizes exactly as the
+   naive reference does. *)
+let test_dnf_matches_reference_on_trees () =
+  List.iter
+    (fun (name, tree) ->
+      let f, _ = Argus.Formula.of_tree tree in
+      check_dnf name (reference_dnf f) f)
+    (identity_trees ()
+    @ List.map
+        (fun n -> (Printf.sprintf "synthetic-%d" n, Argus.Synthetic.of_size n))
+        Argus.Synthetic.fig12b_sizes)
+
 let test_view_cached_order_renders_identically () =
   let trees = identity_trees () in
   let failing_entries =
@@ -730,7 +777,7 @@ let test_ctxlinks_span_of_nodes () =
 
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_dnf_equivalent; prop_dnf_minimal; prop_dnf_lazy_same_semantics ]
+    [ prop_dnf_equivalent; prop_dnf_minimal; prop_dnf_matches_reference ]
 
 let () =
   Alcotest.run "argus"
@@ -758,6 +805,9 @@ let () =
           Alcotest.test_case "distribution" `Quick test_dnf_basic;
           Alcotest.test_case "absorption" `Quick test_dnf_absorption;
           Alcotest.test_case "true/false" `Quick test_dnf_true_false;
+          Alcotest.test_case "edge shapes" `Quick test_dnf_edge_shapes;
+          Alcotest.test_case "reference on corpus and Fig 12b" `Quick
+            test_dnf_matches_reference_on_trees;
         ] );
       ( "inertia",
         [

@@ -339,6 +339,39 @@ let test_diff_serve_section_tolerated () =
        (fun r -> Profile.Bench_diff.(r.r_section ^ "/" ^ r.r_name ^ "/" ^ r.r_metric))
        rep.Profile.Bench_diff.regressions)
 
+(* The [dnf] section (Fig. 12b rows keyed by tree) is gated: a 90x
+   slower row fails even CI's 25x threshold. *)
+let test_diff_dnf_section_gated () =
+  let dnf_doc ns =
+    match pipeline_doc base_entries with
+    | Argus_json.Json.Obj fields ->
+        Argus_json.Json.Obj
+          (fields
+          @ [
+              ( "dnf",
+                Argus_json.Json.List
+                  [
+                    Argus_json.Json.Obj
+                      [
+                        ("tree", Argus_json.Json.String "synthetic-36794");
+                        ("goals", Argus_json.Json.Int 36339);
+                        ("ns", Argus_json.Json.Float ns);
+                        ("conjuncts", Argus_json.Json.Int 39);
+                      ];
+                  ] );
+            ])
+    | j -> j
+  in
+  let rep =
+    Profile.Bench_diff.diff ~fail_above:25.0 ~old_doc:(dnf_doc 100_000.0)
+      ~new_doc:(dnf_doc 9_000_000.0) ()
+  in
+  Alcotest.(check (list string)) "the dnf row regressed"
+    [ "dnf/synthetic-36794/ns" ]
+    (List.map
+       (fun r -> Profile.Bench_diff.(r.r_section ^ "/" ^ r.r_name ^ "/" ^ r.r_metric))
+       rep.Profile.Bench_diff.regressions)
+
 let test_diff_rejects_foreign_schema () =
   let doc = pipeline_doc base_entries in
   let bad = Argus_json.Json.Obj [ ("schema", Argus_json.Json.String "other/v1") ] in
@@ -533,6 +566,7 @@ let () =
             test_diff_scale_section_tolerated;
           Alcotest.test_case "serve section tolerated" `Quick
             test_diff_serve_section_tolerated;
+          Alcotest.test_case "dnf section gated" `Quick test_diff_dnf_section_gated;
           Alcotest.test_case "foreign schema rejected" `Quick
             test_diff_rejects_foreign_schema;
         ] );

@@ -321,6 +321,20 @@ let test_oversized_literal_open () =
   Alcotest.(check bool) "solve answers" true
     (contains ~affix:"error[E0277]" (str "output" solved))
 
+(* An unnamed open skips the [s<n>] names clients already chose. *)
+let test_unnamed_open_skips_taken_names () =
+  fresh_state ();
+  let server = Serve.Server.create () in
+  let named =
+    call server "open" [ ("session", Json.String "s1"); ("source", Json.String failing_src) ]
+  in
+  Alcotest.(check string) "named open" "s1" (str "session" named);
+  let unnamed = call server "open" [ ("source", Json.String failing_src) ] in
+  Alcotest.(check string) "unnamed open takes the next free name" "s2"
+    (str "session" unnamed);
+  let again = call server "open" [ ("source", Json.String failing_src) ] in
+  Alcotest.(check string) "and the one after" "s3" (str "session" again)
+
 (* ------------------------------------------------------------------ *)
 (* Corpus-wide equivalence with the one-shot CLI *)
 
@@ -560,6 +574,8 @@ let () =
           Alcotest.test_case "error objects" `Quick test_golden_errors;
           Alcotest.test_case "oversized literal, then a good open" `Quick
             test_oversized_literal_open;
+          Alcotest.test_case "unnamed open skips taken names" `Quick
+            test_unnamed_open_skips_taken_names;
         ] );
       ( "equivalence",
         [

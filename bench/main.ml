@@ -489,9 +489,9 @@ let bench_fuzz_entries () =
     Parse and lower are per KB of source, flat for a linear front end.
     The solve runs cache off so every goal re-runs candidate assembly.
     Unify attempts per goal stay flat as the library grows: fast reject
-    drops head-incompatible impls before any unification, so the
-    per-goal cost that grows with the library is the linear
-    simplify-and-skip pass, never unifications. *)
+    drops head-incompatible impls before any unification, by one lookup
+    in the trait's head buckets, which the untimed warmup solve builds
+    (one pass per trait; see {!Trait_lang.Program.impls_with_head}). *)
 let bench_scale_entries () =
   let goals = 32 and seed = 42 in
   let fg = float_of_int goals in

@@ -48,65 +48,46 @@ let overlap_of_pair (icx : Infer_ctx.t) (a : Decl.impl) (b : Decl.impl) : overla
     result
   end
 
-(* Impls keyed by trait and simplified self head; a [None] head collects
-   the trait's wildcards (blanket impls). *)
-module Groups = Hashtbl.Make (struct
-  type t = Path.t * Fast_reject.simplified option
-
-  let equal (t, h) (t', h') = Path.equal t t' && Option.equal Fast_reject.equal_simplified h h'
-  let hash (t, h) = Hashtbl.hash (Path.hash t, Option.map Fast_reject.simplified_to_string h)
-end)
-
 (** Check every pair of same-trait impls that can overlap; returns all
     overlaps, in the order of the loop over all pairs of
     [Program.impls].
 
     Two rigid self heads that differ never unify (the fast-reject
-    soundness argument, {!Fast_reject}), so only pairs that share a
-    rigid head, or where either side is a wildcard, are probed.
+    soundness argument, {!Fast_reject}), so an impl is probed only
+    against the later impls of its head bucket
+    ({!Program.impls_with_head}): those that share its rigid head or
+    are wildcards, or, for a wildcard impl, every later impl of its
+    trait.
 
     The orphan rule is checked separately by {!orphan_violations}. *)
 let check (program : Program.t) : overlap list =
   let icx = Infer_ctx.for_program program in
-  let impls = Array.of_list (Program.impls program) in
-  let n = Array.length impls in
-  let trait_of i = impls.(i).Decl.impl_trait.trait in
-  let heads = Array.map Fast_reject.simplify_impl impls in
-  let groups = Groups.create 64 in
-  let members k = Option.value ~default:[] (Groups.find_opt groups k) in
-  for i = n - 1 downto 0 do
-    let k = (trait_of i, heads.(i)) in
-    Groups.replace groups k (i :: members k)
-  done;
-  let later i k = List.filter (fun j -> j > i) (members k) in
-  (* the impls after [i], ascending, that [i] can overlap *)
-  let partners i =
-    match heads.(i) with
-    | Some _ as h -> List.merge compare (later i (trait_of i, h)) (later i (trait_of i, None))
-    | None ->
-        List.filter
-          (fun j -> Path.equal (trait_of j) (trait_of i))
-          (List.init (n - i - 1) (fun k -> i + 1 + k))
+  (* the impls after [impl] in its bucket, in declaration order *)
+  let partners (impl : Decl.impl) =
+    let rec after = function [] -> [] | i :: rest -> if i == impl then rest else after rest in
+    after
+      (Program.impls_with_head program impl.impl_trait.trait (Simplified.of_impl impl)).impls
   in
   let out = ref [] in
-  for i = 0 to n - 1 do
-    List.iter
-      (fun j ->
-        match overlap_of_pair icx impls.(i) impls.(j) with
-        | Some o ->
-            if Journal.enabled () then
-              Journal.emit
-                (Journal.Overlap_detected
-                   {
-                     trait_ = o.trait_;
-                     impl_a = o.impl_a.Decl.impl_id;
-                     impl_b = o.impl_b.Decl.impl_id;
-                     witness = o.witness;
-                   });
-            out := o :: !out
-        | None -> ())
-      (partners i)
-  done;
+  List.iter
+    (fun a ->
+      List.iter
+        (fun b ->
+          match overlap_of_pair icx a b with
+          | Some o ->
+              if Journal.enabled () then
+                Journal.emit
+                  (Journal.Overlap_detected
+                     {
+                       trait_ = o.trait_;
+                       impl_a = o.impl_a.Decl.impl_id;
+                       impl_b = o.impl_b.Decl.impl_id;
+                       witness = o.witness;
+                     });
+              out := o :: !out
+          | None -> ())
+        (partners a))
+    (Program.impls program);
   List.rev !out
 
 (** The orphan rule: an impl is legal only if either the trait or the

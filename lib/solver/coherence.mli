@@ -18,8 +18,9 @@ type overlap = {
 val overlap_of_pair : Infer_ctx.t -> Decl.impl -> Decl.impl -> overlap option
 
 (** All pairwise overlaps in a program, in the order of the loop over
-    all pairs of [Program.impls].  Only same-trait pairs whose self
-    heads can unify ({!Fast_reject.compatible}) are probed. *)
+    all pairs of [Program.impls].  Each impl is probed only against the
+    later impls of its head bucket ({!Trait_lang.Program.impls_with_head}),
+    the same-trait impls whose self heads can unify with its own. *)
 val check : Program.t -> overlap list
 
 (** {1 The orphan rule (E0117)} *)

@@ -48,17 +48,26 @@ let to_string ?(explicit_crate = false) p =
 
 let pp ppf p = Fmt.string ppf (to_string p)
 
-let equal a b = a.crate = b.crate && a.segments = b.segments
+let equal a b =
+  a == b
+  || (match (a.crate, b.crate) with
+     | Local, Local -> true
+     | External s, External s' -> String.equal s s'
+     | _ -> false)
+     && List.equal String.equal a.segments b.segments
 
+(* [Local] sorts before every [External], crates by name *)
 let compare a b =
-  let c =
-    compare
-      (match a.crate with Local -> "" | External s -> s)
-      (match b.crate with Local -> "" | External s -> s)
-  in
-  if c <> 0 then c else compare a.segments b.segments
-
-let hash p = Hashtbl.hash (p.crate, p.segments)
+  if a == b then 0
+  else
+    let c =
+      match (a.crate, b.crate) with
+      | Local, Local -> 0
+      | Local, External _ -> -1
+      | External _, Local -> 1
+      | External s, External s' -> String.compare s s'
+    in
+    if c <> 0 then c else List.compare String.compare a.segments b.segments
 
 module Ord = struct
   type nonrec t = t

@@ -31,7 +31,6 @@ val to_string : ?explicit_crate:bool -> t -> string
 val pp : Format.formatter -> t -> unit
 val equal : t -> t -> bool
 val compare : t -> t -> int
-val hash : t -> int
 
 module Ord : Stdlib.Map.OrderedType with type t = t
 module Map : Stdlib.Map.S with type key = t

@@ -4,12 +4,23 @@
     [SelectStatement<..>: LoadQuery<'_, _, (i32, String)>]).
 
     The context is indexed for the lookups the solver performs constantly:
-    impls by trait, declarations by path. *)
+    impls by trait (and, per trait, by simplified self head), declarations
+    by path. *)
 
 type goal = {
   goal_pred : Predicate.t;
   goal_span : Span.t;  (** where in the user program the obligation arose *)
   goal_origin : string;  (** human description, e.g. "the call to .load(conn)" *)
+}
+
+type bucket = { impls : Decl.impl list; count : int; rejected : int }
+
+(* A trait's impls, plus their head buckets, built on first use: each
+   rigid head maps to its impls merged with the wildcards, and the
+   wildcards alone answer every other head. *)
+type trait_impls = {
+  all : bucket;
+  by_head : (bucket Simplified.Tbl.t * bucket) Lazy.t;
 }
 
 type t = {
@@ -23,7 +34,7 @@ type t = {
   types_by_path : Decl.tydecl Path.Map.t;
   traits_by_path : Decl.trdecl Path.Map.t;
   fns_by_path : Decl.fndecl Path.Map.t;
-  impls_by_trait : Decl.impl list Path.Map.t;
+  impls_by_trait : trait_impls Path.Map.t;
 }
 
 (* Every declaration-changing operation takes a fresh stamp, so two
@@ -54,6 +65,50 @@ let empty =
   }
 
 let stamp p = p.stamp
+
+let c_builds = Telemetry.counter "index.builds"
+let no_impls = { impls = []; count = 0; rejected = 0 }
+
+(* One pass over the impls in declaration order.  Buckets are consed in
+   reverse and reversed once: a wildcard goes onto every bucket seen so
+   far, and a head seen for the first time starts from the wildcards
+   before it. *)
+let bucket_heads impls total =
+  Telemetry.incr c_builds;
+  let heads = Simplified.Tbl.create total in
+  let push impl (b : bucket) = { b with impls = impl :: b.impls; count = b.count + 1 } in
+  let wild =
+    List.fold_left
+      (fun wild impl ->
+        match Simplified.of_impl impl with
+        | None ->
+            Simplified.Tbl.filter_map_inplace (fun _ b -> Some (push impl b)) heads;
+            push impl wild
+        | Some h ->
+            let b = Option.value ~default:wild (Simplified.Tbl.find_opt heads h) in
+            Simplified.Tbl.replace heads h (push impl b);
+            wild)
+      no_impls impls
+  in
+  let finish (b : bucket) = { b with impls = List.rev b.impls; rejected = total - b.count } in
+  Simplified.Tbl.filter_map_inplace (fun _ b -> Some (finish b)) heads;
+  (heads, finish wild)
+
+let trait_impls impls =
+  let count = List.length impls in
+  { all = { impls; count; rejected = 0 }; by_head = lazy (bucket_heads impls count) }
+
+let impls_with_head p trait_path head =
+  match (Path.Map.find_opt trait_path p.impls_by_trait, head) with
+  | None, _ -> no_impls
+  | Some e, None -> e.all
+  | Some e, Some h ->
+      let heads, wild = Lazy.force e.by_head in
+      Option.value ~default:wild (Simplified.Tbl.find_opt heads h)
+
+(** All impl blocks whose trait is [trait_path] — the CtxtLinks
+    "list the impls of this trait" popup reads exactly this. *)
+let impls_of_trait p trait_path = (impls_with_head p trait_path None).impls
 
 exception Duplicate_decl of Path.t
 
@@ -86,12 +141,11 @@ let add_fn (d : Decl.fndecl) p =
 
 let add_impl (d : Decl.impl) p =
   let key = d.impl_trait.trait in
-  let existing = Option.value ~default:[] (Path.Map.find_opt key p.impls_by_trait) in
   {
     p with
     stamp = fresh_stamp ();
     impls = d :: p.impls;
-    impls_by_trait = Path.Map.add key (existing @ [ d ]) p.impls_by_trait;
+    impls_by_trait = Path.Map.add key (trait_impls (impls_of_trait p key @ [ d ])) p.impls_by_trait;
   }
 
 let add_goal g p = { p with goals = p.goals @ [ g ] }
@@ -114,15 +168,14 @@ let of_decls ?(goals = []) decls =
    building there in one pass moves GC work into its timed solve
    (docs/PERFORMANCE.md, "Front end"). *)
 let build ~goals decls =
-  let add p (d : Decl.t) =
+  let add (p, by_trait) (d : Decl.t) =
     match d with
     | Decl.Impl i ->
-        let by_trait = Path.Map.add_to_list i.impl_trait.trait i p.impls_by_trait in
-        { p with impls = i :: p.impls; impls_by_trait = by_trait }
-    | d -> add_decl d p
+        ({ p with impls = i :: p.impls }, Path.Map.add_to_list i.impl_trait.trait i by_trait)
+    | d -> (add_decl d p, by_trait)
   in
-  let p = List.fold_left add empty decls in
-  let impls_by_trait = Path.Map.map List.rev p.impls_by_trait in
+  let p, by_trait = List.fold_left add (empty, Path.Map.empty) decls in
+  let impls_by_trait = Path.Map.map (fun rev -> trait_impls (List.rev rev)) by_trait in
   { p with stamp = fresh_stamp (); goals; impls_by_trait }
 
 (* Declaration order: the [types]/[traits]/... lists above are built by
@@ -137,10 +190,6 @@ let find_type p path = Path.Map.find_opt path p.types_by_path
 let find_trait p path = Path.Map.find_opt path p.traits_by_path
 let find_fn p path = Path.Map.find_opt path p.fns_by_path
 
-(** All impl blocks whose trait is [trait_path] — the CtxtLinks
-    "list the impls of this trait" popup reads exactly this. *)
-let impls_of_trait p trait_path =
-  Option.value ~default:[] (Path.Map.find_opt trait_path p.impls_by_trait)
 
 let find_impl p id = List.find_opt (fun (i : Decl.impl) -> i.impl_id = id) p.impls
 

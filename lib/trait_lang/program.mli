@@ -48,6 +48,19 @@ val find_fn : t -> Path.t -> Decl.fndecl option
 (** All impl blocks of a trait — the CtxtLinks Fig. 8b listing. *)
 val impls_of_trait : t -> Path.t -> Decl.impl list
 
+(** Some of a trait's impls, in declaration order: [count] of them, and
+    [rejected] more that the bucket leaves out. *)
+type bucket = { impls : Decl.impl list; count : int; rejected : int }
+
+(** The impls of a trait whose simplified self head is compatible with
+    [head], in declaration order: all of them for [None]; for a rigid
+    head, the impls with that head merged with the wildcard (blanket)
+    impls, or the wildcards alone if no impl has it.  The first
+    rigid-head query buckets all of the trait's impls in one pass
+    ([index.builds]); [add_impl] gives its trait fresh buckets, other
+    edits keep them. *)
+val impls_with_head : t -> Path.t -> Simplified.t option -> bucket
+
 val find_impl : t -> int -> Decl.impl option
 
 (** Resolve an unqualified item name to its unique path. *)

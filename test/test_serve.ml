@@ -338,9 +338,23 @@ let test_unnamed_open_skips_taken_names () =
 (* ------------------------------------------------------------------ *)
 (* Corpus-wide equivalence with the one-shot CLI *)
 
-(* Tests run in _build/default/test; the CLI binary is a declared test
-   dependency one directory up. *)
-let cli = Filename.concat ".." (Filename.concat "bin" "argus_cli.exe")
+(* The CLI binary is a declared test dependency, built next to this
+   test's own directory ([_build/default/bin] beside
+   [_build/default/test]), so it is found from the test executable's
+   absolute path, whatever the working directory. *)
+let cli =
+  Filename.concat
+    (Filename.dirname (Filename.dirname Sys.executable_name))
+    (Filename.concat "bin" "argus_cli.exe")
+
+(* Run [f] on a fresh temporary directory, removed with its files after. *)
+let with_temp_dir f =
+  let dir = Filename.temp_dir "argus_test_serve" "" in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun n -> Sys.remove (Filename.concat dir n)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () -> f dir)
 
 (* For every bundled corpus program: serve [solve] must byte-match
    `argus check FILE`, serve [tree] must byte-match `argus bottom-up
@@ -349,34 +363,27 @@ let cli = Filename.concat ".." (Filename.concat "bin" "argus_cli.exe")
    renderers fed by the same journal bytes. *)
 let test_corpus_cli_equivalence () =
   fresh_state ();
+  with_temp_dir @@ fun dir ->
+  let file name = Filename.concat dir name in
+  let run fmt = Printf.ksprintf Sys.command fmt in
+  let q = Filename.quote in
   List.iter
     (fun (e : Corpus.Harness.entry) ->
-      let path = "serve_eq.trait" in
+      let path = file "serve_eq.trait" and journal = file "serve_eq.jsonl" in
       write_file path e.source;
       let code =
-        Sys.command
-          (Printf.sprintf
-             "%s check --events-out serve_eq.jsonl %s > serve_eq_check.out 2> \
-              serve_eq_check.err"
-             cli path)
+        run "%s check --events-out %s %s > %s 2> %s" (q cli) (q journal) (q path)
+          (q (file "check.out")) (q (file "check.err"))
       in
       Alcotest.(check bool)
         (e.id ^ ": check exits 0 or 1")
         true (code = 0 || code = 1);
-      let code =
-        Sys.command
-          (Printf.sprintf "%s bottom-up %s > serve_eq_tree.out 2>&1" cli path)
-      in
+      let code = run "%s bottom-up %s > %s 2>&1" (q cli) (q path) (q (file "tree.out")) in
       Alcotest.(check int) (e.id ^ ": bottom-up exits 0") 0 code;
-      let code =
-        Sys.command
-          (Printf.sprintf "%s explain serve_eq.jsonl > serve_eq_sum.out 2>&1" cli)
-      in
+      let code = run "%s explain %s > %s 2>&1" (q cli) (q journal) (q (file "sum.out")) in
       Alcotest.(check int) (e.id ^ ": explain exits 0") 0 code;
       let code =
-        Sys.command
-          (Printf.sprintf "%s explain --failures serve_eq.jsonl > serve_eq_fail.out 2>&1"
-             cli)
+        run "%s explain --failures %s > %s 2>&1" (q cli) (q journal) (q (file "fail.out"))
       in
       Alcotest.(check int) (e.id ^ ": explain --failures exits 0") 0 code;
       (* the same program through a cold in-process server *)
@@ -388,22 +395,22 @@ let test_corpus_cli_equivalence () =
       let solved = call server "solve" [ ("session", Json.String "eq") ] in
       Alcotest.(check string)
         (e.id ^ ": serve solve == argus check")
-        (read_file "serve_eq_check.out") (str "output" solved);
+        (read_file (file "check.out")) (str "output" solved);
       let treed = call server "tree" [ ("session", Json.String "eq") ] in
       Alcotest.(check string)
         (e.id ^ ": serve tree == argus bottom-up")
-        (read_file "serve_eq_tree.out") (str "output" treed);
+        (read_file (file "tree.out")) (str "output" treed);
       let summary = call server "explain" [ ("session", Json.String "eq") ] in
       Alcotest.(check string)
         (e.id ^ ": serve explain == argus explain")
-        (read_file "serve_eq_sum.out") (str "output" summary);
+        (read_file (file "sum.out")) (str "output" summary);
       let failures =
         call server "explain"
           [ ("session", Json.String "eq"); ("failures", Json.Bool true) ]
       in
       Alcotest.(check string)
         (e.id ^ ": serve explain failures == argus explain --failures")
-        (read_file "serve_eq_fail.out")
+        (read_file (file "fail.out"))
         (str "output" failures))
     Corpus.Suite.entries
 
@@ -528,7 +535,8 @@ let test_reload_unchanged_noop () =
   fresh_state ();
   Telemetry.enable ();
   Fun.protect ~finally:(fun () -> Telemetry.disable ()) @@ fun () ->
-  let path = "serve_noop.trait" in
+  with_temp_dir @@ fun dir ->
+  let path = Filename.concat dir "serve_noop.trait" in
   write_file path failing_src;
   let server = Serve.Server.create () in
   let _ =

@@ -134,6 +134,7 @@ ci:
 	dune exec bin/argus_cli.exe -- corpus --all
 	dune exec bin/argus_cli.exe -- fuzz --iters 200 --seed 42
 	dune exec bin/argus_cli.exe -- watch --once examples/timer.trait; test $$? -eq 1
+	timeout 60 dune exec bin/argus_cli.exe -- check examples/deep_chain.trait
 	timeout 60 dune exec bin/argus_cli.exe -- check --events-out /dev/null examples/deep_chain.trait
 	timeout 60 dune exec bin/argus_cli.exe -- check --no-cache examples/deep_chain.trait
 	$(MAKE) serve-smoke

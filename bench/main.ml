@@ -27,8 +27,8 @@ let bench_runs = ref 21
 let bench_warmup = ref 3
 
 (** Median wall-clock nanoseconds of [f] over [runs] timed runs, after
-    [warmup] untimed runs (fills icache/branch predictors and — for the
-    solver — the evaluation cache, so timed runs measure steady state). *)
+    [warmup] untimed runs (fills icache and branch predictors, so timed
+    runs measure steady state). *)
 let time_median ?runs ?warmup f =
   let runs = Option.value runs ~default:!bench_runs in
   let warmup = Option.value warmup ~default:!bench_warmup in
@@ -385,23 +385,37 @@ let diesel_median rows =
   in
   if speedups = [] then 0.0 else Stats.Descriptive.median speedups
 
-(** Evaluation-cache on/off comparison per 17-program suite entry.  The
-    program is loaded once, so its interner stamp is stable and warm-up
-    runs on the "on" side populate the cache the timed runs then hit.
-    Hit/miss counters come from one extra telemetry-counted run against
-    the warm cache. *)
+(** Evaluation-cache on/off comparison per 17-program suite entry: a
+    cold solve of a fresh program each time, as a user's check runs.
+    Every timed call solves its own freshly loaded copy (loaded
+    untimed), so it pays its own head-bucket builds; and each
+    [solve_program] run starts from an empty cache of its own, so there
+    is nothing warm to hit across runs.  Hit/miss counters come from one
+    extra telemetry-counted run. *)
 let bench_cache_entries () =
   Printf.printf "  %-28s %12s %12s %8s %7s %7s\n" "program" "cache off" "cache on"
     "speedup" "hits" "misses";
   let rows =
     List.map
       (fun (e : Corpus.Harness.entry) ->
+        let cold ~cache =
+          let copies =
+            Array.init (!bench_runs + !bench_warmup) (fun _ -> Corpus.Harness.load e)
+          in
+          let next = ref 0 in
+          Solver.Eval_cache.set_enabled cache;
+          let ns =
+            time_median (fun () ->
+                let program = copies.(!next) in
+                incr next;
+                Solver.Obligations.solve_program program)
+          in
+          Solver.Eval_cache.set_enabled true;
+          ns
+        in
+        let ns_off = cold ~cache:false in
+        let ns_on = cold ~cache:true in
         let program = Corpus.Harness.load e in
-        Solver.Eval_cache.set_enabled false;
-        let ns_off = time_median (fun () -> Solver.Obligations.solve_program program) in
-        Solver.Eval_cache.set_enabled true;
-        Solver.Eval_cache.clear ();
-        let ns_on = time_median (fun () -> Solver.Obligations.solve_program program) in
         Telemetry.reset ();
         Telemetry.enable ();
         ignore (Solver.Obligations.solve_program program);
@@ -572,9 +586,7 @@ let bench_serve_entries () =
         ("cache_lookups", Json.Int stats.Fuzz.Serve_load.ls_cache_lookups);
       ]
   in
-  let rows = [ row "serve-j1" ] in
-  Solver.Eval_cache.clear ();
-  rows
+  [ row "serve-j1" ]
 
 (** One benchmark entry per corpus program, across every suite: median
     end-to-end solve time, inference-tree size, and the headline solver
@@ -639,7 +651,9 @@ let bench_sections =
   [
     ("entries", "pipeline entries (every corpus suite)", bench_corpus_entries);
     ("journal", "journal overhead (17-program suite)", bench_journal_entries);
-    ("cache", "evaluation cache on/off (17-program suite)", bench_cache_entries);
+    ( "cache",
+      "evaluation cache on/off, cold per fresh program (17-program suite)",
+      bench_cache_entries );
     ( "fuzz",
       "differential fuzzing (generation + oracle bank, seed 42)",
       bench_fuzz_entries );

@@ -1069,9 +1069,8 @@ let watch_cmd =
     (Cmd.info "watch" ~exits
        ~doc:
          "Re-solve $(i,FILE) on every change through one persistent solving \
-          session: each save is re-parsed and solved again, and the previous \
-          version's cache entries are dropped. Prints rustc-style \
-          diagnostics after every resolve.")
+          session: each save is re-parsed and solved again from scratch. \
+          Prints rustc-style diagnostics after every resolve.")
     Term.(const run $ telemetry_term $ file_arg $ interval_arg $ once_arg)
 
 (* ------------------------------------------------------------------ *)

@@ -123,8 +123,12 @@ let add_node b ~parent kind children_of =
   b.rev_nodes <- { id; kind; parent; children } :: b.rev_nodes;
   id
 
+(* Ids are dense, [0 .. next - 1], each added once: fill the arena by
+   id directly. *)
 let build b ~root =
-  let tbl = Hashtbl.create (max 16 b.next) in
-  List.iter (fun n -> Hashtbl.replace tbl n.id n) b.rev_nodes;
-  let nodes = Array.init b.next (fun i -> Hashtbl.find tbl i) in
-  { nodes; root }
+  match b.rev_nodes with
+  | [] -> { nodes = [||]; root }
+  | last :: _ ->
+      let nodes = Array.make b.next last in
+      List.iter (fun n -> nodes.(n.id) <- n) b.rev_nodes;
+      { nodes; root }

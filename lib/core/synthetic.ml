@@ -32,16 +32,16 @@ let config_of_size n =
 let pred_of_int i =
   Predicate.Trait
     {
-      self_ty = Ty.ctor (Path.local [ Printf.sprintf "S%d" i ]) [];
-      trait_ref = Ty.trait_ref (Path.external_ "lib" [ Printf.sprintf "T%d" (i mod 97) ]);
+      self_ty = Ty.ctor (Path.local [ "S" ^ string_of_int i ]) [];
+      trait_ref = Ty.trait_ref (Path.external_ "lib" [ "T" ^ string_of_int (i mod 97) ]);
     }
 
 let impl_of_int i : Decl.impl =
   {
     impl_id = i;
     impl_generics = Decl.no_generics;
-    impl_trait = Ty.trait_ref (Path.external_ "lib" [ Printf.sprintf "T%d" (i mod 97) ]);
-    impl_self = Ty.ctor (Path.local [ Printf.sprintf "S%d" i ]) [];
+    impl_trait = Ty.trait_ref (Path.external_ "lib" [ "T" ^ string_of_int (i mod 97) ]);
+    impl_self = Ty.ctor (Path.local [ "S" ^ string_of_int i ]) [];
     impl_assocs = [];
     impl_span = Span.dummy;
     impl_crate = Path.External "lib";

@@ -1,6 +1,6 @@
 (* Program-level edit scripts (see edit.mli).  All ops rebuild via
-   [Program.build], so each version carries a fresh program stamp
-   while every untouched declaration value is reused as-is. *)
+   [Program.build], so each version is a new program value while every
+   untouched declaration value is reused as-is. *)
 
 open Trait_lang
 module Rng = Stats.Rng

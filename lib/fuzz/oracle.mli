@@ -11,10 +11,11 @@ type name =
   | Wellformed
       (** generated programs parse, resolve, and solve without error *)
   | Cache
-      (** cache-off ≡ cache-cold ≡ cache-warm on unjournaled runs
-          (statuses, rounds, proof trees, {!fingerprint}), and a
-          journaled cache-on run ≡ the journaled cache-off run, event for
-          event, leaving the cache's entries unchanged *)
+      (** cache-off ≡ cache-on on unjournaled runs, of the program and
+          of the program with every goal doubled (whose second copies
+          replay in the same run) — statuses, rounds, proof trees,
+          {!fingerprint} — and a journaled cache-on run ≡ the journaled
+          cache-off run, event for event, moving no [cache.*] counter *)
   | Journal
       (** journal replay rebuilds exactly the solver's direct trace
           forest *)
@@ -33,8 +34,7 @@ type name =
           response payload against a fresh cache-off scratch run (check
           output, trees, view lines, failure narrative, explain summary,
           profile) at the base program and at every edit step; an
-          unchanged reload must be a stamp-equal no-op that leaves the
-          cache untouched *)
+          unchanged reload must be a no-op *)
 
 (** All oracles, in campaign execution order ({!Wellformed} first). *)
 val all : name list

@@ -68,7 +68,6 @@ let run ?(programs = 8) ~clients ~seed () =
   in
   let sources = Array.of_list sources and edited = Array.of_list edited in
   let server = Serve.Server.create () in
-  Solver.Eval_cache.clear ();
   let was_enabled = Telemetry.enabled () in
   Telemetry.enable ();
   Fun.protect

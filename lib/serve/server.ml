@@ -218,8 +218,7 @@ let handle_reload t params =
   let* s = find_session t name in
   let* file, source = source_of_params params in
   (* An unchanged source re-uses the loaded Program value, so a no-op
-     save skips the parse and reports [noop] (program stamps are
-     fresh per parse). *)
+     save skips the parse and reports [noop]. *)
   let program =
     if String.equal source s.ss_source then Ok s.ss_program
     else parse_program ~file source

@@ -17,92 +17,26 @@
 
 open Trait_lang
 
-(* Sharing-preserving inference-variable renaming: the input term comes
-   back physically unchanged when [f] fixes every variable in it — the
-   common case, since most goal terms are ground. *)
+(* Inference-variable renaming, sharing-preserving ({!Ty.map_infer}):
+   the input term comes back physically unchanged when [f] fixes every
+   variable in it — the common case, since most goal terms are
+   ground. *)
 
-let map_sharing f l =
-  let changed = ref false in
-  let l' =
-    List.map
-      (fun x ->
-        let y = f x in
-        if y != x then changed := true;
-        y)
-      l
-  in
-  if !changed then l' else l
+let rename f node v =
+  let v' = f v in
+  if v' = v then node else Ty.Infer v'
 
-let rec map_ty f (t : Ty.t) : Ty.t =
-  match t with
-  | Unit | Bool | Int | Uint | Float | Str | Param _ -> t
-  | Infer v ->
-      let v' = f v in
-      if v' = v then t else Infer v'
-  | Ref (r, t') ->
-      let t2 = map_ty f t' in
-      if t2 == t' then t else Ref (r, t2)
-  | RefMut (r, t') ->
-      let t2 = map_ty f t' in
-      if t2 == t' then t else RefMut (r, t2)
-  | Ctor (p, args) ->
-      let args' = map_sharing (map_arg f) args in
-      if args' == args then t else Ctor (p, args')
-  | Tuple ts ->
-      let ts' = map_sharing (map_ty f) ts in
-      if ts' == ts then t else Tuple ts'
-  | FnPtr (args, ret) ->
-      let args' = map_sharing (map_ty f) args and ret' = map_ty f ret in
-      if args' == args && ret' == ret then t else FnPtr (args', ret')
-  | FnItem (p, args, ret) ->
-      let args' = map_sharing (map_ty f) args and ret' = map_ty f ret in
-      if args' == args && ret' == ret then t else FnItem (p, args', ret')
-  | Dynamic tr ->
-      let tr' = map_trait_ref f tr in
-      if tr' == tr then t else Dynamic tr'
-  | Proj p ->
-      let p' = map_projection f p in
-      if p' == p then t else Proj p'
+let map_ty f = Ty.map_infer (rename f)
+let map_projection f = Ty.map_infer_projection (rename f)
 
-and map_arg f (a : Ty.arg) : Ty.arg =
-  match a with
-  | Ty t ->
-      let t' = map_ty f t in
-      if t' == t then a else Ty t'
-  | Lifetime _ -> a
-
-and map_trait_ref f (tr : Ty.trait_ref) : Ty.trait_ref =
-  let args' = map_sharing (map_arg f) tr.args in
-  if args' == tr.args then tr else { tr with args = args' }
-
-and map_projection f (p : Ty.projection) : Ty.projection =
-  let self_ty' = map_ty f p.self_ty
-  and proj_trait' = map_trait_ref f p.proj_trait
-  and assoc_args' = map_sharing (map_arg f) p.assoc_args in
-  if self_ty' == p.self_ty && proj_trait' == p.proj_trait && assoc_args' == p.assoc_args
-  then p
-  else { p with self_ty = self_ty'; proj_trait = proj_trait'; assoc_args = assoc_args' }
-
+(* A [NormalizesTo]'s output variable is renamed too. *)
 let map_predicate f (p : Predicate.t) : Predicate.t =
   match p with
-  | Trait { self_ty; trait_ref } ->
-      let self_ty' = map_ty f self_ty and trait_ref' = map_trait_ref f trait_ref in
-      if self_ty' == self_ty && trait_ref' == trait_ref then p
-      else Trait { self_ty = self_ty'; trait_ref = trait_ref' }
-  | Projection { projection; term } ->
-      let projection' = map_projection f projection and term' = map_ty f term in
-      if projection' == projection && term' == term then p
-      else Projection { projection = projection'; term = term' }
-  | TypeOutlives (t, r) ->
-      let t' = map_ty f t in
-      if t' == t then p else TypeOutlives (t', r)
-  | RegionOutlives _ | ObjectSafe _ | ConstEvaluatable _ -> p
-  | WellFormed t ->
-      let t' = map_ty f t in
-      if t' == t then p else WellFormed t'
   | NormalizesTo (pr, v) ->
-      let pr' = map_projection f pr and v' = f v in
+      let pr' = map_projection f pr in
+      let v' = f v in
       if pr' == pr && v' = v then p else NormalizesTo (pr', v')
+  | _ -> Predicate.map_infer (rename f) p
 
 (* ------------------------------------------------------------------ *)
 (* Canonicalization *)

@@ -143,6 +143,7 @@ type wf_failure = {
     [AssocData<Self>].  The impl's own where-clauses are in scope, which
     is exactly how the §2.2 blanket impl sets up its cycle. *)
 let check_impl_wf ?(cfg = Solve.default_config) (program : Program.t) : wf_failure list =
+  let cache = Eval_cache.create () in
   let failures = ref [] in
   List.iter
     (fun (impl : Decl.impl) ->
@@ -179,10 +180,11 @@ let check_impl_wf ?(cfg = Solve.default_config) (program : Program.t) : wf_failu
                         Predicate.Trait { self_ty = binding_ty; trait_ref = bound }
                       in
                       let st =
-                        Solve.create ~cfg ~env:impl.impl_generics.where_clauses program
+                        Solve.create ~cfg ~env:impl.impl_generics.where_clauses ~cache
+                          program
                       in
                       (* Result-tier fast path: bounds already proved under
-                         this (program, where-clause) context skip the
+                         this where-clause context, earlier in this pass, skip the
                          tree-building solve entirely; a miss or a cached
                          failure re-derives the full tree, which a failure
                          keeps as [wf_tree]. *)
@@ -193,7 +195,7 @@ let check_impl_wf ?(cfg = Solve.default_config) (program : Program.t) : wf_failu
                                (Canonical.canonicalize st.Solve.icx pred))
                         else None
                       in
-                      let cached = Option.bind key Eval_cache.find_result in
+                      let cached = Option.bind key (Eval_cache.find_result st.cache_ctx) in
                       let skip = match cached with Some r -> Res.is_yes r | None -> false in
                       if not skip then begin
                         let node =
@@ -210,7 +212,7 @@ let check_impl_wf ?(cfg = Solve.default_config) (program : Program.t) : wf_failu
                                 (fun acc g -> acc && not (Trace.is_overflow g))
                                 true node
                             in
-                            if clean then Eval_cache.insert_result k node.result
+                            if clean then Eval_cache.insert_result st.cache_ctx k node.result
                         | _ -> ());
                         if not (Res.is_yes node.result) then
                           failures :=

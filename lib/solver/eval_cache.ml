@@ -1,4 +1,4 @@
-(** The global trait-solver evaluation cache.
+(** The trait-solver evaluation cache.
 
     Trait solving re-derives the same facts constantly: coherence checks
     every impl's bounds, the obligation engine re-runs [Maybe] goals to a
@@ -47,10 +47,15 @@
 
     {2 Storage}
 
-    One table per tier, with one LRU clock across both, as plain module
-    state: argus runs on one domain.  Keys embed the program stamp and
-    the interned predicate (compared with [==]).  A full tier evicts its
-    least-recently-used half. *)
+    The cache is a value, one per run: {!Obligations.solve_program},
+    a coherence pass or a type-checking pass creates one, every
+    {!Solve.t} of the run shares it, and it goes when the run's solver
+    state does.  Nothing is evicted and nothing carries over to the
+    next run, so keys need no program stamp.  A key is the predicate
+    itself plus the solver's param-env and depth limit, hashed
+    structurally and compared with [Predicate.equal] — whose [==] fast
+    path fires on ground goals, since {!Infer_ctx.resolve} hands back
+    the program's own terms unchanged. *)
 
 open Trait_lang
 
@@ -60,72 +65,6 @@ let c_tree_insert = Telemetry.counter "cache.tree.inserts"
 let c_tree_reject = Telemetry.counter "cache.tree.rejects"
 let c_result_hit = Telemetry.counter "cache.result.hits"
 let c_result_miss = Telemetry.counter "cache.result.misses"
-
-(* ------------------------------------------------------------------ *)
-(* Keys *)
-
-type ctx = {
-  x_stamp : int;  (** {!Program.stamp} — identifies the declaration set *)
-  x_env : Predicate.t list;  (** elaborated param-env, interned *)
-  x_depth_limit : int;
-  x_hash : int;
-}
-
-let make_ctx ~stamp ~depth_limit (env : Predicate.t list) : ctx =
-  let env = List.map Interner.predicate env in
-  let h =
-    List.fold_left
-      (fun h p -> (h * 31) + (Interner.predicate_info p).Interner.id)
-      (Hashtbl.hash (stamp, depth_limit))
-      env
-  in
-  { x_stamp = stamp; x_env = env; x_depth_limit = depth_limit; x_hash = h }
-
-let ctx_env c = c.x_env
-
-let ctx_equal a b =
-  a == b
-  || a.x_stamp = b.x_stamp
-     && a.x_depth_limit = b.x_depth_limit
-     && List.length a.x_env = List.length b.x_env
-     && List.for_all2 ( == ) a.x_env b.x_env
-
-type key = {
-  k_ctx : ctx;
-  k_pred : Predicate.t;  (** interned; canonical when [k_vars > 0] *)
-  k_vars : int;
-  k_hash : int;
-}
-
-let tree_key ctx (pred : Predicate.t) : key =
-  let info = Interner.predicate_info pred in
-  {
-    k_ctx = ctx;
-    k_pred = info.Interner.node;
-    k_vars = 0;
-    k_hash = ctx.x_hash lxor (info.Interner.hash * 65599);
-  }
-
-let result_key ctx (c : Canonical.canonical) : key =
-  let info = Interner.predicate_info c.c_pred in
-  {
-    k_ctx = ctx;
-    k_pred = info.Interner.node;
-    k_vars = c.c_vars;
-    k_hash = ctx.x_hash lxor (info.Interner.hash * 65599) lxor (c.c_vars * 7919);
-  }
-
-module K = struct
-  type t = key
-
-  let equal a b =
-    a.k_hash = b.k_hash && a.k_vars = b.k_vars && a.k_pred == b.k_pred
-    && ctx_equal a.k_ctx b.k_ctx
-
-  let hash k = k.k_hash
-end
-
-module Tbl = Hashtbl.Make (K)
 
 (* ------------------------------------------------------------------ *)
 (* Entries *)
@@ -140,34 +79,66 @@ type tree_entry = {
   e_depth : int;
   e_max_depth_off : int;  (** deepest subtree node, relative to [e_depth] *)
   e_touched : Predicate.t list;  (** ground Trait/Projection preds inside *)
-  mutable e_lru : int;
 }
 
-type result_entry = { r_res : Res.t; mutable r_lru : int }
-
 (* ------------------------------------------------------------------ *)
-(* Tables *)
+(* Keys and tables *)
 
-(* Capacity per tier is generous, so eviction pressure — the only
-   cross-unit interaction left once keys embed fresh program stamps —
-   stays out of the way of a whole-corpus run. *)
-let capacity = 16 * 1024
+(* Everything an evaluation's outcome depends on besides the goal and
+   the program: one per solver, shared by all its keys. *)
+type scope = {
+  s_env : Predicate.t list;  (** elaborated param-env *)
+  s_depth_limit : int;
+  s_hash : int;
+}
 
-let tree_tbl : tree_entry Tbl.t = Tbl.create 1024
-let result_tbl : result_entry Tbl.t = Tbl.create 1024
-let clock = ref 0
+type key = {
+  k_scope : scope;
+  k_pred : Predicate.t;  (** canonical when [k_vars > 0] *)
+  k_vars : int;
+  k_hash : int;
+}
 
-let tick () =
-  incr clock;
-  !clock
+module Tbl = Hashtbl.Make (struct
+  type t = key
 
-(* Evict the least-recently-used half when full: O(n log n) amortized
-   over n/2 inserts. *)
-let evict_half (type e) (tbl : e Tbl.t) (lru_of : e -> int) =
-  let all = Tbl.fold (fun k e acc -> (k, e) :: acc) tbl [] in
-  let sorted = List.sort (fun (_, a) (_, b) -> compare (lru_of a) (lru_of b)) all in
-  let n = List.length sorted / 2 in
-  List.iteri (fun i (k, _) -> if i < n then Tbl.remove tbl k) sorted
+  let equal a b =
+    a.k_hash = b.k_hash && a.k_vars = b.k_vars
+    && Predicate.equal a.k_pred b.k_pred
+    && (a.k_scope == b.k_scope
+       || a.k_scope.s_depth_limit = b.k_scope.s_depth_limit
+          && List.equal Predicate.equal a.k_scope.s_env b.k_scope.s_env)
+
+  let hash k = k.k_hash
+end)
+
+type t = { tree : tree_entry Tbl.t; result : Res.t Tbl.t }
+
+(* A corpus run inserts about six entries: start small. *)
+let create () = { tree = Tbl.create 8; result = Tbl.create 8 }
+
+type ctx = { x_cache : t; x_scope : scope }
+
+(* Structural, bounded: a deep predicate hashes in constant time, and
+   the rare collision falls through to [Predicate.equal]. *)
+let hash_pred (p : Predicate.t) = Hashtbl.hash_param 20 100 p
+
+let make_ctx cache ~depth_limit (env : Predicate.t list) : ctx =
+  let s_hash = Hashtbl.hash_param 20 100 (depth_limit, env) in
+  { x_cache = cache; x_scope = { s_env = env; s_depth_limit = depth_limit; s_hash } }
+
+let tree_key ctx (pred : Predicate.t) : key =
+  let sc = ctx.x_scope in
+  { k_scope = sc; k_pred = pred; k_vars = 0; k_hash = sc.s_hash lxor (hash_pred pred * 65599) }
+
+let result_key ctx (c : Canonical.canonical) : key =
+  let sc = ctx.x_scope in
+  {
+    k_scope = sc;
+    k_pred = c.c_pred;
+    k_vars = c.c_vars;
+    k_hash = sc.s_hash lxor (hash_pred c.c_pred * 65599) lxor (c.c_vars * 7919);
+  }
 
 let enabled_flag = ref true
 let set_enabled b = enabled_flag := b
@@ -178,14 +149,11 @@ let set_enabled b = enabled_flag := b
    the tier functions below check only the switch. *)
 let enabled () = !enabled_flag && not (Journal.enabled ())
 
-let clear () =
-  Tbl.reset tree_tbl;
-  Tbl.reset result_tbl;
-  clock := 0
+let clear () = ()
 
 type stats = { cs_tree : int; cs_result : int }
 
-let stats () = { cs_tree = Tbl.length tree_tbl; cs_result = Tbl.length result_tbl }
+let stats c = { cs_tree = Tbl.length c.tree; cs_result = Tbl.length c.result }
 
 (* ------------------------------------------------------------------ *)
 (* Tree tier: lookup *)
@@ -195,26 +163,20 @@ let stats () = { cs_tree = Tbl.length tree_tbl; cs_result = Tbl.length result_tb
     (every depth-limit comparison the original evaluation passed must
     still pass), and no ground predicate inside it may cycle-match the
     current evaluation stack. *)
-let find_tree key ~depth ~(stack : Predicate.t list) : tree_entry option =
+let find_tree ctx key ~depth ~(stack : Predicate.t list) : tree_entry option =
   if not !enabled_flag then None
   else
     let hit =
-      match Tbl.find_opt tree_tbl key with
-      | None -> None
-      | Some e ->
-          if
-            depth + e.e_max_depth_off <= key.k_ctx.x_depth_limit
-            && not
-                 (List.exists (fun p -> List.exists (Predicate.equal p) stack) e.e_touched)
-          then begin
-            e.e_lru <- tick ();
-            Some e
-          end
-          else None
+      match Tbl.find_opt ctx.x_cache.tree key with
+      | Some e
+        when depth + e.e_max_depth_off <= key.k_scope.s_depth_limit
+             && not
+                  (List.exists (fun p -> List.exists (Predicate.equal p) stack) e.e_touched)
+        ->
+          Some e
+      | _ -> None
     in
-    (match hit with
-    | Some _ -> Telemetry.incr c_tree_hit
-    | None -> Telemetry.incr c_tree_miss);
+    Telemetry.incr (if Option.is_some hit then c_tree_hit else c_tree_miss);
     hit
 
 (* ------------------------------------------------------------------ *)
@@ -242,8 +204,10 @@ let open_frame icx ~key ~gid ~depth : frame =
     f_depth = depth;
   }
 
-let vars_ok ~start p = List.for_all (fun v -> v >= start) (Predicate.infer_vars p)
-let ty_ok ~start t = List.for_all (fun v -> v >= start) (Ty.infer_vars t)
+(* Does every inference variable in the term date from the evaluation? *)
+let var_ok ~start ok (t : Ty.t) = ok && match t with Infer v -> v >= start | _ -> true
+let vars_ok ~start p = Predicate.fold_tys (var_ok ~start) true p
+let ty_ok ~start t = Ty.fold (var_ok ~start) true t
 
 let failure_ok ~start (f : Unify.failure) =
   match f with
@@ -258,7 +222,7 @@ let failure_ok ~start (f : Unify.failure) =
     - persistently bound an inference variable that predates the
       evaluation, or references one from a binding or failure payload
       (cannot be renumbered into another solver's variable space). *)
-let try_insert icx (f : frame) (node : Trace.goal_node) =
+let try_insert ctx icx (f : frame) (node : Trace.goal_node) =
   if !enabled_flag then begin
     let start = f.f_var_start in
     let ok = ref true in
@@ -295,10 +259,9 @@ let try_insert icx (f : frame) (node : Trace.goal_node) =
     in
     if !ok then begin
       Telemetry.incr c_tree_insert;
-      if Tbl.length tree_tbl >= capacity then evict_half tree_tbl (fun e -> e.e_lru);
       (* [replace], not [add]: re-insertion after an unusable hit (e.g.
          insufficient depth headroom) keeps the freshest entry. *)
-      Tbl.replace tree_tbl f.f_key
+      Tbl.replace ctx.x_cache.tree f.f_key
         {
           e_node = node;
           e_root_gid = f.f_gid;
@@ -309,7 +272,6 @@ let try_insert icx (f : frame) (node : Trace.goal_node) =
           e_depth = f.f_depth;
           e_max_depth_off = !max_depth - f.f_depth;
           e_touched = !touched;
-          e_lru = tick ();
         }
     end
     else Telemetry.incr c_tree_reject
@@ -377,45 +339,11 @@ let replay icx ~gid ~depth ~prov (e : tree_entry) : Trace.goal_node =
 (* ------------------------------------------------------------------ *)
 (* Result tier *)
 
-let find_result key : Res.t option =
+let find_result ctx key : Res.t option =
   if not !enabled_flag then None
   else
-    let hit =
-      match Tbl.find_opt result_tbl key with
-      | Some e ->
-          e.r_lru <- tick ();
-          Some e.r_res
-      | None -> None
-    in
+    let hit = Tbl.find_opt ctx.x_cache.result key in
     Telemetry.incr (if Option.is_some hit then c_result_hit else c_result_miss);
     hit
 
-let insert_result key res =
-  if !enabled_flag then begin
-    if Tbl.length result_tbl >= capacity then evict_half result_tbl (fun e -> e.r_lru);
-    Tbl.replace result_tbl key { r_res = res; r_lru = tick () }
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Stamp eviction *)
-
-(** Drop every entry of both tiers whose key carries program stamp
-    [stamp], returning how many went.  Stamps are never reused, so once
-    a session moves off a program its entries could only be hit by
-    another holder of the same program value; without this they sit in
-    the tables until the LRU cap pushes them out. *)
-let evict_stamp stamp =
-  let n = ref 0 in
-  let drop tbl =
-    Tbl.filter_map_inplace
-      (fun k e ->
-        if k.k_ctx.x_stamp = stamp then begin
-          incr n;
-          None
-        end
-        else Some e)
-      tbl
-  in
-  drop tree_tbl;
-  drop result_tbl;
-  !n
+let insert_result ctx key res = if !enabled_flag then Tbl.replace ctx.x_cache.result key res

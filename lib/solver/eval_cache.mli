@@ -1,8 +1,8 @@
-(** The global trait-solver evaluation cache (see the implementation
-    header for the full design and cycle-safety argument).
+(** The trait-solver evaluation cache (see the implementation header for
+    the full design and cycle-safety argument).
 
-    Two tiers, both keyed by a solver context (program stamp +
-    elaborated param-env + config) and an interned predicate:
+    Two tiers, both keyed by a solver scope (elaborated param-env and
+    depth limit) and a predicate:
 
     - {b tree tier}: memoized proof-tree fragments for ground
       [Trait]/[Projection] goals, replayed bit-identically (journal IDs,
@@ -10,11 +10,16 @@
     - {b result tier}: bare verdicts for canonicalized goals evaluated
       from an empty stack ({!Solve.evaluate}).
 
-    One table per tier, with one LRU clock, as plain module state; a
-    full tier (16 × 1024 entries) evicts its least-recently-used
-    half. *)
+    A cache is a value scoped to one run: the run creates it, its
+    solvers share it, and nothing in it outlives the run.  Keys are
+    hashed structurally and compared with [Predicate.equal]. *)
 
 open Trait_lang
+
+(** One run's tables. *)
+type t
+
+val create : unit -> t
 
 (** {1 Global switches} *)
 
@@ -28,24 +33,23 @@ val set_enabled : bool -> unit
     the cache-off stream. *)
 val enabled : unit -> bool
 
-(** Empty both tiers (tests, and telemetry-isolation runs). *)
+(** A no-op: no cache outlives its run, so there is nothing global to
+    empty.  Kept for callers that reset every solver-side table between
+    runs. *)
 val clear : unit -> unit
 
 type stats = { cs_tree : int; cs_result : int }
 
-val stats : unit -> stats
+(** Entries held by one run's tables. *)
+val stats : t -> stats
 
 (** {1 Keys} *)
 
-(** Everything an evaluation's outcome depends on besides the goal
-    itself.  Built once per solver in {!Solve.create}. *)
+(** A cache together with everything an evaluation's outcome depends on
+    besides the goal itself.  Built once per solver in {!Solve.create}. *)
 type ctx
 
-val make_ctx : stamp:int -> depth_limit:int -> Predicate.t list -> ctx
-
-(** The interned elaborated param-env the context was built from — the
-    solver reuses it so env candidates share interned predicates. *)
-val ctx_env : ctx -> Predicate.t list
+val make_ctx : t -> depth_limit:int -> Predicate.t list -> ctx
 
 type key
 
@@ -59,7 +63,7 @@ val result_key : ctx -> Canonical.canonical -> key
 
 type tree_entry
 
-val find_tree : key -> depth:int -> stack:Predicate.t list -> tree_entry option
+val find_tree : ctx -> key -> depth:int -> stack:Predicate.t list -> tree_entry option
 
 (** Per-goal capture of what the evaluation is about to consume; open
     right before dispatching, pass to {!try_insert} after. *)
@@ -70,7 +74,7 @@ val open_frame : Infer_ctx.t -> key:key -> gid:int -> depth:int -> frame
 (** Validate and store a finished evaluation; a no-op for subtrees whose
     behavior is stack- or limit-dependent, or that touched pre-existing
     inference variables. *)
-val try_insert : Infer_ctx.t -> frame -> Trace.goal_node -> unit
+val try_insert : ctx -> Infer_ctx.t -> frame -> Trace.goal_node -> unit
 
 (** Reconstruct the exact post-evaluation solver state (journal-ID
     range, fresh variables, bindings) and return the restamped
@@ -80,14 +84,5 @@ val replay :
 
 (** {1 Result tier} *)
 
-val find_result : key -> Res.t option
-val insert_result : key -> Res.t -> unit
-
-(** {1 Stamp eviction} *)
-
-(** Drop every entry of both tiers keyed by program stamp [stamp] and
-    return how many were dropped.  {!Session.edit} calls it on the
-    previous program's stamp when it swaps in a program with a new one,
-    so a long-lived session holds one version's entries, not every
-    version's until the LRU cap pushes them out. *)
-val evict_stamp : int -> int
+val find_result : ctx -> key -> Res.t option
+val insert_result : ctx -> key -> Res.t -> unit

@@ -190,49 +190,23 @@ let sets_since t mark =
   go [] t.undo_log t.undo_len
 
 (** Structurally resolve a type: replace every bound inference variable by
-    its (recursively resolved) value. *)
-let rec resolve t (ty : Ty.t) : Ty.t =
-  match ty with
-  | Unit | Bool | Int | Uint | Float | Str | Param _ -> ty
-  | Infer i -> (
-      let r = root t i in
-      match t.table.(r) with
-      | Bound b -> resolve t b
-      | _ -> if r = i then ty else Infer r)
-  | Ref (re, t') -> Ref (re, resolve t t')
-  | RefMut (re, t') -> RefMut (re, resolve t t')
-  | Ctor (p, args) -> Ctor (p, List.map (resolve_arg t) args)
-  | Tuple ts -> Tuple (List.map (resolve t) ts)
-  | FnPtr (args, ret) -> FnPtr (List.map (resolve t) args, resolve t ret)
-  | FnItem (p, args, ret) -> FnItem (p, List.map (resolve t) args, resolve t ret)
-  | Dynamic tr -> Dynamic (resolve_trait_ref t tr)
-  | Proj p -> Proj (resolve_projection t p)
+    its (recursively resolved) value.  Sharing-preserving, like
+    {!Subst}: a term with nothing to resolve comes back physically, so
+    ground goals stay the program's own (interned) terms and the [==]
+    fast path of {!Predicate.equal} fires in the cycle check and the
+    evaluation cache. *)
+let rec resolve t ty = Ty.map_infer (resolve_var t) ty
 
-and resolve_arg t : Ty.arg -> Ty.arg = function
-  | Ty ty -> Ty (resolve t ty)
-  | Lifetime _ as l -> l
+and resolve_var t node i =
+  let r = root t i in
+  match t.table.(r) with
+  | Bound b -> resolve t b
+  | _ -> if r = i then node else Ty.Infer r
 
-and resolve_trait_ref t (tr : Ty.trait_ref) : Ty.trait_ref =
-  { tr with args = List.map (resolve_arg t) tr.args }
-
-and resolve_projection t (p : Ty.projection) : Ty.projection =
-  {
-    p with
-    self_ty = resolve t p.self_ty;
-    proj_trait = resolve_trait_ref t p.proj_trait;
-    assoc_args = List.map (resolve_arg t) p.assoc_args;
-  }
-
-let resolve_predicate t (p : Predicate.t) : Predicate.t =
-  match p with
-  | Trait { self_ty; trait_ref } ->
-      Trait { self_ty = resolve t self_ty; trait_ref = resolve_trait_ref t trait_ref }
-  | Projection { projection; term } ->
-      Projection { projection = resolve_projection t projection; term = resolve t term }
-  | TypeOutlives (ty, r) -> TypeOutlives (resolve t ty, r)
-  | RegionOutlives _ | ObjectSafe _ | ConstEvaluatable _ -> p
-  | WellFormed ty -> WellFormed (resolve t ty)
-  | NormalizesTo (pr, v) -> NormalizesTo (resolve_projection t pr, v)
+let resolve_arg t = Ty.map_infer_arg (resolve_var t)
+let resolve_trait_ref t = Ty.map_infer_trait_ref (resolve_var t)
+let resolve_projection t = Ty.map_infer_projection (resolve_var t)
+let resolve_predicate t = Predicate.map_infer (resolve_var t)
 
 (** Instantiate a declaration's generics with fresh inference variables,
     returning the substitution. *)

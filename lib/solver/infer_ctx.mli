@@ -61,7 +61,10 @@ val bind : t -> int -> Ty.t -> unit
 (** Union two unbound variables. *)
 val link : t -> int -> int -> unit
 
-(** Structurally replace every bound inference variable by its value. *)
+(** Structurally replace every bound inference variable by its value.
+    This and the other [resolve*] functions return their argument
+    physically when nothing in it is bound (or linked), and otherwise
+    rebuild only the spine above what changed. *)
 val resolve : t -> Ty.t -> Ty.t
 
 val resolve_arg : t -> Ty.arg -> Ty.arg

@@ -105,10 +105,11 @@ let solve_goals ?(max_rounds = 8) (st : Solve.t) (goals : Program.goal list) :
 
     [env] provides in-scope where-clauses (normally empty at the top
     level).  [max_rounds] bounds the fixpoint; ambiguity that survives it
-    is reported as [Ambiguous]. *)
+    is reported as [Ambiguous].  The run's evaluation cache is its own:
+    created here, and unreachable once the report is. *)
 let solve_program ?(cfg = Solve.default_config) ?(env = []) ?(max_rounds = 8)
     (program : Program.t) : report =
-  let st = Solve.create ~cfg ~env program in
+  let st = Solve.create ~cfg ~env ~cache:(Eval_cache.create ()) program in
   let reports, rounds = solve_goals ~max_rounds st (Program.goals program) in
   { reports; rounds; solver = st }
 

@@ -97,20 +97,16 @@ let elaborate_env program (env : Predicate.t list) : Predicate.t list =
   List.iter add env;
   List.rev !out
 
-(* The cache context interns the elaborated env; the solver keeps the
-   interned list so env candidates and cache keys share structure. *)
-let make_state program icx cfg env =
-  let cache_ctx =
-    Eval_cache.make_ctx ~stamp:(Program.stamp program) ~depth_limit:cfg.depth_limit
-      (elaborate_env program env)
-  in
-  { program; icx; cfg; env = Eval_cache.ctx_env cache_ctx; cache_ctx; stack = [] }
-
-let create ?(cfg = default_config) ?(env = []) program =
-  make_state program (Infer_ctx.for_program program) cfg env
-
-let with_icx ?(cfg = default_config) ?(env = []) program icx =
-  make_state program icx cfg env
+let create ?(cfg = default_config) ?(env = []) ?(cache = Eval_cache.create ()) program =
+  let env = elaborate_env program env in
+  {
+    program;
+    icx = Infer_ctx.for_program program;
+    cfg;
+    env;
+    cache_ctx = Eval_cache.make_ctx cache ~depth_limit:cfg.depth_limit env;
+    stack = [];
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Helpers *)
@@ -204,12 +200,12 @@ let rec solve_goal st ~depth prov (pred0 : Predicate.t) : Trace.goal_node =
       if not cacheable then evaluate ()
       else begin
         let key = Eval_cache.tree_key st.cache_ctx pred in
-        match Eval_cache.find_tree key ~depth ~stack:st.stack with
+        match Eval_cache.find_tree st.cache_ctx key ~depth ~stack:st.stack with
         | Some entry -> Eval_cache.replay st.icx ~gid ~depth ~prov entry
         | None ->
             let frame = Eval_cache.open_frame st.icx ~key ~gid ~depth in
             let node = evaluate () in
-            Eval_cache.try_insert st.icx frame node;
+            Eval_cache.try_insert st.cache_ctx st.icx frame node;
             node
       end
     end
@@ -613,19 +609,41 @@ and binding_of_impl st (impl : Decl.impl) subst assoc : Ty.t option =
 
 and deep_normalize st ~depth (ty : Ty.t) : norm_result =
   let nodes = ref [] in
+  (* Sharing-preserving like {!Infer_ctx.resolve}: a type with no
+     projection and nothing bound comes back physically.  Children are
+     visited in the order the journal has always seen them: a fn
+     type's return before its arguments. *)
   let rec go depth ty =
     let ty = Infer_ctx.resolve st.icx ty in
     match (ty : Ty.t) with
     | Unit | Bool | Int | Uint | Float | Str | Param _ | Infer _ -> ty
-    | Ref (r, t) -> Ref (r, go depth t)
-    | RefMut (r, t) -> RefMut (r, go depth t)
-    | Ctor (p, args) -> Ctor (p, List.map (go_arg depth) args)
-    | Tuple ts -> Tuple (List.map (go depth) ts)
-    | FnPtr (args, ret) -> FnPtr (List.map (go depth) args, go depth ret)
-    | FnItem (p, args, ret) -> FnItem (p, List.map (go depth) args, go depth ret)
-    | Dynamic tr -> Dynamic { tr with args = List.map (go_arg depth) tr.args }
-    | Proj p ->
-        let p = { p with self_ty = go depth p.self_ty } in
+    | Ref (r, t) ->
+        let t' = go depth t in
+        if t' == t then ty else Ref (r, t')
+    | RefMut (r, t) ->
+        let t' = go depth t in
+        if t' == t then ty else RefMut (r, t')
+    | Ctor (p, args) ->
+        let args' = Ty.map_sharing (go_arg depth) args in
+        if args' == args then ty else Ctor (p, args')
+    | Tuple ts ->
+        let ts' = Ty.map_sharing (go depth) ts in
+        if ts' == ts then ty else Tuple ts'
+    | FnPtr (args, ret) ->
+        let ret' = go depth ret in
+        let args' = Ty.map_sharing (go depth) args in
+        if args' == args && ret' == ret then ty else FnPtr (args', ret')
+    | FnItem (p, args, ret) ->
+        let ret' = go depth ret in
+        let args' = Ty.map_sharing (go depth) args in
+        if args' == args && ret' == ret then ty else FnItem (p, args', ret')
+    | Dynamic tr ->
+        let args' = Ty.map_sharing (go_arg depth) tr.args in
+        if args' == tr.args then ty else Dynamic { tr with args = args' }
+    | Proj p0 ->
+        let self_ty = go depth p0.self_ty in
+        let p = if self_ty == p0.self_ty then p0 else { p0 with self_ty } in
+        let unchanged () = if p == p0 then ty else Proj p in
         if depth > st.cfg.depth_limit then begin
           Telemetry.incr c_overflow;
           let fresh = Infer_ctx.fresh st.icx in
@@ -640,16 +658,19 @@ and deep_normalize st ~depth (ty : Ty.t) : norm_result =
           in
           Jlog.goal_exit node;
           nodes := !nodes @ [ node ];
-          Proj p
+          unchanged ()
         end
         else begin
           let n = normalize_proj st ~depth ~prov:Trace.Normalization p in
           nodes := !nodes @ [ n.norm_node ];
-          match n.norm_ty with Some t -> go (depth + 1) t | None -> Proj p
+          match n.norm_ty with Some t -> go (depth + 1) t | None -> unchanged ()
         end
-  and go_arg depth : Ty.arg -> Ty.arg = function
-    | Ty.Ty t -> Ty.Ty (go depth t)
-    | Ty.Lifetime _ as l -> l
+  and go_arg depth (a : Ty.arg) : Ty.arg =
+    match a with
+    | Ty t ->
+        let t' = go depth t in
+        if t' == t then a else Ty t'
+    | Lifetime _ -> a
   in
   let norm_ty' = go depth ty in
   { norm_ty'; norm_nodes = !nodes }
@@ -843,16 +864,23 @@ let evaluate st ?(origin = "evaluate") ?(span = Span.dummy) pred : Res.t =
   if not (Eval_cache.enabled ()) then (solve st ~origin ~span pred).result
   else begin
     let key = Eval_cache.result_key st.cache_ctx (Canonical.canonicalize st.icx pred) in
-    match Eval_cache.find_result key with
+    match Eval_cache.find_result st.cache_ctx key with
     | Some r -> r
     | None ->
         let node = solve st ~origin ~span pred in
         let clean =
           Trace.fold_goals (fun acc g -> acc && not (Trace.is_overflow g)) true node
         in
-        if clean then Eval_cache.insert_result key node.result;
+        if clean then Eval_cache.insert_result st.cache_ctx key node.result;
         node.result
   end
+
+(** Deep-normalize a type outside any goal (depth 0): the normalized type,
+    physically the input when it has no projection and nothing bound,
+    and the [NormalizesTo] nodes evaluated for it. *)
+let normalize st ty =
+  let n = deep_normalize st ~depth:0 ty in
+  (n.norm_ty', n.norm_nodes)
 
 (** Speculative probing (§4): method resolution asks the solver a
     sequence of *soft* predicates — "does the receiver implement

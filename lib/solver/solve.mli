@@ -19,17 +19,18 @@ type t = {
   icx : Infer_ctx.t;
   cfg : config;
   env : Predicate.t list;  (** in-scope where-clauses, supertrait-elaborated *)
-  cache_ctx : Eval_cache.ctx;  (** evaluation-cache key context *)
+  cache_ctx : Eval_cache.ctx;  (** the run's evaluation cache, with this solver's key scope *)
   mutable stack : Predicate.t list;  (** in-progress predicates, for cycles *)
 }
 
 (** Close a where-clause environment under supertraits. *)
 val elaborate_env : Program.t -> Predicate.t list -> Predicate.t list
 
-val create : ?cfg:config -> ?env:Predicate.t list -> Program.t -> t
-
-(** Like {!create}, sharing an existing inference context. *)
-val with_icx : ?cfg:config -> ?env:Predicate.t list -> Program.t -> Infer_ctx.t -> t
+(** A fresh solver for [program].  [cache] is the run's evaluation cache,
+    shared by every solver of the run; by default the solver gets a
+    fresh one of its own. *)
+val create :
+  ?cfg:config -> ?env:Predicate.t list -> ?cache:Eval_cache.t -> Program.t -> t
 
 (** Solve a single predicate as a root goal.  Bindings made by committed
     candidates persist in [t]'s inference context. *)
@@ -39,6 +40,11 @@ val solve : t -> ?origin:string -> ?span:Span.t -> Predicate.t -> Trace.goal_nod
     of the evaluation cache.  Contract: empty evaluation stack and an
     unconstrained inference context (a fresh solver qualifies). *)
 val evaluate : t -> ?origin:string -> ?span:Span.t -> Predicate.t -> Res.t
+
+(** Deep-normalize a type outside any goal (depth 0): the normalized
+    type — physically the input when it has no projection and nothing
+    bound — and the [NormalizesTo] nodes evaluated for it. *)
+val normalize : t -> Ty.t -> Ty.t * Trace.goal_node list
 
 (** Speculative probing (§4): evaluate soft alternatives in order,
     committing the first success; earlier failures are flagged

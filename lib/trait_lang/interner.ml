@@ -97,18 +97,6 @@ let memo : ('k, 'v interned) Hashtbl.t -> 'k -> (unit -> 'v) -> 'v interned =
    beyond the key. *)
 let share1 orig x x' rebuild = if x == x' then orig else rebuild ()
 
-let map_sharing f l =
-  let changed = ref false in
-  let l' =
-    List.map
-      (fun x ->
-        let y = f x in
-        if y != x then changed := true;
-        y)
-      l
-  in
-  if !changed then l' else l
-
 (* ------------------------------------------------------------------ *)
 (* Interning proper.  Children are interned first; the parent's key is  *)
 (* then assembled from their ids.                                      *)
@@ -136,28 +124,28 @@ let rec ty_info (t : Ty.t) : Ty.t interned =
       memo ty_tbl
         (KCtor (p, List.map (fun (i : _ interned) -> i.id) infos))
         (fun () ->
-          let args' = map_sharing arg args in
+          let args' = Ty.map_sharing arg args in
           share1 t args args' (fun () -> Ty.Ctor (p, args')))
   | Tuple ts ->
       let infos = List.map ty_info ts in
       memo ty_tbl
         (KTuple (List.map (fun (i : _ interned) -> i.id) infos))
         (fun () ->
-          let ts' = map_sharing ty ts in
+          let ts' = Ty.map_sharing ty ts in
           share1 t ts ts' (fun () -> Ty.Tuple ts'))
   | FnPtr (args, ret) ->
       let ais = List.map ty_info args and ri = ty_info ret in
       memo ty_tbl
         (KFnPtr (List.map (fun (i : _ interned) -> i.id) ais, ri.id))
         (fun () ->
-          let args' = map_sharing ty args in
+          let args' = Ty.map_sharing ty args in
           if args' == args && ri.node == ret then t else Ty.FnPtr (args', ri.node))
   | FnItem (p, args, ret) ->
       let ais = List.map ty_info args and ri = ty_info ret in
       memo ty_tbl
         (KFnItem (p, List.map (fun (i : _ interned) -> i.id) ais, ri.id))
         (fun () ->
-          let args' = map_sharing ty args in
+          let args' = Ty.map_sharing ty args in
           if args' == args && ri.node == ret then t else Ty.FnItem (p, args', ri.node))
   | Dynamic tr ->
       let i = trait_ref_info tr in
@@ -180,7 +168,7 @@ and trait_ref_info (tr : Ty.trait_ref) : Ty.trait_ref interned =
   memo trait_ref_tbl
     (tr.trait, List.map (fun (i : _ interned) -> i.id) infos)
     (fun () ->
-      let args' = map_sharing arg tr.args in
+      let args' = Ty.map_sharing arg tr.args in
       share1 tr tr.args args' (fun () : Ty.trait_ref -> { tr with args = args' }))
 
 and projection_info (p : Ty.projection) : Ty.projection interned =
@@ -190,7 +178,7 @@ and projection_info (p : Ty.projection) : Ty.projection interned =
   memo projection_tbl
     (si.id, ti.id, p.assoc, List.map (fun (i : _ interned) -> i.id) ais)
     (fun () ->
-      let assoc_args' = map_sharing arg p.assoc_args in
+      let assoc_args' = Ty.map_sharing arg p.assoc_args in
       if si.node == p.self_ty && ti.node == p.proj_trait && assoc_args' == p.assoc_args
       then p
       else

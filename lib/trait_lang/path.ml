@@ -69,6 +69,14 @@ let compare a b =
     in
     if c <> 0 then c else List.compare String.compare a.segments b.segments
 
+(* Monomorphic, unlike [Hashtbl.hash]: no generic traversal of the
+   record and its list. *)
+let hash p =
+  List.fold_left
+    (fun h s -> (h * 31) + String.hash s)
+    (match p.crate with Local -> 0 | External s -> String.hash s)
+    p.segments
+
 module Ord = struct
   type nonrec t = t
 

@@ -32,6 +32,9 @@ val pp : Format.formatter -> t -> unit
 val equal : t -> t -> bool
 val compare : t -> t -> int
 
+(** Structural, consistent with {!equal}. *)
+val hash : t -> int
+
 module Ord : Stdlib.Map.OrderedType with type t = t
 module Map : Stdlib.Map.S with type key = t
 module Set : Stdlib.Set.S with type elt = t

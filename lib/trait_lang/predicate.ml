@@ -68,13 +68,39 @@ let fold_tys f acc = function
   | RegionOutlives _ | ObjectSafe _ | ConstEvaluatable _ -> acc
   | NormalizesTo (p, v) -> Ty.fold f (Ty.fold f acc (Ty.Proj p)) (Ty.Infer v)
 
+(** {!Ty.map_infer} over every type position.  A [NormalizesTo]'s output
+    variable is not a type position and stays as it is. *)
+let map_infer f p =
+  match p with
+  | Trait { self_ty; trait_ref } ->
+      let self_ty' = Ty.map_infer f self_ty in
+      let trait_ref' = Ty.map_infer_trait_ref f trait_ref in
+      if self_ty' == self_ty && trait_ref' == trait_ref then p
+      else Trait { self_ty = self_ty'; trait_ref = trait_ref' }
+  | Projection { projection; term } ->
+      let projection' = Ty.map_infer_projection f projection in
+      let term' = Ty.map_infer f term in
+      if projection' == projection && term' == term then p
+      else Projection { projection = projection'; term = term' }
+  | TypeOutlives (t, r) ->
+      let t' = Ty.map_infer f t in
+      if t' == t then p else TypeOutlives (t', r)
+  | WellFormed t ->
+      let t' = Ty.map_infer f t in
+      if t' == t then p else WellFormed t'
+  | RegionOutlives _ | ObjectSafe _ | ConstEvaluatable _ -> p
+  | NormalizesTo (pr, v) ->
+      let pr' = Ty.map_infer_projection f pr in
+      if pr' == pr then p else NormalizesTo (pr', v)
+
 (** Inference variables mentioned anywhere in the predicate.  One of the
     baseline ranking heuristics of §5.2 counts these. *)
 let infer_vars p =
   fold_tys (fun acc t -> match t with Ty.Infer i -> i :: acc | _ -> acc) [] p
   |> List.sort_uniq Int.compare
 
-let has_infer p = infer_vars p <> []
+let has_infer p =
+  fold_tys (fun found t -> found || match t with Ty.Infer _ -> true | _ -> false) false p
 
 (** The self type of the predicate, when it has one. *)
 let self_ty = function

@@ -33,6 +33,11 @@ val compare : t -> t -> int
 (** Fold over every type embedded in the predicate. *)
 val fold_tys : ('a -> Ty.t -> 'a) -> 'a -> t -> 'a
 
+(** {!Ty.map_infer} over every type position, sharing-preserving the
+    same way.  A [NormalizesTo]'s output variable is not a type position
+    and stays as it is. *)
+val map_infer : (Ty.t -> int -> Ty.t) -> t -> t
+
 (** Inference variables anywhere in the predicate (a §5.2 baseline counts
     these). *)
 val infer_vars : t -> int list

@@ -24,7 +24,6 @@ type trait_impls = {
 }
 
 type t = {
-  stamp : int;  (** identity token; see {!stamp} *)
   types : Decl.tydecl list;
   traits : Decl.trdecl list;
   impls : Decl.impl list;
@@ -37,22 +36,8 @@ type t = {
   impls_by_trait : trait_impls Path.Map.t;
 }
 
-(* Every declaration-changing operation takes a fresh stamp, so two
-   programs with the same stamp have identical contexts (the converse
-   need not hold).  The solver's global evaluation cache keys on the
-   stamp to keep entries from leaking between programs.  Goal edits keep
-   the stamp: goals are inputs to the solver, not part of the context it
-   searches.  A stamp's numeric value carries no meaning beyond
-   uniqueness. *)
-let stamp_counter = ref 0
-
-let fresh_stamp () =
-  incr stamp_counter;
-  !stamp_counter
-
 let empty =
   {
-    stamp = 0;
     types = [];
     traits = [];
     impls = [];
@@ -64,35 +49,39 @@ let empty =
     impls_by_trait = Path.Map.empty;
   }
 
-let stamp p = p.stamp
-
 let c_builds = Telemetry.counter "index.builds"
 let no_impls = { impls = []; count = 0; rejected = 0 }
 
-(* One pass over the impls in declaration order.  Buckets are consed in
-   reverse and reversed once: a wildcard goes onto every bucket seen so
-   far, and a head seen for the first time starts from the wildcards
-   before it. *)
+(* One pass over the impls in declaration order, one table operation
+   per rigid-headed impl.  Buckets grow in place, consed in reverse: a
+   wildcard goes onto every bucket seen so far, and a head seen for the
+   first time starts from the wildcards before it.  One final pass
+   reverses each bucket into the table the solver reads. *)
+type growing = { mutable rev : Decl.impl list; mutable n : int }
+
 let bucket_heads impls total =
   Telemetry.incr c_builds;
   let heads = Simplified.Tbl.create total in
-  let push impl (b : bucket) = { b with impls = impl :: b.impls; count = b.count + 1 } in
-  let wild =
-    List.fold_left
-      (fun wild impl ->
-        match Simplified.of_impl impl with
-        | None ->
-            Simplified.Tbl.filter_map_inplace (fun _ b -> Some (push impl b)) heads;
-            push impl wild
-        | Some h ->
-            let b = Option.value ~default:wild (Simplified.Tbl.find_opt heads h) in
-            Simplified.Tbl.replace heads h (push impl b);
-            wild)
-      no_impls impls
+  let wild = { rev = []; n = 0 } in
+  let push impl g =
+    g.rev <- impl :: g.rev;
+    g.n <- g.n + 1
   in
-  let finish (b : bucket) = { b with impls = List.rev b.impls; rejected = total - b.count } in
-  Simplified.Tbl.filter_map_inplace (fun _ b -> Some (finish b)) heads;
-  (heads, finish wild)
+  List.iter
+    (fun impl ->
+      match Simplified.of_impl impl with
+      | None ->
+          Simplified.Tbl.iter (fun _ g -> push impl g) heads;
+          push impl wild
+      | Some h -> (
+          match Simplified.Tbl.find_opt heads h with
+          | Some g -> push impl g
+          | None -> Simplified.Tbl.add heads h { rev = impl :: wild.rev; n = wild.n + 1 }))
+    impls;
+  let finish g = { impls = List.rev g.rev; count = g.n; rejected = total - g.n } in
+  let out = Simplified.Tbl.create (Simplified.Tbl.length heads) in
+  Simplified.Tbl.iter (fun h g -> Simplified.Tbl.add out h (finish g)) heads;
+  (out, finish wild)
 
 let trait_impls impls =
   let count = List.length impls in
@@ -116,7 +105,6 @@ let add_type (d : Decl.tydecl) p =
   if Path.Map.mem d.ty_path p.types_by_path then raise (Duplicate_decl d.ty_path);
   {
     p with
-    stamp = fresh_stamp ();
     types = d :: p.types;
     types_by_path = Path.Map.add d.ty_path d p.types_by_path;
   }
@@ -125,7 +113,6 @@ let add_trait (d : Decl.trdecl) p =
   if Path.Map.mem d.tr_path p.traits_by_path then raise (Duplicate_decl d.tr_path);
   {
     p with
-    stamp = fresh_stamp ();
     traits = d :: p.traits;
     traits_by_path = Path.Map.add d.tr_path d p.traits_by_path;
   }
@@ -134,7 +121,6 @@ let add_fn (d : Decl.fndecl) p =
   if Path.Map.mem d.fn_path p.fns_by_path then raise (Duplicate_decl d.fn_path);
   {
     p with
-    stamp = fresh_stamp ();
     fns = d :: p.fns;
     fns_by_path = Path.Map.add d.fn_path d p.fns_by_path;
   }
@@ -143,7 +129,6 @@ let add_impl (d : Decl.impl) p =
   let key = d.impl_trait.trait in
   {
     p with
-    stamp = fresh_stamp ();
     impls = d :: p.impls;
     impls_by_trait = Path.Map.add key (trait_impls (impls_of_trait p key @ [ d ])) p.impls_by_trait;
   }
@@ -176,7 +161,7 @@ let build ~goals decls =
   in
   let p, by_trait = List.fold_left add (empty, Path.Map.empty) decls in
   let impls_by_trait = Path.Map.map (fun rev -> trait_impls (List.rev rev)) by_trait in
-  { p with stamp = fresh_stamp (); goals; impls_by_trait }
+  { p with goals; impls_by_trait }
 
 (* Declaration order: the [types]/[traits]/... lists above are built by
    consing, so expose them reversed. *)

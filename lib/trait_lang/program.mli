@@ -31,8 +31,7 @@ val add_decl : Decl.t -> t -> t
 val of_decls : ?goals:goal list -> Decl.t list -> t
 
 (** {!of_decls} in one linear pass: each trait's impl list is consed in
-    reverse and reversed once, [goals] is taken as is, and the program
-    gets one fresh stamp at the end. *)
+    reverse and reversed once, and [goals] is taken as is. *)
 val build : goals:goal list -> Decl.t list -> t
 
 val types : t -> Decl.tydecl list
@@ -68,10 +67,3 @@ val resolve_name :
   t -> string -> (Path.t, [ `Not_found of string | `Ambiguous of string * Path.t list ]) result
 
 val decl_count : t -> int
-
-(** An identity token for the program's declaration context: every
-    [add_type]/[add_trait]/[add_fn]/[add_impl] and every [build] yields a
-    fresh stamp, so equal stamps imply identical contexts.  Goal edits ([add_goal],
-    [with_goals]) preserve it.  The solver's global evaluation cache keys
-    on this. *)
-val stamp : t -> int

@@ -67,9 +67,27 @@ let of_impl (impl : Decl.impl) : t option =
   | Ty.Param _ | Ty.Proj _ | Ty.Infer _ -> None
   | ty -> of_goal ty
 
+(* Monomorphic, consistent with [equal]: the bucket table hashes once
+   per impl and per rigid-head goal. *)
+let hash = function
+  | S_unit -> 1
+  | S_bool -> 2
+  | S_int -> 3
+  | S_uint -> 4
+  | S_float -> 5
+  | S_str -> 6
+  | S_ref -> 7
+  | S_ref_mut -> 8
+  | S_adt p -> Path.hash p
+  | S_fn_item p -> (Path.hash p * 31) + 9
+  | S_dyn p -> (Path.hash p * 31) + 10
+  | S_tuple n -> (n * 31) + 11
+  | S_fn_ptr n -> (n * 31) + 12
+  | S_param x -> (String.hash x * 31) + 13
+
 module Tbl = Hashtbl.Make (struct
   type nonrec t = t
 
   let equal = equal
-  let hash = Hashtbl.hash
+  let hash = hash
 end)

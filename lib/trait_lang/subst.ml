@@ -37,18 +37,6 @@ let region_subst s = function
    the original allocation keeps interned terms canonical and lets the
    [==] fast path in {!Ty.equal} keep firing downstream. *)
 
-let map_sharing f l =
-  let changed = ref false in
-  let l' =
-    List.map
-      (fun x ->
-        let y = f x in
-        if y != x then changed := true;
-        y)
-      l
-  in
-  if !changed then l' else l
-
 let rec ty s (t : Ty.t) : Ty.t =
   match t with
   | Unit | Bool | Int | Uint | Float | Str | Infer _ -> t
@@ -60,16 +48,16 @@ let rec ty s (t : Ty.t) : Ty.t =
       let r' = region_subst s r and t2 = ty s t' in
       if r' == r && t2 == t' then t else RefMut (r', t2)
   | Ctor (p, args) ->
-      let args' = map_sharing (arg s) args in
+      let args' = Ty.map_sharing (arg s) args in
       if args' == args then t else Ctor (p, args')
   | Tuple ts ->
-      let ts' = map_sharing (ty s) ts in
+      let ts' = Ty.map_sharing (ty s) ts in
       if ts' == ts then t else Tuple ts'
   | FnPtr (args, ret) ->
-      let args' = map_sharing (ty s) args and ret' = ty s ret in
+      let args' = Ty.map_sharing (ty s) args and ret' = ty s ret in
       if args' == args && ret' == ret then t else FnPtr (args', ret')
   | FnItem (p, args, ret) ->
-      let args' = map_sharing (ty s) args and ret' = ty s ret in
+      let args' = Ty.map_sharing (ty s) args and ret' = ty s ret in
       if args' == args && ret' == ret then t else FnItem (p, args', ret')
   | Dynamic tr ->
       let tr' = trait_ref s tr in
@@ -88,13 +76,13 @@ and arg s (a : Ty.arg) : Ty.arg =
       if r' == r then a else Lifetime r'
 
 and trait_ref s (tr : Ty.trait_ref) : Ty.trait_ref =
-  let args' = map_sharing (arg s) tr.args in
+  let args' = Ty.map_sharing (arg s) tr.args in
   if args' == tr.args then tr else { tr with args = args' }
 
 and projection s (p : Ty.projection) : Ty.projection =
   let self_ty' = ty s p.self_ty
   and proj_trait' = trait_ref s p.proj_trait
-  and assoc_args' = map_sharing (arg s) p.assoc_args in
+  and assoc_args' = Ty.map_sharing (arg s) p.assoc_args in
   if self_ty' == p.self_ty && proj_trait' == p.proj_trait && assoc_args' == p.assoc_args
   then p
   else { p with self_ty = self_ty'; proj_trait = proj_trait'; assoc_args = assoc_args' }

@@ -125,6 +125,70 @@ and equal_projection a b =
 let compare = Stdlib.compare
 
 (* ------------------------------------------------------------------ *)
+(* Sharing-preserving maps: a term comes back physically when nothing in
+   it changes, and only the spine above a change is rebuilt, so
+   interned terms stay canonical and the [==] fast paths above keep
+   firing downstream. *)
+
+let rec map_sharing f l =
+  match l with
+  | [] -> l
+  | x :: rest ->
+      let x' = f x in
+      let rest' = map_sharing f rest in
+      if x' == x && rest' == rest then l else x' :: rest'
+
+let rec map_infer f (t : t) : t =
+  match t with
+  | Unit | Bool | Int | Uint | Float | Str | Param _ -> t
+  | Infer v -> f t v
+  | Ref (r, t') ->
+      let t2 = map_infer f t' in
+      if t2 == t' then t else Ref (r, t2)
+  | RefMut (r, t') ->
+      let t2 = map_infer f t' in
+      if t2 == t' then t else RefMut (r, t2)
+  | Ctor (p, args) ->
+      let args' = map_sharing (map_infer_arg f) args in
+      if args' == args then t else Ctor (p, args')
+  | Tuple ts ->
+      let ts' = map_sharing (map_infer f) ts in
+      if ts' == ts then t else Tuple ts'
+  | FnPtr (args, ret) ->
+      let args' = map_sharing (map_infer f) args in
+      let ret' = map_infer f ret in
+      if args' == args && ret' == ret then t else FnPtr (args', ret')
+  | FnItem (p, args, ret) ->
+      let args' = map_sharing (map_infer f) args in
+      let ret' = map_infer f ret in
+      if args' == args && ret' == ret then t else FnItem (p, args', ret')
+  | Dynamic tr ->
+      let tr' = map_infer_trait_ref f tr in
+      if tr' == tr then t else Dynamic tr'
+  | Proj p ->
+      let p' = map_infer_projection f p in
+      if p' == p then t else Proj p'
+
+and map_infer_arg f a =
+  match a with
+  | Ty t ->
+      let t' = map_infer f t in
+      if t' == t then a else Ty t'
+  | Lifetime _ -> a
+
+and map_infer_trait_ref f tr =
+  let args' = map_sharing (map_infer_arg f) tr.args in
+  if args' == tr.args then tr else { tr with args = args' }
+
+and map_infer_projection f p =
+  let self_ty' = map_infer f p.self_ty in
+  let proj_trait' = map_infer_trait_ref f p.proj_trait in
+  let assoc_args' = map_sharing (map_infer_arg f) p.assoc_args in
+  if self_ty' == p.self_ty && proj_trait' == p.proj_trait && assoc_args' == p.assoc_args
+  then p
+  else { p with self_ty = self_ty'; proj_trait = proj_trait'; assoc_args = assoc_args' }
+
+(* ------------------------------------------------------------------ *)
 (* Folds. *)
 
 (** [fold f acc ty] visits every sub-type of [ty] (including [ty] itself),
@@ -160,7 +224,7 @@ let params ty =
   fold (fun acc t -> match t with Param p -> p :: acc | _ -> acc) [] ty
   |> List.sort_uniq String.compare
 
-let has_infer ty = infer_vars ty <> []
+let has_infer ty = fold (fun found t -> found || match t with Infer _ -> true | _ -> false) false ty
 
 (** Does [ty] mention inference variable [i]?  (occurs check) *)
 let mentions_infer i ty =

@@ -69,6 +69,25 @@ val equal_trait_ref : trait_ref -> trait_ref -> bool
 val equal_projection : projection -> projection -> bool
 val compare : t -> t -> int
 
+(** {1 Sharing-preserving maps} *)
+
+(** [List.map f l], but [l] itself, allocating nothing, when [f] returns
+    every element physically unchanged; otherwise only the spine down to
+    the last changed element is rebuilt.  Elements are mapped left to
+    right. *)
+val map_sharing : ('a -> 'a) -> 'a list -> 'a list
+
+(** Replace every inference variable: [f node v] gets the [Infer v] node
+    itself and returns its replacement.  The term comes back physically
+    when [f] returns every node it is given, and otherwise only the
+    spine above a change is rebuilt.  Variables are visited left to
+    right, in printing order. *)
+val map_infer : (t -> int -> t) -> t -> t
+
+val map_infer_arg : (t -> int -> t) -> arg -> arg
+val map_infer_trait_ref : (t -> int -> t) -> trait_ref -> trait_ref
+val map_infer_projection : (t -> int -> t) -> projection -> projection
+
 (** {1 Folds and queries} *)
 
 (** Pre-order visit of every sub-type, including the type itself. *)

@@ -272,11 +272,11 @@ let check_stmt cx (s : Expr.stmt) =
 (* ------------------------------------------------------------------ *)
 
 (** Type-check one function body. *)
-let check_fn ?(cfg = Solver.Solve.default_config) (program : Program.t)
+let check_fn ?(cfg = Solver.Solve.default_config) ?cache (program : Program.t)
     (fd : Decl.fndecl) : fn_report =
   let tok = Telemetry.begin_ sp_check_fn in
   let body = Option.value ~default:[] fd.fn_body in
-  let st = Solver.Solve.create ~cfg ~env:fd.fn_generics.where_clauses program in
+  let st = Solver.Solve.create ~cfg ~env:fd.fn_generics.where_clauses ?cache program in
   let params =
     match fd.fn_param_names with
     | Some names -> List.combine names fd.fn_inputs
@@ -302,11 +302,13 @@ let check_fn ?(cfg = Solver.Solve.default_config) (program : Program.t)
     fr_rounds = rounds;
   }
 
-(** Type-check every function with a body. *)
+(** Type-check every function with a body, sharing one evaluation cache
+    across the pass. *)
 let check_program ?cfg (program : Program.t) : report =
+  let cache = Solver.Eval_cache.create () in
   {
     fr_fns =
       Program.fns program
       |> List.filter (fun (f : Decl.fndecl) -> f.fn_body <> None)
-      |> List.map (check_fn ?cfg program);
+      |> List.map (check_fn ?cfg ~cache program);
   }

@@ -32,8 +32,11 @@ type report = { fr_fns : fn_report list }
 val fn_ok : fn_report -> bool
 val report_ok : report -> bool
 
-(** Type-check one function body (params must be named). *)
-val check_fn : ?cfg:Solver.Solve.config -> Program.t -> Decl.fndecl -> fn_report
+(** Type-check one function body (params must be named).  [cache] is the
+    pass's evaluation cache; by default the check gets its own. *)
+val check_fn :
+  ?cfg:Solver.Solve.config -> ?cache:Solver.Eval_cache.t -> Program.t -> Decl.fndecl -> fn_report
 
-(** Type-check every function declared with a body. *)
+(** Type-check every function declared with a body, with one evaluation
+    cache for the pass. *)
 val check_program : ?cfg:Solver.Solve.config -> Program.t -> report

@@ -1,18 +1,21 @@
 (** Tests for the performance layer: the hash-consing interner, goal
-    canonicalization, the substitution sharing fast path, and the
-    two-tier evaluation cache — including the load-bearing property that
-    caching is {e observationally invisible}: cache-on and cache-off runs
-    produce structurally identical proof trees and identical journal
-    streams over the whole corpus — and the cache's lifetime across a
-    session's edits. *)
+    canonicalization, the substitution and resolution sharing fast
+    paths, and the two-tier evaluation cache — including the
+    load-bearing property that caching is {e observationally
+    invisible}: cache-on and cache-off runs produce structurally
+    identical proof trees and identical journal streams over the whole
+    corpus — and the cache's lifetime: one run, and nothing after it. *)
 
 open Trait_lang
 
 let parse src = Resolve.program_of_string ~file:"test.trait" src
 
-let fresh_cache () =
-  Solver.Eval_cache.set_enabled true;
-  Solver.Eval_cache.clear ()
+let cache_on () = Solver.Eval_cache.set_enabled true
+
+(* The program with every root goal doubled: solved in one run, the
+   second copy of each ground goal replays the first copy's entry. *)
+let doubled program =
+  Program.with_goals (Program.goals program @ Program.goals program) program
 
 (* ------------------------------------------------------------------ *)
 (* QCheck properties: interner and substitution sharing *)
@@ -85,6 +88,193 @@ let qcheck_tests =
     ]
 
 (* ------------------------------------------------------------------ *)
+(* Resolution and normalization share what they do not change *)
+
+(* The copying resolution the solver used to run: rebuilds every node. *)
+let rec copy_resolve icx (ty : Ty.t) : Ty.t =
+  match ty with
+  | Unit | Bool | Int | Uint | Float | Str | Param _ -> ty
+  | Infer i -> (
+      match Solver.Infer_ctx.probe icx i with
+      | Some b -> copy_resolve icx b
+      | None -> Ty.Infer (Solver.Infer_ctx.root icx i))
+  | Ref (r, t) -> Ref (r, copy_resolve icx t)
+  | RefMut (r, t) -> RefMut (r, copy_resolve icx t)
+  | Ctor (p, args) -> Ctor (p, List.map (copy_arg icx) args)
+  | Tuple ts -> Tuple (List.map (copy_resolve icx) ts)
+  | FnPtr (args, ret) -> FnPtr (List.map (copy_resolve icx) args, copy_resolve icx ret)
+  | FnItem (p, args, ret) ->
+      FnItem (p, List.map (copy_resolve icx) args, copy_resolve icx ret)
+  | Dynamic tr -> Dynamic (copy_trait_ref icx tr)
+  | Proj p -> Proj (copy_projection icx p)
+
+and copy_arg icx : Ty.arg -> Ty.arg = function
+  | Ty t -> Ty (copy_resolve icx t)
+  | Lifetime r -> Lifetime r
+
+and copy_trait_ref icx (tr : Ty.trait_ref) = { tr with args = List.map (copy_arg icx) tr.args }
+
+and copy_projection icx (p : Ty.projection) =
+  {
+    p with
+    self_ty = copy_resolve icx p.self_ty;
+    proj_trait = copy_trait_ref icx p.proj_trait;
+    assoc_args = List.map (copy_arg icx) p.assoc_args;
+  }
+
+let copy_resolve_predicate icx (p : Predicate.t) : Predicate.t =
+  match p with
+  | Trait { self_ty; trait_ref } ->
+      Trait { self_ty = copy_resolve icx self_ty; trait_ref = copy_trait_ref icx trait_ref }
+  | Projection { projection; term } ->
+      Projection { projection = copy_projection icx projection; term = copy_resolve icx term }
+  | TypeOutlives (t, r) -> TypeOutlives (copy_resolve icx t, r)
+  | WellFormed t -> WellFormed (copy_resolve icx t)
+  | NormalizesTo (pr, v) -> NormalizesTo (copy_projection icx pr, v)
+  | RegionOutlives _ | ObjectSafe _ | ConstEvaluatable _ -> p
+
+(* 300 generated programs and the 1000-impl mega library. *)
+let sharing_programs () =
+  List.init 300 (fun seed ->
+      Fuzz.Gen.render (Fuzz.Gen.generate ~seed ~iter:1 ~size:Fuzz.Gen.default_size))
+  @ [ Fuzz.Gen.render (Fuzz.Gen.generate_mega ~goals:64 ~seed:1 ~impls:1000) ]
+  |> List.map parse
+
+(* Every predicate resolves to the copying version's result, physically
+   to itself when that result is structurally unchanged, and resolving
+   again returns the result physically.  The predicates: each program's
+   goals and the predicates of its solved trees, against the bindings
+   the solve left; and each impl's head and where-clauses instantiated
+   with fresh variables, every other one bound and every third of the
+   rest linked. *)
+let test_resolve_shares () =
+  cache_on ();
+  let checked = ref 0 and shared = ref 0 in
+  List.iter
+    (fun program ->
+      let report = Solver.Obligations.solve_program program in
+      let check icx (p : Predicate.t) =
+        let r = Solver.Infer_ctx.resolve_predicate icx p in
+        let c = copy_resolve_predicate icx p in
+        incr checked;
+        if not (Predicate.equal r c) then
+          Alcotest.failf "resolve differs from the copying version on %s"
+            (Pretty.predicate ~cfg:Pretty.verbose p);
+        if Predicate.equal c p then begin
+          incr shared;
+          if r != p then
+            Alcotest.failf "unchanged %s was copied" (Pretty.predicate ~cfg:Pretty.verbose p)
+        end;
+        if Solver.Infer_ctx.resolve_predicate icx r != r then
+          Alcotest.failf "resolving %s again copied it" (Pretty.predicate ~cfg:Pretty.verbose r)
+      in
+      let solved = report.solver.icx in
+      List.iter (fun (g : Program.goal) -> check solved g.goal_pred) (Program.goals program);
+      List.iter
+        (fun (r : Solver.Obligations.goal_report) ->
+          List.iter
+            (Solver.Trace.fold_goals
+               (fun () (g : Solver.Trace.goal_node) -> check solved g.pred)
+               ())
+            r.attempts)
+        report.reports;
+      let icx = Solver.Infer_ctx.for_program program in
+      List.iter
+        (fun (impl : Decl.impl) ->
+          let subst = Solver.Infer_ctx.instantiate_generics icx impl.impl_generics in
+          List.iteri
+            (fun k (_, (v : Ty.t)) ->
+              match v with
+              | Infer i when k mod 2 = 0 -> Solver.Infer_ctx.bind icx i impl.impl_self
+              | Infer i when k mod 3 = 1 -> Solver.Infer_ctx.link icx i (Solver.Infer_ctx.fresh icx)
+              | _ -> ())
+            (Subst.bindings subst);
+          check icx
+            (Predicate.Trait
+               {
+                 self_ty = Subst.ty subst impl.impl_self;
+                 trait_ref = Subst.trait_ref subst impl.impl_trait;
+               });
+          List.iter (fun wc -> check icx (Subst.predicate subst wc)) impl.impl_generics.where_clauses)
+        (Program.impls program))
+    (sharing_programs ());
+  Alcotest.(check bool) "both sides exercised" true (!shared > 0 && !shared < !checked)
+
+(* The structural copy of a type, sharing nothing with the program. *)
+let rec deep_copy (ty : Ty.t) : Ty.t =
+  match ty with
+  | Unit | Bool | Int | Uint | Float | Str -> ty
+  | Param x -> Param (String.concat "" [ x ])
+  | Infer i -> Infer i
+  | Ref (r, t) -> Ref (r, deep_copy t)
+  | RefMut (r, t) -> RefMut (r, deep_copy t)
+  | Ctor (p, args) -> Ctor (p, List.map deep_copy_arg args)
+  | Tuple ts -> Tuple (List.map deep_copy ts)
+  | FnPtr (args, ret) -> FnPtr (List.map deep_copy args, deep_copy ret)
+  | FnItem (p, args, ret) -> FnItem (p, List.map deep_copy args, deep_copy ret)
+  | Dynamic tr -> Dynamic { tr with args = List.map deep_copy_arg tr.args }
+  | Proj p ->
+      Proj
+        {
+          p with
+          self_ty = deep_copy p.self_ty;
+          proj_trait = { p.proj_trait with args = List.map deep_copy_arg p.proj_trait.args };
+          assoc_args = List.map deep_copy_arg p.assoc_args;
+        }
+
+and deep_copy_arg : Ty.arg -> Ty.arg = function
+  | Ty t -> Ty (deep_copy t)
+  | Lifetime r -> Lifetime r
+
+(* Every type of a program's goals and impl heads, deep-normalized by a
+   fresh solver: with no projection in it, it comes back physically;
+   either way the result, and the nodes evaluated, equal what a twin
+   solver makes of a structural copy that shares nothing. *)
+let test_normalize_shares () =
+  cache_on ();
+  let normalized = ref 0 and shared = ref 0 in
+  List.iter
+    (fun program ->
+      let tys =
+        List.concat_map
+          (fun (g : Program.goal) ->
+            Predicate.fold_tys (fun acc t -> t :: acc) [] g.goal_pred)
+          (Program.goals program)
+        @ List.map (fun (i : Decl.impl) -> i.impl_self) (Program.impls program)
+      in
+      List.iter
+        (fun ty ->
+          let run ty =
+            Journal.reset_ids ();
+            Solver.Solve.normalize (Solver.Solve.create program) ty
+          in
+          let t1, n1 = run ty in
+          let t2, n2 = run (deep_copy ty) in
+          incr normalized;
+          if n1 = [] then begin
+            incr shared;
+            if t1 != ty then
+              Alcotest.failf "projection-free %s was copied" (Pretty.ty ~cfg:Pretty.verbose ty)
+          end;
+          if not (Ty.equal t1 t2) then
+            Alcotest.failf "%s normalizes differently from its copy"
+              (Pretty.ty ~cfg:Pretty.verbose ty);
+          if
+            not
+              (List.length n1 = List.length n2
+              && List.for_all2
+                   (fun a b ->
+                     Journal.equal_goal (Solver.Jlog.rtree_of_trace a)
+                       (Solver.Jlog.rtree_of_trace b))
+                   n1 n2)
+          then
+            Alcotest.failf "%s evaluates different nodes from its copy"
+              (Pretty.ty ~cfg:Pretty.verbose ty))
+        tys)
+    (sharing_programs ());
+  Alcotest.(check bool) "both sides exercised" true (!shared > 0 && !shared < !normalized)
+
+(* ------------------------------------------------------------------ *)
 (* Canonicalization *)
 
 let trait_pred self_ty =
@@ -118,14 +308,16 @@ let test_canonical_alpha_equivalent () =
   Alcotest.(check int) "same var count" ca.Solver.Canonical.c_vars cb.Solver.Canonical.c_vars
 
 (* ------------------------------------------------------------------ *)
-(* Result tier: Solve.evaluate memoizes verdicts across solver states *)
+(* Result tier: Solve.evaluate memoizes verdicts across the solver
+   states of one run *)
 
 let test_result_tier_memoizes () =
-  fresh_cache ();
+  cache_on ();
   let program = parse "struct A; trait T {} impl T for A {} goal A: T;" in
   let pred = (List.hd (Program.goals program)).Program.goal_pred in
+  let cache = Solver.Eval_cache.create () in
   let eval () =
-    let st = Solver.Solve.create program in
+    let st = Solver.Solve.create ~cache program in
     Solver.Solve.evaluate st pred
   in
   Telemetry.reset ();
@@ -141,53 +333,50 @@ let test_result_tier_memoizes () =
   Alcotest.(check bool) "second evaluation hit" true (hits >= 1);
   Alcotest.(check bool)
     "one result entry live" true
-    ((Solver.Eval_cache.stats ()).cs_result >= 1)
+    ((Solver.Eval_cache.stats cache).cs_result >= 1)
 
 let test_no_cache_when_disabled () =
-  fresh_cache ();
   Solver.Eval_cache.set_enabled false;
   let program = parse "struct A; trait T {} impl T for A {} goal A: T;" in
   let pred = (List.hd (Program.goals program)).Program.goal_pred in
-  let st = Solver.Solve.create program in
+  let cache = Solver.Eval_cache.create () in
+  let st = Solver.Solve.create ~cache program in
   ignore (Solver.Solve.evaluate st pred);
-  let s = Solver.Eval_cache.stats () in
+  ignore (Solver.Solve.solve st pred);
+  let s = Solver.Eval_cache.stats cache in
   Solver.Eval_cache.set_enabled true;
   Alcotest.(check int) "no tree entries stored while disabled" 0 s.cs_tree;
   Alcotest.(check int) "no result entries stored while disabled" 0 s.cs_result
 
 (* ------------------------------------------------------------------ *)
-(* LRU bound *)
+(* Scope: a run's table starts empty and ends with the run *)
 
-let test_lru_bound () =
-  fresh_cache ();
-  let ctx = Solver.Eval_cache.make_ctx ~stamp:424242 ~depth_limit:64 [] in
-  let key i =
-    let pred = trait_pred (Ty.ctor (Path.local [ "S" ^ string_of_int i ]) []) in
-    Solver.Eval_cache.result_key ctx (Solver.Canonical.canonicalize_resolved pred)
-  in
-  let hits i = Solver.Eval_cache.find_result (key i) = Some Solver.Res.Yes in
-  let capacity = 16 * 1024 in
-  (* The tier holds 16 × 1024 entries before anything goes. *)
-  for i = 0 to capacity - 1 do
-    Solver.Eval_cache.insert_result (key i) Solver.Res.Yes
-  done;
-  Alcotest.(check int) "a full tier, nothing evicted" capacity
-    (Solver.Eval_cache.stats ()).cs_result;
-  (* Overfill it: one LRU order across the whole tier decides what goes.
-     The newest key and the touched key 1 survive; key 0, the oldest,
-     does not. *)
-  ignore (hits 1);
-  let last = 20_000 in
-  for i = capacity to last do
-    Solver.Eval_cache.insert_result (key i) Solver.Res.Yes
-  done;
-  let s = Solver.Eval_cache.stats () in
-  Alcotest.(check bool) "result tier stays bounded" true (s.cs_result <= capacity);
-  Alcotest.(check bool) "eviction keeps recent entries" true (s.cs_result > 0);
-  Alcotest.(check bool) "the newest key still hits" true (hits last);
-  Alcotest.(check bool) "a recently read key still hits" true (hits 1);
-  Alcotest.(check bool) "the oldest key was evicted" false (hits 0);
-  Solver.Eval_cache.clear ()
+let count_cache name f =
+  Telemetry.reset ();
+  Telemetry.enable ();
+  Fun.protect ~finally:Telemetry.disable (fun () ->
+      f ();
+      Telemetry.counter_value name)
+
+(* Two runs of one program value: the second finds nothing of the
+   first's, so both count the same lookups, misses and inserts. *)
+let test_run_starts_empty () =
+  cache_on ();
+  Alcotest.(check bool) "a new cache holds nothing" true
+    (Solver.Eval_cache.stats (Solver.Eval_cache.create ())
+    = { Solver.Eval_cache.cs_tree = 0; cs_result = 0 });
+  let program = Corpus.Harness.load (Option.get (Corpus.Suite.find "diesel-missing-join")) in
+  List.iter
+    (fun name ->
+      let run () = ignore (Solver.Obligations.solve_program program) in
+      let first = count_cache name run in
+      let second = count_cache name run in
+      Alcotest.(check int) (name ^ ": the second run counts what the first did") first second)
+    [ "cache.tree.hits"; "cache.tree.misses"; "cache.tree.inserts" ];
+  Alcotest.(check bool) "the first run inserted" true
+    (count_cache "cache.tree.inserts" (fun () ->
+         ignore (Solver.Obligations.solve_program program))
+    > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Corpus-wide equivalence: cache on/off produce identical proof trees *)
@@ -214,24 +403,25 @@ let check_same_report id (off : Solver.Obligations.report) (on : Solver.Obligati
         a.attempts b.attempts)
     off.reports on.reports
 
-(** For every corpus program: solve with the cache off, cold, and warm
-    (the warm run exercises cross-run replay), resetting the journal id
-    counter each time so gids are comparable.  All three runs must agree
-    on statuses, rounds, and — node for node, id for id — the trees. *)
+(** For every corpus program: solve with the cache off and on, then the
+    program with every goal doubled with the cache off and on (there the
+    second copies exercise replay), resetting the journal id counter
+    each time so gids are comparable.  Each pair must agree on
+    statuses, rounds, and — node for node, id for id — the trees. *)
 let test_corpus_equivalence () =
+  let solve ~cache program =
+    Solver.Eval_cache.set_enabled cache;
+    Journal.reset ();
+    Solver.Obligations.solve_program program
+  in
+  Fun.protect ~finally:cache_on @@ fun () ->
   List.iter
     (fun (e : Corpus.Harness.entry) ->
       let program = Corpus.Harness.load e in
-      Solver.Eval_cache.set_enabled false;
-      Journal.reset ();
-      let off = Solver.Obligations.solve_program program in
-      fresh_cache ();
-      Journal.reset ();
-      let cold = Solver.Obligations.solve_program program in
-      Journal.reset ();
-      let warm = Solver.Obligations.solve_program program in
-      check_same_report (e.id ^ " (cold)") off cold;
-      check_same_report (e.id ^ " (warm)") off warm)
+      check_same_report (e.id ^ " (on)") (solve ~cache:false program) (solve ~cache:true program);
+      let program = doubled program in
+      check_same_report (e.id ^ " (doubled)") (solve ~cache:false program)
+        (solve ~cache:true program))
     (Corpus.Suite.entries @ Corpus.Suite.extended)
 
 (* ------------------------------------------------------------------ *)
@@ -242,11 +432,11 @@ let cache_counters () =
     (fun (name, _) -> String.starts_with ~prefix:"cache." name)
     (Telemetry.snapshot ()).sn_counters
 
-(** For each program: record a cache-off journal, warm the cache with an
-    unjournaled run, then record again with the cache on.  The two
-    streams must be equal line for line (timestamps zeroed), and the
-    recording must leave the cache's entries and every [cache.*]
-    counter as they were. *)
+(** For each program: record a cache-off journal, check that an
+    unjournaled cache-on run does use the cache, then record again with
+    the cache on.  The two streams must be equal line for line
+    (timestamps zeroed), and the recording must leave every [cache.*]
+    counter as it was. *)
 let test_journal_stream_equivalence () =
   let record program =
     Journal.reset ();
@@ -268,19 +458,17 @@ let test_journal_stream_equivalence () =
       let program = Corpus.Harness.load (Option.get (Corpus.Suite.find id)) in
       Solver.Eval_cache.set_enabled false;
       let off = record program in
-      fresh_cache ();
+      cache_on ();
+      let inserts = Telemetry.counter_value "cache.tree.inserts" in
       ignore (Solver.Obligations.solve_program program);
-      let stats = Solver.Eval_cache.stats () in
       (* ast-overflow's subtrees are all overflow-flagged, so nothing is
          ever inserted — by design. *)
       if id <> "ast-overflow" then
-        Alcotest.(check bool) (id ^ ": the unjournaled run filled the cache") true
-          (stats.cs_tree > 0);
+        Alcotest.(check bool) (id ^ ": the unjournaled run filled its cache") true
+          (Telemetry.counter_value "cache.tree.inserts" > inserts);
       let counters = cache_counters () in
       let on = record program in
       Alcotest.(check (list string)) (id ^ ": cache-on stream = cache-off stream") off on;
-      Alcotest.(check bool) (id ^ ": cache entries unchanged") true
-        (Solver.Eval_cache.stats () = stats);
       Alcotest.(check (list (pair string int)))
         (id ^ ": cache.* counters unchanged") counters (cache_counters ()))
     [ "diesel-missing-join"; "bevy-errant-param"; "ast-overflow"; "axum-body-first" ]
@@ -289,25 +477,21 @@ let test_journal_stream_equivalence () =
 (* Telemetry visibility *)
 
 let test_cache_counters_in_telemetry () =
-  fresh_cache ();
+  cache_on ();
   let e = Option.get (Corpus.Suite.find "diesel-missing-join") in
-  let program = Corpus.Harness.load e in
-  ignore (Solver.Obligations.solve_program program);
-  Telemetry.reset ();
-  Telemetry.enable ();
-  ignore (Solver.Obligations.solve_program program);
-  Telemetry.disable ();
-  Alcotest.(check bool)
-    "warm run counts tree hits" true
-    (Telemetry.counter_value "cache.tree.hits" > 0)
+  let program = doubled (Corpus.Harness.load e) in
+  Alcotest.(check bool) "the doubled goals count tree hits" true
+    (count_cache "cache.tree.hits" (fun () ->
+         ignore (Solver.Obligations.solve_program program))
+    > 0)
 
 (* ------------------------------------------------------------------ *)
-(* Sessions: cache lifetime across edits *)
+(* Sessions: every resolve is a run of its own *)
 
-(* A goal-only edit keeps the program stamp: nothing is evicted, and the
-   next resolve is served from the tree tier. *)
-let test_goal_edit_is_free () =
-  fresh_cache ();
+(* A goal-only edit evicts nothing, since no table outlives its run; in
+   the next resolve the duplicated goal replays its first copy. *)
+let test_duplicated_goal_replays () =
+  cache_on ();
   let program =
     parse
       "struct A; struct B; trait T1 {} trait T2 {} impl T1 for A {} impl T2 for B {} \
@@ -316,45 +500,72 @@ let test_goal_edit_is_free () =
   let session = Solver.Session.create () in
   ignore (Solver.Session.load session program);
   ignore (Solver.Session.resolve session);
-  let before = Solver.Eval_cache.stats () in
   let edited = Fuzz.Edit.apply program (Fuzz.Edit.Dup_goal 0) in
   let delta = Solver.Session.edit session edited in
   Alcotest.(check int) "goal edit evicts nothing" 0 delta.Solver.Session.d_evicted;
-  Alcotest.(check bool) "cache untouched by the edit" true
-    (Solver.Eval_cache.stats () = before);
   Telemetry.reset ();
   Telemetry.enable ();
   let report = Solver.Session.resolve session in
   Telemetry.disable ();
-  Alcotest.(check int) "every goal replays as a tree hit"
-    (List.length report.Solver.Obligations.reports)
-    (Telemetry.counter_value "cache.tree.hits");
-  Alcotest.(check int) "no goal re-solves" 0 (Telemetry.counter_value "cache.tree.misses");
+  Alcotest.(check int) "three goals" 3 (List.length report.Solver.Obligations.reports);
+  Alcotest.(check int) "the duplicate replays" 1 (Telemetry.counter_value "cache.tree.hits");
+  Alcotest.(check int) "the two distinct goals solve" 2
+    (Telemetry.counter_value "cache.tree.misses");
   Alcotest.(check int) "still no errors" 0 (List.length (Solver.Session.errors session))
 
-(* One session fed 1,000 freshly parsed versions of a corpus program: each
-   edit evicts its predecessor's stamp, so the cache never holds more
-   than one version's entries. *)
-let test_versions_do_not_accumulate () =
-  fresh_cache ();
+(* One session fed 1,000 freshly parsed versions of a corpus program:
+   every resolve solves cold, counting exactly the first version's cache
+   traffic, and no edit has anything to evict. *)
+let test_versions_solve_cold () =
+  cache_on ();
   let e = Option.get (Corpus.Suite.find "diesel-missing-join") in
   let session = Solver.Session.create () in
+  let traffic () =
+    List.map Telemetry.counter_value [ "cache.tree.hits"; "cache.tree.misses"; "cache.tree.inserts" ]
+  in
+  let resolve () =
+    Telemetry.reset ();
+    Telemetry.enable ();
+    ignore (Solver.Session.resolve session);
+    Telemetry.disable ();
+    traffic ()
+  in
   ignore (Solver.Session.load session (Corpus.Harness.load e));
-  ignore (Solver.Session.resolve session);
-  let one = Solver.Eval_cache.stats () in
-  Alcotest.(check bool) "one version fills the tree tier" true (one.cs_tree > 0);
+  let one = resolve () in
+  Alcotest.(check bool) "one version fills its table" true (List.nth one 2 > 0);
   for i = 2 to 1000 do
     let delta = Solver.Session.edit session (Corpus.Harness.load e) in
-    if delta.Solver.Session.d_evicted <> one.cs_tree + one.cs_result then
-      Alcotest.failf "version %d: evicted %d entries, expected %d" i
-        delta.Solver.Session.d_evicted (one.cs_tree + one.cs_result);
-    ignore (Solver.Session.resolve session);
-    let s = Solver.Eval_cache.stats () in
-    if s.cs_tree > one.cs_tree || s.cs_result > one.cs_result then
-      Alcotest.failf "version %d: cache holds %d tree / %d result entries, one version has %d / %d"
-        i s.cs_tree s.cs_result one.cs_tree one.cs_result
+    if delta.Solver.Session.d_evicted <> 0 then
+      Alcotest.failf "version %d: evicted %d entries" i delta.Solver.Session.d_evicted;
+    if resolve () <> one then Alcotest.failf "version %d: cache traffic differs from version 1" i
+  done
+
+(* Nothing outlives its run: after a warm-up round, the live heap of
+   2,000 sequential parse+solve runs of generated programs stays within
+   a constant of where it started.  A table that kept entries across
+   runs holds thousands of dead trees by then. *)
+let test_runs_leave_no_heap () =
+  cache_on ();
+  let sources =
+    Array.init 20 (fun seed ->
+        Fuzz.Gen.render (Fuzz.Gen.generate ~seed ~iter:0 ~size:Fuzz.Gen.default_size))
+  in
+  let run i = ignore (Solver.Obligations.solve_program (parse sources.(i mod 20))) in
+  let live () =
+    Gc.full_major ();
+    (Gc.stat ()).live_words
+  in
+  for i = 0 to 39 do
+    run i
   done;
-  Solver.Eval_cache.clear ()
+  let start = live () in
+  for i = 0 to 1999 do
+    run i
+  done;
+  let growth = live () - start in
+  (* 64 Ki words = 512 KB on 64-bit *)
+  if growth > 65_536 then
+    Alcotest.failf "live heap grew by %d words over 2,000 runs (bound 65536)" growth
 
 (* ------------------------------------------------------------------ *)
 
@@ -362,6 +573,11 @@ let () =
   Alcotest.run "cache"
     [
       ("properties", qcheck_tests);
+      ( "sharing",
+        [
+          Alcotest.test_case "resolve shares unchanged terms" `Quick test_resolve_shares;
+          Alcotest.test_case "normalize shares unchanged terms" `Quick test_normalize_shares;
+        ] );
       ( "canonical",
         [
           Alcotest.test_case "ground goals" `Quick test_canonical_ground;
@@ -372,7 +588,7 @@ let () =
         [
           Alcotest.test_case "result tier memoizes" `Quick test_result_tier_memoizes;
           Alcotest.test_case "disabled stores nothing" `Quick test_no_cache_when_disabled;
-          Alcotest.test_case "lru bound" `Quick test_lru_bound;
+          Alcotest.test_case "a run starts empty" `Quick test_run_starts_empty;
         ] );
       ( "equivalence",
         [
@@ -382,10 +598,13 @@ let () =
       ( "telemetry",
         [ Alcotest.test_case "counters visible" `Quick test_cache_counters_in_telemetry ] );
       ( "red-green",
-        [ Alcotest.test_case "goal edits are free" `Quick test_goal_edit_is_free ] );
+        [
+          Alcotest.test_case "a duplicated goal replays in its run" `Quick
+            test_duplicated_goal_replays;
+        ] );
       ( "session",
         [
-          Alcotest.test_case "1,000 versions hold one version's entries" `Quick
-            test_versions_do_not_accumulate;
+          Alcotest.test_case "1,000 versions each solve cold" `Quick test_versions_solve_cold;
+          Alcotest.test_case "2,000 runs leave no live heap" `Quick test_runs_leave_no_heap;
         ] );
     ]

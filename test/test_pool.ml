@@ -86,7 +86,6 @@ let test_empty_and_singleton () =
    stream starts at ID 0 and rebuilds a search forest. *)
 
 let test_unit_journals_replay () =
-  Solver.Eval_cache.clear ();
   let results = List.map (Corpus.Harness.solve_unit ~journal:true) Corpus.Suite.entries in
   List.iter
     (fun (b : Corpus.Harness.unit_result) ->

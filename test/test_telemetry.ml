@@ -237,15 +237,13 @@ let test_solver_counters () =
 let test_solver_counters_isolated () =
   let e = Option.get (Corpus.Suite.find "diesel-missing-join") in
   let program = Corpus.Harness.load e in
-  Solver.Eval_cache.clear ();
   ignore (Solver.Obligations.solve_program program);
   let goals1 = Telemetry.counter_value "solver.goals" in
   let attempts1 = Telemetry.counter_value "unify.attempts" in
   (* reset isolates runs: a second identical run reproduces the tallies
-     instead of accumulating onto them.  The evaluation cache is cleared
-     too — a warm cache (intentionally) changes the work counters. *)
+     instead of accumulating onto them.  Each run has its own evaluation
+     cache, so no run finds the other's entries. *)
   Telemetry.reset ();
-  Solver.Eval_cache.clear ();
   check_int "goals cleared" 0 (Telemetry.counter_value "solver.goals");
   check_int "attempts cleared" 0 (Telemetry.counter_value "unify.attempts");
   ignore (Solver.Obligations.solve_program program);

@@ -298,6 +298,115 @@ let test_jsonl_header_errors () =
   with Argus_json.Decode.Decode_error _ -> ()
 
 (* ------------------------------------------------------------------ *)
+(* Wire-format golden: one event of each of the 18 kinds, covering every
+   constructor of the result, provenance, flag, candidate-source and
+   unify-failure payloads, pinned to its exact JSONL line. *)
+
+let golden_events () =
+  let span = Span.v ~file:"golden.trait" ~start_line:3 ~start_col:5 ~stop_line:3 ~stop_col:17 in
+  let a = Ty.ctor (Path.local [ "A" ]) [] and b = Ty.ctor (Path.local [ "B" ]) [ Ty.param "X" ] in
+  let t = Path.local [ "T" ] in
+  let pred = Predicate.trait_ a (Ty.trait_ref t) in
+  let proj = Ty.projection (Ty.param "X") (Ty.trait_ref (Path.local [ "Iterator" ])) "Item" in
+  let enter id prov = Journal.Goal_enter { id; parent = Some 0; pred; depth = 1; prov } in
+  let failed failure =
+    Journal.(Cand_exit { id = 4; result = No; failure = Some failure })
+  in
+  Journal.
+    [
+      Goal_enter { id = 0; parent = None; pred; depth = 0; prov = Root { origin = "main"; span } };
+      enter 1 (Impl_where { impl_id = 2; clause_idx = 1 });
+      enter 1 (Param_env 0);
+      enter 1 (Supertrait (Path.local [ "Super" ]));
+      enter 1 (Builtin_req "sized");
+      enter 1 Normalization;
+      Goal_exit { id = 1; pred; result = Yes; flags = [ Overflow; Depth_limit ] };
+      Goal_exit
+        { id = 1; pred; result = Maybe; flags = [ Stateful; Speculative; Ambiguous_selection ] };
+      Goal_exit { id = 0; pred; result = No; flags = [] };
+      Goal_flag { id = 1; flag = Speculative };
+      Cand_enter { id = 2; goal = 0; source = Impl { impl_id = 3; header = "impl<X> T for B<X>" } };
+      Cand_enter { id = 3; goal = 0; source = Param_env_clause pred };
+      Cand_enter { id = 4; goal = 0; source = Builtin "tuple" };
+      failed (Head_mismatch (a, b));
+      failed (Arity (Ty.tuple [ a ], Ty.tuple [ a; b ]));
+      failed (Region_mismatch (Region.named "a", Region.static));
+      failed (Occurs (4, Ty.ctor (Path.local [ "Vec" ]) [ Ty.infer 4 ]));
+      Cand_exit { id = 4; result = Maybe; failure = Some (Projection_ambiguous (proj, Ty.int)) };
+      Cand_exit { id = 2; result = Yes; failure = None };
+      Cand_assembled { goal = 0; param_env = 1; impls = 2; builtin = 1 };
+      Cand_commit { goal = 0; cand = 2 };
+      Unify { node = Some 2; left = a; right = Ty.infer 7; failure = None };
+      Unify { node = None; left = a; right = b; failure = Some (Head_mismatch (a, b)) };
+      Snapshot_open { snap = 0; node = Some 2 };
+      Snapshot_commit { snap = 0 };
+      Snapshot_rollback { snap = 1 };
+      Norm_resolved { id = 5; resolved = Some Ty.int };
+      Norm_resolved { id = 5; resolved = None };
+      Cycle_detected { id = 6; pred };
+      Overflow_hit { id = 6; depth_limited = true };
+      Ambiguity { id = 0; succeeded = 2 };
+      Probe_begin { origin = "method"; alternatives = 2 };
+      Probe_end { committed = Some 1 };
+      Overlap_detected { trait_ = t; impl_a = 0; impl_b = 1; witness = a };
+    ]
+  |> List.mapi (fun i ev -> { Journal.seq = i; ts_ns = 1000 + i; ev })
+
+let golden_lines =
+  [
+    {|{"seq":0,"ts":1000,"kind":"goal_enter","id":0,"parent":null,"pred":{"kind":"trait","self":{"kind":"adt","path":{"crate":"local","segments":["A"]},"args":[]},"trait_ref":{"trait":{"crate":"local","segments":["T"]},"args":[]}},"depth":0,"prov":{"p":"root","origin":"main","span":{"file":"golden.trait","start_line":3,"start_col":5,"stop_line":3,"stop_col":17}}}|};
+    {|{"seq":1,"ts":1001,"kind":"goal_enter","id":1,"parent":0,"pred":{"kind":"trait","self":{"kind":"adt","path":{"crate":"local","segments":["A"]},"args":[]},"trait_ref":{"trait":{"crate":"local","segments":["T"]},"args":[]}},"depth":1,"prov":{"p":"impl_where","impl_id":2,"clause_idx":1}}|};
+    {|{"seq":2,"ts":1002,"kind":"goal_enter","id":1,"parent":0,"pred":{"kind":"trait","self":{"kind":"adt","path":{"crate":"local","segments":["A"]},"args":[]},"trait_ref":{"trait":{"crate":"local","segments":["T"]},"args":[]}},"depth":1,"prov":{"p":"param_env","index":0}}|};
+    {|{"seq":3,"ts":1003,"kind":"goal_enter","id":1,"parent":0,"pred":{"kind":"trait","self":{"kind":"adt","path":{"crate":"local","segments":["A"]},"args":[]},"trait_ref":{"trait":{"crate":"local","segments":["T"]},"args":[]}},"depth":1,"prov":{"p":"supertrait","trait":{"crate":"local","segments":["Super"]}}}|};
+    {|{"seq":4,"ts":1004,"kind":"goal_enter","id":1,"parent":0,"pred":{"kind":"trait","self":{"kind":"adt","path":{"crate":"local","segments":["A"]},"args":[]},"trait_ref":{"trait":{"crate":"local","segments":["T"]},"args":[]}},"depth":1,"prov":{"p":"builtin_req","what":"sized"}}|};
+    {|{"seq":5,"ts":1005,"kind":"goal_enter","id":1,"parent":0,"pred":{"kind":"trait","self":{"kind":"adt","path":{"crate":"local","segments":["A"]},"args":[]},"trait_ref":{"trait":{"crate":"local","segments":["T"]},"args":[]}},"depth":1,"prov":{"p":"normalization"}}|};
+    {|{"seq":6,"ts":1006,"kind":"goal_exit","id":1,"pred":{"kind":"trait","self":{"kind":"adt","path":{"crate":"local","segments":["A"]},"args":[]},"trait_ref":{"trait":{"crate":"local","segments":["T"]},"args":[]}},"result":"yes","flags":["overflow","depth-limit"]}|};
+    {|{"seq":7,"ts":1007,"kind":"goal_exit","id":1,"pred":{"kind":"trait","self":{"kind":"adt","path":{"crate":"local","segments":["A"]},"args":[]},"trait_ref":{"trait":{"crate":"local","segments":["T"]},"args":[]}},"result":"maybe","flags":["stateful","speculative","ambiguous-selection"]}|};
+    {|{"seq":8,"ts":1008,"kind":"goal_exit","id":0,"pred":{"kind":"trait","self":{"kind":"adt","path":{"crate":"local","segments":["A"]},"args":[]},"trait_ref":{"trait":{"crate":"local","segments":["T"]},"args":[]}},"result":"no","flags":[]}|};
+    {|{"seq":9,"ts":1009,"kind":"goal_flag","id":1,"flag":"speculative"}|};
+    {|{"seq":10,"ts":1010,"kind":"cand_enter","id":2,"goal":0,"source":{"s":"impl","impl_id":3,"header":"impl<X> T for B<X>"}}|};
+    {|{"seq":11,"ts":1011,"kind":"cand_enter","id":3,"goal":0,"source":{"s":"param_env","clause":{"kind":"trait","self":{"kind":"adt","path":{"crate":"local","segments":["A"]},"args":[]},"trait_ref":{"trait":{"crate":"local","segments":["T"]},"args":[]}}}}|};
+    {|{"seq":12,"ts":1012,"kind":"cand_enter","id":4,"goal":0,"source":{"s":"builtin","name":"tuple"}}|};
+    {|{"seq":13,"ts":1013,"kind":"cand_exit","id":4,"result":"no","failure":{"f":"head_mismatch","left":{"kind":"adt","path":{"crate":"local","segments":["A"]},"args":[]},"right":{"kind":"adt","path":{"crate":"local","segments":["B"]},"args":[{"ty":{"kind":"param","name":"X"}}]}}}|};
+    {|{"seq":14,"ts":1014,"kind":"cand_exit","id":4,"result":"no","failure":{"f":"arity","left":{"kind":"tuple","elems":[{"kind":"adt","path":{"crate":"local","segments":["A"]},"args":[]}]},"right":{"kind":"tuple","elems":[{"kind":"adt","path":{"crate":"local","segments":["A"]},"args":[]},{"kind":"adt","path":{"crate":"local","segments":["B"]},"args":[{"ty":{"kind":"param","name":"X"}}]}]}}}|};
+    {|{"seq":15,"ts":1015,"kind":"cand_exit","id":4,"result":"no","failure":{"f":"region_mismatch","left":"'a","right":"'static"}}|};
+    {|{"seq":16,"ts":1016,"kind":"cand_exit","id":4,"result":"no","failure":{"f":"occurs","var":4,"ty":{"kind":"adt","path":{"crate":"local","segments":["Vec"]},"args":[{"ty":{"kind":"infer","id":4}}]}}}|};
+    {|{"seq":17,"ts":1017,"kind":"cand_exit","id":4,"result":"maybe","failure":{"f":"projection_ambiguous","proj":{"self":{"kind":"param","name":"X"},"trait":{"trait":{"crate":"local","segments":["Iterator"]},"args":[]},"assoc":"Item","assoc_args":[]},"ty":{"kind":"i32"}}}|};
+    {|{"seq":18,"ts":1018,"kind":"cand_exit","id":2,"result":"yes","failure":null}|};
+    {|{"seq":19,"ts":1019,"kind":"cand_assembled","goal":0,"param_env":1,"impls":2,"builtin":1}|};
+    {|{"seq":20,"ts":1020,"kind":"cand_commit","goal":0,"cand":2}|};
+    {|{"seq":21,"ts":1021,"kind":"unify","node":2,"left":{"kind":"adt","path":{"crate":"local","segments":["A"]},"args":[]},"right":{"kind":"infer","id":7},"failure":null}|};
+    {|{"seq":22,"ts":1022,"kind":"unify","node":null,"left":{"kind":"adt","path":{"crate":"local","segments":["A"]},"args":[]},"right":{"kind":"adt","path":{"crate":"local","segments":["B"]},"args":[{"ty":{"kind":"param","name":"X"}}]},"failure":{"f":"head_mismatch","left":{"kind":"adt","path":{"crate":"local","segments":["A"]},"args":[]},"right":{"kind":"adt","path":{"crate":"local","segments":["B"]},"args":[{"ty":{"kind":"param","name":"X"}}]}}}|};
+    {|{"seq":23,"ts":1023,"kind":"snapshot_open","snap":0,"node":2}|};
+    {|{"seq":24,"ts":1024,"kind":"snapshot_commit","snap":0}|};
+    {|{"seq":25,"ts":1025,"kind":"snapshot_rollback","snap":1}|};
+    {|{"seq":26,"ts":1026,"kind":"norm_resolved","id":5,"resolved":{"kind":"i32"}}|};
+    {|{"seq":27,"ts":1027,"kind":"norm_resolved","id":5,"resolved":null}|};
+    {|{"seq":28,"ts":1028,"kind":"cycle_detected","id":6,"pred":{"kind":"trait","self":{"kind":"adt","path":{"crate":"local","segments":["A"]},"args":[]},"trait_ref":{"trait":{"crate":"local","segments":["T"]},"args":[]}}}|};
+    {|{"seq":29,"ts":1029,"kind":"overflow_hit","id":6,"depth_limited":true}|};
+    {|{"seq":30,"ts":1030,"kind":"ambiguity","id":0,"succeeded":2}|};
+    {|{"seq":31,"ts":1031,"kind":"probe_begin","origin":"method","alternatives":2}|};
+    {|{"seq":32,"ts":1032,"kind":"probe_end","committed":1}|};
+    {|{"seq":33,"ts":1033,"kind":"overlap_detected","trait":{"crate":"local","segments":["T"]},"impl_a":0,"impl_b":1,"witness":{"kind":"adt","path":{"crate":"local","segments":["A"]},"args":[]}}|};
+  ]
+
+let test_wire_golden () =
+  let entries = golden_events () in
+  Alcotest.(check int) "all 18 kinds" 18
+    (List.length (List.sort_uniq compare (kinds entries)));
+  Alcotest.(check (list string)) "exact JSONL lines" golden_lines
+    (List.map
+       (fun e -> Argus_json.Json.to_string (Argus_json.Journal_codec.entry_to_json e))
+       entries);
+  let back = Argus_json.Journal_codec.of_jsonl (Argus_json.Journal_codec.to_jsonl entries) in
+  Alcotest.(check int) "decodes every line" (List.length entries) (List.length back);
+  List.iter2
+    (fun a b ->
+      if not (Journal.equal_entry a b) then
+        Alcotest.failf "golden entry seq %d decodes differently" a.Journal.seq)
+    entries back
+
+(* ------------------------------------------------------------------ *)
 (* CLI observability contract.  Tests run in _build/default/test, with
    the CLI declared as a test dependency at ../bin/argus_cli.exe. *)
 
@@ -392,6 +501,7 @@ let () =
         [
           Alcotest.test_case "disabled is quiet" `Quick test_disabled_is_quiet;
           Alcotest.test_case "jsonl header validation" `Quick test_jsonl_header_errors;
+          Alcotest.test_case "wire-format golden" `Quick test_wire_golden;
         ] );
       ( "cli",
         [

@@ -1,4 +1,4 @@
-.PHONY: build test bench bench-json bench-journal bench-fuzz bench-scale bench-serve bench-diff fuzz perf profile serve-smoke perfbench-smoke lint-single-domain loc ci clean
+.PHONY: build test bench bench-json bench-journal bench-fuzz bench-scale bench-serve bench-diff fuzz perf profile serve-smoke perfbench-smoke lint-single-domain lint-one-vocabulary loc ci clean
 
 build:
 	dune build @all
@@ -111,6 +111,24 @@ perf:
 lint-single-domain:
 	! grep -rnE '\b(Domain|Atomic|Mutex|Condition)\.' --include='*.ml' --include='*.mli' lib bin bench
 
+# One search vocabulary: the solver's trace and the search journal share
+# one declaration of the result, provenance, flag and unify-failure
+# types.  Fails on, and prints, a declaration of `Yes | Maybe | No`,
+# `Impl_where of`, `Ambiguous_selection` or `Head_mismatch of` found in
+# more than one module under lib/, bin/ and bench/ (a module's .ml/.mli
+# pair counts once; lines with `->`, and qualified names, are uses).
+lint-one-vocabulary:
+	@status=0; \
+	for re in '\bYes \| Maybe \| No\b' '\bImpl_where of\b' \
+	  '(^|\|)\s*Ambiguous_selection\s*($$|\(\*|\|)' '\bHead_mismatch of\b'; do \
+	  hits=$$(grep -rnE --include='*.ml' --include='*.mli' "$$re" lib bin bench | grep -v -- '->'); \
+	  n=$$(printf '%s\n' "$$hits" | grep . | sed -E 's/\.mli?:.*//' | sort -u | wc -l); \
+	  if [ "$$n" -gt 1 ]; then \
+	    echo "declared in $$n modules: $$re"; printf '%s\n' "$$hits"; status=1; \
+	  fi; \
+	done; \
+	exit $$status
+
 # The line-count metric that ROADMAP.md tracks: lines of *.ml/*.mli in
 # lib/ bin/ bench/ together, in test/, and in perfbench/.
 loc:
@@ -119,7 +137,8 @@ loc:
 	done
 
 # What CI runs (.github/workflows/ci.yml, step for step): full build,
-# full test suite, the single-domain lint, a corpus smoke (every
+# full test suite, the single-domain and one-vocabulary lints, the
+# line-count metric, a corpus smoke (every
 # bundled program, one verdict line each), a 200-iteration fuzz smoke at the pinned seed (all seven
 # oracles, serve included), a non-interactive
 # `argus watch --once` smoke, the serve stdio-transport smoke, the
@@ -131,6 +150,8 @@ ci:
 	dune build @all
 	dune runtest
 	$(MAKE) lint-single-domain
+	$(MAKE) lint-one-vocabulary
+	$(MAKE) loc
 	dune exec bin/argus_cli.exe -- corpus --all
 	dune exec bin/argus_cli.exe -- fuzz --iters 200 --seed 42
 	dune exec bin/argus_cli.exe -- watch --once examples/timer.trait; test $$? -eq 1

@@ -55,7 +55,7 @@ let () =
       Printf.printf "  %s %s%s\n"
         (match n.result with Solver.Res.Yes -> "✓" | Solver.Res.No -> "✗" | _ -> "?")
         (Pretty.predicate n.pred)
-        (if Solver.Trace.has_flag Solver.Trace.Speculative n then "   [speculative]" else ""))
+        (if Solver.Trace.has_flag Journal.Speculative n then "   [speculative]" else ""))
     nodes;
   print_newline ();
 

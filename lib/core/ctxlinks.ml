@@ -82,12 +82,12 @@ let span_of_node (program : Program.t) (n : Proof_tree.node) : Span.t option =
       | _ -> None)
   | Proof_tree.Goal g -> (
       match g.provenance with
-      | Solver.Trace.Root { span; _ } -> Some span
-      | Solver.Trace.Impl_where { impl_id; _ } ->
+      | Journal.Root { span; _ } -> Some span
+      | Journal.Impl_where { impl_id; _ } ->
           Option.map
             (fun (i : Decl.impl) -> i.impl_span)
             (Program.find_impl program impl_id)
-      | Solver.Trace.Supertrait p ->
+      | Journal.Supertrait p ->
           Option.map (fun (t : Decl.trdecl) -> t.tr_span) (Program.find_trait program p)
-      | Solver.Trace.Param_env _ | Solver.Trace.Builtin_req _ | Solver.Trace.Normalization ->
+      | Journal.Param_env _ | Journal.Builtin_req _ | Journal.Normalization ->
           None)

@@ -107,7 +107,7 @@ let goal_info_of (g : Solver.Trace.goal_node) : Proof_tree.goal_info =
     result = g.result;
     provenance = g.provenance;
     is_overflow = Solver.Trace.is_overflow g;
-    is_stateful = Solver.Trace.has_flag Solver.Trace.Stateful g;
+    is_stateful = Solver.Trace.has_flag Journal.Stateful g;
     is_user_visible = Predicate.is_user_visible g.pred;
     depth = g.depth;
     trace_id = g.gid;
@@ -126,7 +126,7 @@ let prune_speculative (goals : Solver.Trace.goal_node list) : Solver.Trace.goal_
       (fun (g : Solver.Trace.goal_node) ->
         let keep =
           Solver.Res.is_yes g.result
-          || not (Solver.Trace.has_flag Solver.Trace.Speculative g)
+          || not (Solver.Trace.has_flag Journal.Speculative g)
         in
         if not keep then Telemetry.incr c_pruned;
         keep)

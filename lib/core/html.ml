@@ -98,7 +98,7 @@ let node_label ?(program : Program.t option)
       let failure =
         match c.failure with
         | Some f when not (Solver.Res.is_yes c.cand_result) ->
-            Printf.sprintf " — %s" (escape (Solver.Unify.failure_to_string ~cfg f))
+            Printf.sprintf " — %s" (escape (Journal.failure_to_string ~cfg f))
         | _ -> ""
       in
       Printf.sprintf "<span class=\"%s\"%s%s>%s <span class=\"impl\">%s</span>%s</span>%s%s" cls

@@ -13,7 +13,7 @@ type node_id = int
 type goal_info = {
   pred : Predicate.t;
   result : Solver.Res.t;
-  provenance : Solver.Trace.provenance;
+  provenance : Journal.prov;
   is_overflow : bool;  (** E0275 / depth limit *)
   is_stateful : bool;  (** a captured [NormalizesTo] node (§4) *)
   is_user_visible : bool;  (** hidden unless the predicate toggle is on *)
@@ -27,7 +27,7 @@ type goal_info = {
 type cand_info = {
   source : Solver.Trace.cand_source;
   cand_result : Solver.Res.t;
-  failure : Solver.Unify.failure option;
+  failure : Journal.unify_failure option;
   cand_trace_id : int;
       (** stable journal event ID of the originating candidate frame
           ({!Solver.Trace.cand_node.cid}); negative when none *)

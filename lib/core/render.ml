@@ -42,7 +42,7 @@ let cand_text (vs : View_state.t) (n : Proof_tree.node) (c : Proof_tree.cand_inf
   let failure =
     match c.failure with
     | Some f when not (Solver.Res.is_yes c.cand_result) ->
-        Printf.sprintf " — %s" (Solver.Unify.failure_to_string ~cfg f)
+        Printf.sprintf " — %s" (Journal.failure_to_string ~cfg f)
     | _ -> ""
   in
   Printf.sprintf "%s %s%s" (icon c.cand_result) base failure

@@ -58,7 +58,7 @@ let generate (cfg : config) : Proof_tree.t =
     {
       pred = pred_of_int (next ());
       result;
-      provenance = Solver.Trace.Root { origin = "synthetic"; span = Span.dummy };
+      provenance = Journal.Root { origin = "synthetic"; span = Span.dummy };
       is_overflow = false;
       is_stateful = false;
       is_user_visible = true;
@@ -91,7 +91,7 @@ let generate (cfg : config) : Proof_tree.t =
   let rejected parent =
     no_cand parent
       ~failure:
-        (Solver.Unify.Head_mismatch
+        (Journal.Head_mismatch
            (Ty.ctor (Path.local [ "X" ]) [], Ty.ctor (Path.local [ "Y" ]) []))
       (fun _ -> [])
   in

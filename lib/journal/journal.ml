@@ -15,40 +15,77 @@
     single load + branch and allocates nothing, so the instrumentation
     stays compiled into the hot solver paths permanently.
 
-    This module sits {e below} the solver (the solver depends on it),
-    so the provenance / candidate-source / failure payloads mirror the
-    solver's types structurally; [Solver.Jlog] provides the
-    conversions.  JSONL serialization (schema [argus.journal/v2]) lives
-    in {!Argus_json.Journal_codec}. *)
+    The search vocabulary is declared here, once: {!Res}, provenance,
+    flags and unification failures are the very values the solver
+    builds its trace trees from (the solver depends on this library and
+    names these types), so an event carries them as they are.  Only the
+    candidate source has a journal form of its own: an impl is recorded
+    as its id and rendered header, which a journal read back from disk
+    can show without the program.  JSONL serialization (schema
+    [argus.journal/v2]) lives in {!Argus_json.Journal_codec}. *)
 
 open Trait_lang
 
+module Res = Res
+
 (* ------------------------------------------------------------------ *)
-(* Mirrors of the solver-side payload types. *)
+(* The search payloads, shared with the solver's trace trees. *)
 
-type res = Yes | Maybe | No
-
+(** Where a subgoal came from — the CtxtLinks auxiliary data. *)
 type prov =
   | Root of { origin : string; span : Span.t }
+      (** a top-level obligation from the user's code *)
   | Impl_where of { impl_id : int; clause_idx : int }
-  | Param_env of int
+      (** the [clause_idx]-th where-clause of impl [impl_id] *)
+  | Param_env of int  (** the n-th in-scope where-clause *)
   | Supertrait of Path.t
-  | Builtin_req of string
-  | Normalization
+  | Builtin_req of string  (** requirement of a built-in impl *)
+  | Normalization  (** generated while normalizing a projection *)
 
-type flag = Overflow | Depth_limit | Stateful | Speculative | Ambiguous_selection
+let equal_prov a b =
+  match (a, b) with
+  | Root a, Root b -> String.equal a.origin b.origin && Span.equal a.span b.span
+  | Impl_where a, Impl_where b ->
+      a.impl_id = b.impl_id && a.clause_idx = b.clause_idx
+  | Param_env a, Param_env b -> a = b
+  | Supertrait a, Supertrait b -> Path.equal a b
+  | Builtin_req a, Builtin_req b -> String.equal a b
+  | Normalization, Normalization -> true
+  | _ -> false
 
+type flag =
+  | Overflow  (** E0275: cyclic requirement *)
+  | Depth_limit  (** recursion limit reached *)
+  | Stateful  (** a [NormalizesTo] node: value captured after its subtree *)
+  | Speculative  (** probing predicate from method resolution *)
+  | Ambiguous_selection  (** several candidates succeeded *)
+
+(** A candidate source in wire form: an impl is its id and rendered
+    header, which a journal decoded without its program can still show. *)
 type source =
   | Impl of { impl_id : int; header : string }
   | Param_env_clause of Predicate.t
   | Builtin of string
 
 type unify_failure =
-  | Head_mismatch of Ty.t * Ty.t
+  | Head_mismatch of Ty.t * Ty.t  (** different rigid constructors *)
   | Arity of Ty.t * Ty.t
   | Region_mismatch of Region.t * Region.t
-  | Occurs of int * Ty.t
+  | Occurs of int * Ty.t  (** [?i] occurs in the type it would bind to *)
   | Projection_ambiguous of Ty.projection * Ty.t
+      (** a projection met a non-projection; needs normalization *)
+
+let equal_failure a b =
+  match (a, b) with
+  | Head_mismatch (a1, a2), Head_mismatch (b1, b2)
+  | Arity (a1, a2), Arity (b1, b2) ->
+      Ty.equal a1 b1 && Ty.equal a2 b2
+  | Region_mismatch (a1, a2), Region_mismatch (b1, b2) ->
+      Region.equal a1 b1 && Region.equal a2 b2
+  | Occurs (i, t), Occurs (j, u) -> i = j && Ty.equal t u
+  | Projection_ambiguous (p, t), Projection_ambiguous (q, u) ->
+      Ty.equal (Ty.Proj p) (Ty.Proj q) && Ty.equal t u
+  | _ -> false
 
 (* ------------------------------------------------------------------ *)
 (* Events *)
@@ -66,14 +103,14 @@ type event =
       pred : Predicate.t;
           (** authoritative: a [NormalizesTo] goal's predicate is
               rewritten between enter and exit (§4 statefulness) *)
-      result : res;
+      result : Res.t;
       flags : flag list;
     }
   | Goal_flag of { id : int; flag : flag }
       (** post-hoc flag, e.g. [Speculative] stamped by probing after
           the goal already exited *)
   | Cand_enter of { id : int; goal : int; source : source }
-  | Cand_exit of { id : int; result : res; failure : unify_failure option }
+  | Cand_exit of { id : int; result : Res.t; failure : unify_failure option }
   | Cand_assembled of { goal : int; param_env : int; impls : int; builtin : int }
   | Cand_commit of { goal : int; cand : int }
       (** the uniquely successful candidate is committed: the bindings
@@ -183,8 +220,6 @@ let with_memory_sink (f : unit -> 'a) : 'a * entry list =
 (* ------------------------------------------------------------------ *)
 (* Pretty-printing *)
 
-let res_to_string = function Yes -> "yes" | Maybe -> "maybe" | No -> "no"
-
 let flag_to_string = function
   | Overflow -> "overflow"
   | Depth_limit -> "depth-limit"
@@ -206,18 +241,19 @@ let source_to_string = function
   | Param_env_clause p -> Printf.sprintf "where-clause `%s`" (Pretty.predicate p)
   | Builtin b -> Printf.sprintf "builtin:%s" b
 
-let failure_to_string = function
+let failure_to_string ?(cfg = Pretty.default) = function
   | Head_mismatch (a, b) ->
-      Printf.sprintf "expected `%s`, found `%s`" (Pretty.ty a) (Pretty.ty b)
+      Printf.sprintf "expected `%s`, found `%s`" (Pretty.ty ~cfg a) (Pretty.ty ~cfg b)
   | Arity (a, b) ->
-      Printf.sprintf "`%s` and `%s` differ in arity" (Pretty.ty a) (Pretty.ty b)
+      Printf.sprintf "`%s` and `%s` differ in arity" (Pretty.ty ~cfg a) (Pretty.ty ~cfg b)
   | Region_mismatch (a, b) ->
       Printf.sprintf "lifetime mismatch: `%s` vs `%s`" (Region.to_string a)
         (Region.to_string b)
-  | Occurs (i, t) -> Printf.sprintf "cyclic type: ?%d occurs in `%s`" i (Pretty.ty t)
+  | Occurs (i, t) ->
+      Printf.sprintf "cyclic type: ?%d occurs in `%s`" i (Pretty.ty ~cfg t)
   | Projection_ambiguous (p, t) ->
       Printf.sprintf "cannot relate `%s` to `%s` without normalizing"
-        (Pretty.projection p) (Pretty.ty t)
+        (Pretty.projection ~cfg p) (Pretty.ty ~cfg t)
 
 let event_kind = function
   | Goal_enter _ -> "goal_enter"
@@ -242,20 +278,6 @@ let event_kind = function
 (* ------------------------------------------------------------------ *)
 (* Equality (for round-trip tests and the replay validator) *)
 
-let equal_res (a : res) (b : res) = a = b
-let equal_flag (a : flag) (b : flag) = a = b
-
-let equal_prov a b =
-  match (a, b) with
-  | Root a, Root b -> String.equal a.origin b.origin && Span.equal a.span b.span
-  | Impl_where a, Impl_where b ->
-      a.impl_id = b.impl_id && a.clause_idx = b.clause_idx
-  | Param_env a, Param_env b -> a = b
-  | Supertrait a, Supertrait b -> Path.equal a b
-  | Builtin_req a, Builtin_req b -> String.equal a b
-  | Normalization, Normalization -> true
-  | _ -> false
-
 let equal_source a b =
   match (a, b) with
   | Impl a, Impl b -> a.impl_id = b.impl_id && String.equal a.header b.header
@@ -263,52 +285,32 @@ let equal_source a b =
   | Builtin a, Builtin b -> String.equal a b
   | _ -> false
 
-let equal_failure a b =
-  match (a, b) with
-  | Head_mismatch (a1, a2), Head_mismatch (b1, b2)
-  | Arity (a1, a2), Arity (b1, b2) ->
-      Ty.equal a1 b1 && Ty.equal a2 b2
-  | Region_mismatch (a1, a2), Region_mismatch (b1, b2) ->
-      Region.equal a1 b1 && Region.equal a2 b2
-  | Occurs (i, t), Occurs (j, u) -> i = j && Ty.equal t u
-  | Projection_ambiguous (p, t), Projection_ambiguous (q, u) ->
-      Ty.equal (Ty.Proj p) (Ty.Proj q) && Ty.equal t u
-  | _ -> false
-
-let equal_opt eq a b =
-  match (a, b) with
-  | None, None -> true
-  | Some a, Some b -> eq a b
-  | _ -> false
-
-let equal_list eq a b = List.length a = List.length b && List.for_all2 eq a b
-
 let equal_event (a : event) (b : event) =
   match (a, b) with
   | Goal_enter a, Goal_enter b ->
       a.id = b.id && a.parent = b.parent && Predicate.equal a.pred b.pred
       && a.depth = b.depth && equal_prov a.prov b.prov
   | Goal_exit a, Goal_exit b ->
-      a.id = b.id && Predicate.equal a.pred b.pred && equal_res a.result b.result
-      && equal_list equal_flag a.flags b.flags
-  | Goal_flag a, Goal_flag b -> a.id = b.id && equal_flag a.flag b.flag
+      a.id = b.id && Predicate.equal a.pred b.pred && Res.equal a.result b.result
+      && a.flags = b.flags
+  | Goal_flag a, Goal_flag b -> a.id = b.id && a.flag = b.flag
   | Cand_enter a, Cand_enter b ->
       a.id = b.id && a.goal = b.goal && equal_source a.source b.source
   | Cand_exit a, Cand_exit b ->
-      a.id = b.id && equal_res a.result b.result
-      && equal_opt equal_failure a.failure b.failure
+      a.id = b.id && Res.equal a.result b.result
+      && Option.equal equal_failure a.failure b.failure
   | Cand_assembled a, Cand_assembled b ->
       a.goal = b.goal && a.param_env = b.param_env && a.impls = b.impls
       && a.builtin = b.builtin
   | Cand_commit a, Cand_commit b -> a.goal = b.goal && a.cand = b.cand
   | Unify a, Unify b ->
       a.node = b.node && Ty.equal a.left b.left && Ty.equal a.right b.right
-      && equal_opt equal_failure a.failure b.failure
+      && Option.equal equal_failure a.failure b.failure
   | Snapshot_open a, Snapshot_open b -> a.snap = b.snap && a.node = b.node
   | Snapshot_commit a, Snapshot_commit b -> a.snap = b.snap
   | Snapshot_rollback a, Snapshot_rollback b -> a.snap = b.snap
   | Norm_resolved a, Norm_resolved b ->
-      a.id = b.id && equal_opt Ty.equal a.resolved b.resolved
+      a.id = b.id && Option.equal Ty.equal a.resolved b.resolved
   | Cycle_detected a, Cycle_detected b -> a.id = b.id && Predicate.equal a.pred b.pred
   | Overflow_hit a, Overflow_hit b ->
       a.id = b.id && a.depth_limited = b.depth_limited
@@ -337,7 +339,7 @@ type rgoal = {
   mutable rg_pred : Predicate.t;
   rg_depth : int;
   rg_prov : prov;
-  mutable rg_result : res;
+  mutable rg_result : Res.t;
   mutable rg_flags : flag list;
   mutable rg_cands : rcand list;
   mutable rg_unify : entry list;  (** unify events while this goal was innermost *)
@@ -346,7 +348,7 @@ type rgoal = {
 and rcand = {
   rc_id : int;
   rc_source : source;
-  mutable rc_result : res;
+  mutable rc_result : Res.t;
   mutable rc_failure : unify_failure option;
   mutable rc_subgoals : rgoal list;
   mutable rc_unify : entry list;
@@ -379,7 +381,7 @@ let replay (entries : entry list) : (replay_tree, string) result =
             rg_pred = pred;
             rg_depth = depth;
             rg_prov = prov;
-            rg_result = Maybe;
+            rg_result = Res.Maybe;
             rg_flags = [];
             rg_cands = [];
             rg_unify = [];
@@ -415,7 +417,7 @@ let replay (entries : entry list) : (replay_tree, string) result =
               {
                 rc_id = id;
                 rc_source = source;
-                rc_result = Maybe;
+                rc_result = Res.Maybe;
                 rc_failure = None;
                 rc_subgoals = [];
                 rc_unify = [];
@@ -469,16 +471,16 @@ let rec equal_goal (a : rgoal) (b : rgoal) =
   && Predicate.equal a.rg_pred b.rg_pred
   && a.rg_depth = b.rg_depth
   && equal_prov a.rg_prov b.rg_prov
-  && equal_res a.rg_result b.rg_result
-  && equal_list equal_flag a.rg_flags b.rg_flags
-  && equal_list equal_cand a.rg_cands b.rg_cands
+  && Res.equal a.rg_result b.rg_result
+  && a.rg_flags = b.rg_flags
+  && List.equal equal_cand a.rg_cands b.rg_cands
 
 and equal_cand (a : rcand) (b : rcand) =
   a.rc_id = b.rc_id
   && equal_source a.rc_source b.rc_source
-  && equal_res a.rc_result b.rc_result
-  && equal_opt equal_failure a.rc_failure b.rc_failure
-  && equal_list equal_goal a.rc_subgoals b.rc_subgoals
+  && Res.equal a.rc_result b.rc_result
+  && Option.equal equal_failure a.rc_failure b.rc_failure
+  && List.equal equal_goal a.rc_subgoals b.rc_subgoals
 
 (** Pre-order fold over a replayed goal tree. *)
 let rec fold_goals f acc (g : rgoal) =
@@ -491,16 +493,16 @@ let failed_leaves (g : rgoal) =
   fold_goals
     (fun acc node ->
       match node.rg_result with
-      | No | Maybe ->
+      | Res.No | Res.Maybe ->
           let has_failing_child =
             List.exists
               (fun c ->
-                c.rc_result <> Yes
-                && List.exists (fun s -> s.rg_result <> Yes) c.rc_subgoals)
+                c.rc_result <> Res.Yes
+                && List.exists (fun s -> s.rg_result <> Res.Yes) c.rc_subgoals)
               node.rg_cands
           in
           if has_failing_child then acc else node :: acc
-      | Yes -> acc)
+      | Res.Yes -> acc)
     [] g
   |> List.rev
 

@@ -7,37 +7,53 @@
     single load + branch.  Node IDs are assigned monotonically and
     stored in the solver's trace nodes, so rendered proof-tree nodes
     link back to their originating event spans.  This library sits below
-    the solver, so payload types structurally mirror [Solver.Trace] /
-    [Solver.Unify]; [Solver.Jlog] converts.  The JSONL wire format
-    (schema [argus.journal/v2]) is {!Argus_json.Journal_codec}. *)
+    the solver and declares the search vocabulary both share — {!Res},
+    provenance, flags and unification failures — so events carry the
+    solver's own values.  The JSONL wire format (schema
+    [argus.journal/v2]) is {!Argus_json.Journal_codec}. *)
 
 open Trait_lang
 
-(** {1 Payload types (mirrors of the solver's)} *)
+(** {1 The search vocabulary (shared with the solver's trace trees)} *)
 
-type res = Yes | Maybe | No
+module Res = Res
 
+(** Where a subgoal came from — the CtxtLinks auxiliary data. *)
 type prov =
   | Root of { origin : string; span : Span.t }
+      (** a top-level obligation from the user's code *)
   | Impl_where of { impl_id : int; clause_idx : int }
-  | Param_env of int
+      (** the [clause_idx]-th where-clause of impl [impl_id] *)
+  | Param_env of int  (** the n-th in-scope where-clause *)
   | Supertrait of Path.t
-  | Builtin_req of string
-  | Normalization
+  | Builtin_req of string  (** requirement of a built-in impl *)
+  | Normalization  (** generated while normalizing a projection *)
 
-type flag = Overflow | Depth_limit | Stateful | Speculative | Ambiguous_selection
+val equal_prov : prov -> prov -> bool
 
+type flag =
+  | Overflow  (** E0275: cyclic requirement *)
+  | Depth_limit  (** recursion limit reached *)
+  | Stateful  (** a [NormalizesTo] node: value captured after its subtree *)
+  | Speculative  (** probing predicate from method resolution *)
+  | Ambiguous_selection  (** several candidates succeeded *)
+
+(** A candidate source in wire form: an impl is its id and rendered
+    header, which a journal decoded without its program can still show. *)
 type source =
   | Impl of { impl_id : int; header : string }
   | Param_env_clause of Predicate.t
   | Builtin of string
 
 type unify_failure =
-  | Head_mismatch of Ty.t * Ty.t
+  | Head_mismatch of Ty.t * Ty.t  (** different rigid constructors *)
   | Arity of Ty.t * Ty.t
   | Region_mismatch of Region.t * Region.t
-  | Occurs of int * Ty.t
+  | Occurs of int * Ty.t  (** [?i] occurs in the type it would bind to *)
   | Projection_ambiguous of Ty.projection * Ty.t
+      (** a projection met a non-projection; needs normalization *)
+
+val equal_failure : unify_failure -> unify_failure -> bool
 
 (** {1 Events} *)
 
@@ -49,10 +65,10 @@ type event =
       depth : int;
       prov : prov;
     }
-  | Goal_exit of { id : int; pred : Predicate.t; result : res; flags : flag list }
+  | Goal_exit of { id : int; pred : Predicate.t; result : Res.t; flags : flag list }
   | Goal_flag of { id : int; flag : flag }
   | Cand_enter of { id : int; goal : int; source : source }
-  | Cand_exit of { id : int; result : res; failure : unify_failure option }
+  | Cand_exit of { id : int; result : Res.t; failure : unify_failure option }
   | Cand_assembled of { goal : int; param_env : int; impls : int; builtin : int }
   | Cand_commit of { goal : int; cand : int }
       (** the uniquely successful candidate is committed by writing back
@@ -124,22 +140,17 @@ val with_memory_sink : (unit -> 'a) -> 'a * entry list
 
 (** {1 Pretty-printing} *)
 
-val res_to_string : res -> string
 val flag_to_string : flag -> string
 val prov_to_string : prov -> string
 val source_to_string : source -> string
-val failure_to_string : unify_failure -> string
+val failure_to_string : ?cfg:Pretty.config -> unify_failure -> string
 
 (** Stable kind tag, as used by the JSONL codec. *)
 val event_kind : event -> string
 
 (** {1 Equality} *)
 
-val equal_res : res -> res -> bool
-val equal_flag : flag -> flag -> bool
-val equal_prov : prov -> prov -> bool
 val equal_source : source -> source -> bool
-val equal_failure : unify_failure -> unify_failure -> bool
 val equal_event : event -> event -> bool
 val equal_entry : entry -> entry -> bool
 
@@ -154,7 +165,7 @@ type rgoal = {
   mutable rg_pred : Predicate.t;
   rg_depth : int;
   rg_prov : prov;
-  mutable rg_result : res;
+  mutable rg_result : Res.t;
   mutable rg_flags : flag list;
   mutable rg_cands : rcand list;
   mutable rg_unify : entry list;
@@ -163,7 +174,7 @@ type rgoal = {
 and rcand = {
   rc_id : int;
   rc_source : source;
-  mutable rc_result : res;
+  mutable rc_result : Res.t;
   mutable rc_failure : unify_failure option;
   mutable rc_subgoals : rgoal list;
   mutable rc_unify : entry list;

@@ -18,7 +18,7 @@ val and_ : t -> t -> t
 val conj : t list -> t
 
 (** Disjunction over candidates (selection-uniqueness is layered on by
-    {!Solve}). *)
+    [Solver.Solve]). *)
 val or_ : t -> t -> t
 
 val disj : t list -> t

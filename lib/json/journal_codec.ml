@@ -54,13 +54,13 @@ let span_of_json path = function
 
 (* --- payload codecs ------------------------------------------------- *)
 
-let res_to_json (r : Journal.res) : Json.t = Json.String (Journal.res_to_string r)
+let res_to_json r = Json.String (Journal.Res.to_string r)
 
-let res_of_json path j : Journal.res =
+let res_of_json path j : Journal.Res.t =
   match str path j with
-  | "yes" -> Journal.Yes
-  | "maybe" -> Journal.Maybe
-  | "no" -> Journal.No
+  | "yes" -> Yes
+  | "maybe" -> Maybe
+  | "no" -> No
   | s -> fail path ("unknown result " ^ s)
 
 let flag_to_json (f : Journal.flag) : Json.t = Json.String (Journal.flag_to_string f)
@@ -368,8 +368,7 @@ let event_of_json path kind j : Journal.event =
         }
   | k -> fail path ("unknown event kind " ^ k)
 
-let entry_of_json (j : Json.t) : Journal.entry =
-  let path = "$" in
+let entry_of_json ~path (j : Json.t) : Journal.entry =
   {
     Journal.seq = int_ (path ^ ".seq") (field path "seq" j);
     ts_ns = int_ (path ^ ".ts") (field path "ts" j);
@@ -412,12 +411,11 @@ let of_jsonl (s : string) : Journal.entry list =
       | _ -> fail "$.header" "missing schema field");
       List.mapi
         (fun i line ->
+          let path = Printf.sprintf "$.line[%d]" (i + 2) in
           let j =
             try Json.of_string line
             with Json.Parse_error (msg, pos) ->
-              fail
-                (Printf.sprintf "$.line[%d]" (i + 2))
-                (Printf.sprintf "malformed JSON (%s at offset %d)" msg pos)
+              fail path (Printf.sprintf "malformed JSON (%s at offset %d)" msg pos)
           in
-          entry_of_json j)
+          entry_of_json ~path j)
         rest

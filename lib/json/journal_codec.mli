@@ -10,7 +10,9 @@
 val schema : string
 
 val entry_to_json : Journal.entry -> Json.t
-val entry_of_json : Json.t -> Journal.entry
+
+(** Decode one entry; error paths are rooted at [path]. *)
+val entry_of_json : path:string -> Json.t -> Journal.entry
 
 (** The compact header line (no trailing newline). *)
 val header_line : unit -> string
@@ -19,5 +21,6 @@ val header_line : unit -> string
 val to_jsonl : Journal.entry list -> string
 
 (** Decode a full stream; the first non-empty line must be a matching
-    header. *)
+    header.  An error in an entry is reported at [$.line[N]], counting
+    non-empty lines from the header as line 1. *)
 val of_jsonl : string -> Journal.entry list

@@ -24,7 +24,7 @@ type node = {
   p_depth : int;
   p_enter_ns : int;
   mutable p_exit_ns : int;
-  mutable p_result : Journal.res;
+  mutable p_result : Journal.Res.t;
   mutable p_total_ns : int;
   mutable p_self_ns : int;
   mutable p_unify : int;
@@ -81,7 +81,7 @@ let of_entries ?words (entries : Journal.entry list) : t =
         p_depth = List.length !stack;
         p_enter_ns = ts;
         p_exit_ns = ts;
-        p_result = Journal.Maybe;
+        p_result = Journal.Res.Maybe;
         p_total_ns = 0;
         p_self_ns = 0;
         p_unify = 0;

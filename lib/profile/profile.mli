@@ -27,7 +27,7 @@ type node = {
   p_depth : int;  (** nesting depth in the cost tree (roots are 0) *)
   p_enter_ns : int;  (** raw [ts_ns] at enter *)
   mutable p_exit_ns : int;
-  mutable p_result : Journal.res;
+  mutable p_result : Journal.Res.t;
   mutable p_total_ns : int;  (** enter → exit wall time *)
   mutable p_self_ns : int;  (** total minus the children's totals *)
   mutable p_unify : int;  (** unify attempts attributed to this frame *)

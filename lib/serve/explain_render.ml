@@ -12,7 +12,7 @@ let cand_line buf ~indent (c : Journal.rcand) =
           (match Journal.rejecting_unify c with
           | Some e -> Printf.sprintf " (unify event seq %d)" e.Journal.seq
           | None -> "")
-    | None -> Journal.res_to_string c.Journal.rc_result
+    | None -> Journal.Res.to_string c.Journal.rc_result
   in
   Printf.bprintf buf "%s- candidate #%d %s — %s\n" indent c.Journal.rc_id
     (Journal.source_to_string c.Journal.rc_source)
@@ -28,7 +28,7 @@ let time_suffix prof id =
 let print_goal buf ?prof (t : Journal.replay_tree) (g : Journal.rgoal) =
   let bpf fmt = Printf.bprintf buf fmt in
   bpf "goal #%d: %s\n" g.Journal.rg_id (pp_pred g.Journal.rg_pred);
-  bpf "  result: %s\n" (Journal.res_to_string g.Journal.rg_result);
+  bpf "  result: %s\n" (Journal.Res.to_string g.Journal.rg_result);
   bpf "  depth: %d\n" g.Journal.rg_depth;
   bpf "  provenance: %s\n" (Journal.prov_to_string g.Journal.rg_prov);
   (match Option.bind prof (fun p -> Profile.heat_of_id p g.Journal.rg_id) with
@@ -52,7 +52,7 @@ let print_goal buf ?prof (t : Journal.replay_tree) (g : Journal.rgoal) =
           match Hashtbl.find_opt t.Journal.rt_goals id with
           | Some a ->
               bpf "    goal #%d %s [%s]\n" id (pp_pred a.Journal.rg_pred)
-                (Journal.res_to_string a.Journal.rg_result)
+                (Journal.Res.to_string a.Journal.rg_result)
           | None -> (
               match Hashtbl.find_opt t.Journal.rt_cands id with
               | Some c ->
@@ -70,7 +70,7 @@ let print_cand buf ?prof (t : Journal.replay_tree) (c : Journal.rcand) =
   let bpf fmt = Printf.bprintf buf fmt in
   bpf "candidate #%d: %s\n" c.Journal.rc_id
     (Journal.source_to_string c.Journal.rc_source);
-  bpf "  result: %s\n" (Journal.res_to_string c.Journal.rc_result);
+  bpf "  result: %s\n" (Journal.Res.to_string c.Journal.rc_result);
   (match Option.bind prof (fun p -> Profile.heat_of_id p c.Journal.rc_id) with
   | Some (_, label) -> bpf "  time: %s\n" label
   | None -> ());
@@ -100,7 +100,7 @@ let summary ?prof ~entries (tree : Journal.replay_tree) =
   List.iter
     (fun (root : Journal.rgoal) ->
       Printf.bprintf buf "  root #%d [%s] %s%s\n" root.Journal.rg_id
-        (Journal.res_to_string root.Journal.rg_result)
+        (Journal.Res.to_string root.Journal.rg_result)
         (pp_pred root.Journal.rg_pred)
         (time_suffix prof root.Journal.rg_id))
     tree.Journal.rt_roots;
@@ -119,7 +119,7 @@ let failures ?prof (tree : Journal.replay_tree) =
       | leaves ->
           Printf.bprintf buf "root #%d: %s [%s]%s\n" root.Journal.rg_id
             (pp_pred root.Journal.rg_pred)
-            (Journal.res_to_string root.Journal.rg_result)
+            (Journal.Res.to_string root.Journal.rg_result)
             (time_suffix prof root.Journal.rg_id);
           List.iter
             (fun (g : Journal.rgoal) ->

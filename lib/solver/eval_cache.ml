@@ -209,7 +209,7 @@ let var_ok ~start ok (t : Ty.t) = ok && match t with Infer v -> v >= start | _ -
 let vars_ok ~start p = Predicate.fold_tys (var_ok ~start) true p
 let ty_ok ~start t = Ty.fold (var_ok ~start) true t
 
-let failure_ok ~start (f : Unify.failure) =
+let failure_ok ~start (f : Journal.unify_failure) =
   match f with
   | Head_mismatch (a, b) | Arity (a, b) -> ty_ok ~start a && ty_ok ~start b
   | Region_mismatch _ -> true
@@ -230,8 +230,7 @@ let try_insert ctx icx (f : frame) (node : Trace.goal_node) =
     let touched = ref [] in
     let check_goal () (g : Trace.goal_node) =
       if g.depth > !max_depth then max_depth := g.depth;
-      if List.mem Trace.Overflow g.flags || List.mem Trace.Depth_limit g.flags then
-        ok := false;
+      if Trace.is_overflow g then ok := false;
       if not (vars_ok ~start g.pred) then ok := false;
       (match g.pred with
       | Predicate.Trait _ | Predicate.Projection _ ->
@@ -304,7 +303,7 @@ let replay icx ~gid ~depth ~prov (e : tree_entry) : Trace.goal_node =
     e.e_slots;
   if gd = 0 && dd = 0 && vd = 0 then { e.e_node with provenance = prov }
   else begin
-    let sfail (fl : Unify.failure) : Unify.failure =
+    let sfail (fl : Journal.unify_failure) : Journal.unify_failure =
       if vd = 0 then fl
       else
         match fl with

@@ -80,7 +80,7 @@ val try_insert : ctx -> Infer_ctx.t -> frame -> Trace.goal_node -> unit
     range, fresh variables, bindings) and return the restamped
     subtree. *)
 val replay :
-  Infer_ctx.t -> gid:int -> depth:int -> prov:Trace.provenance -> tree_entry -> Trace.goal_node
+  Infer_ctx.t -> gid:int -> depth:int -> prov:Journal.prov -> tree_entry -> Trace.goal_node
 
 (** {1 Result tier} *)
 

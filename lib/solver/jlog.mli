@@ -1,22 +1,20 @@
-(** Bridge between the solver's types and the search {!Journal}:
-    type conversions, guarded emission helpers, and the replay-validator
-    conversion from direct trace trees. *)
+(** The solver's side of the search {!Journal}: guarded emission
+    helpers, the wire form of a candidate source, and the
+    replay-validator conversion from direct trace trees.  Results,
+    provenance, flags and unification failures are the journal's own
+    types, so nothing else is converted. *)
 
 open Trait_lang
 
-(** {1 Conversions} *)
-
-val res_of : Res.t -> Journal.res
-val flag_of : Trace.flag -> Journal.flag
-val prov_of : Trace.provenance -> Journal.prov
+(** A candidate source in wire form: an impl becomes its id and
+    expanded header. *)
 val source_of : Trace.cand_source -> Journal.source
-val failure_of : Unify.failure -> Journal.unify_failure
 
 (** {1 Emission helpers (no-ops while the journal is disabled)} *)
 
-val goal_enter : id:int -> depth:int -> Trace.provenance -> Predicate.t -> unit
+val goal_enter : id:int -> depth:int -> Journal.prov -> Predicate.t -> unit
 val goal_exit : Trace.goal_node -> unit
-val goal_flag : id:int -> Trace.flag -> unit
+val goal_flag : id:int -> Journal.flag -> unit
 val cand_enter : id:int -> goal:int -> Trace.cand_source -> unit
 val cand_exit : Trace.cand_node -> unit
 val cand_assembled : goal:int -> param_env:int -> impls:int -> builtin:int -> unit
@@ -28,10 +26,6 @@ val norm_resolved : id:int -> Ty.t option -> unit
 
 val probe_begin : origin:string -> alternatives:int -> unit
 val probe_end : committed:int option -> unit
-
-(** Journal a solver-constructed unification failure (one that
-    short-circuited before reaching {!Unify.unify}). *)
-val unify_failed : Infer_ctx.t -> Ty.t -> Ty.t -> Unify.failure -> unit
 
 (** {1 Replay bridge} *)
 

@@ -1,38 +1,3 @@
-(** Evaluation results (Fig. 5): R ⟶ yes | no | maybe.
+(** Evaluation results: {!Journal.Res}, named here as the solver's own. *)
 
-    [Maybe] arises when a predicate refers to un-inferred type variables
-    (or when candidate selection is ambiguous); the obligation engine keeps
-    re-evaluating [Maybe] predicates until a fixpoint, after which
-    survivors become failures (§4). *)
-
-type t = Yes | Maybe | No
-
-let to_string = function Yes -> "yes" | Maybe -> "maybe" | No -> "no"
-
-let pp ppf r = Fmt.string ppf (to_string r)
-
-let equal (a : t) (b : t) = a = b
-
-let is_yes = function Yes -> true | _ -> false
-let is_no = function No -> true | _ -> false
-let is_maybe = function Maybe -> true | _ -> false
-
-(** Conjunction: a candidate succeeds iff all of its nested predicates
-    succeed. *)
-let and_ a b =
-  match (a, b) with
-  | No, _ | _, No -> No
-  | Maybe, _ | _, Maybe -> Maybe
-  | Yes, Yes -> Yes
-
-let conj results = List.fold_left and_ Yes results
-
-(** Disjunction over candidates, ignoring selection-uniqueness concerns
-    (those are layered on by {!Solve}). *)
-let or_ a b =
-  match (a, b) with
-  | Yes, _ | _, Yes -> Yes
-  | Maybe, _ | _, Maybe -> Maybe
-  | No, No -> No
-
-let disj results = List.fold_left or_ No results
+include Journal.Res

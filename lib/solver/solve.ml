@@ -154,13 +154,13 @@ let rec solve_goal st ~depth prov (pred0 : Predicate.t) : Trace.goal_node =
     if depth > st.cfg.depth_limit then begin
       Telemetry.incr c_overflow;
       Jlog.overflow ~id:gid ~depth_limited:true;
-      leaf ~gid ~depth ~prov ~flags:[ Trace.Depth_limit; Trace.Overflow ] pred Res.No
+      leaf ~gid ~depth ~prov ~flags:[ Journal.Depth_limit; Journal.Overflow ] pred Res.No
     end
     else if cycles st pred then begin
       Telemetry.incr c_overflow;
       Jlog.cycle ~id:gid pred;
       Jlog.overflow ~id:gid ~depth_limited:false;
-      leaf ~gid ~depth ~prov ~flags:[ Trace.Overflow ] pred Res.No
+      leaf ~gid ~depth ~prov ~flags:[ Journal.Overflow ] pred Res.No
     end
     else begin
       let evaluate () =
@@ -185,7 +185,7 @@ let rec solve_goal st ~depth prov (pred0 : Predicate.t) : Trace.goal_node =
                   | Ok () -> ()
                   | Error _ -> ())
               | _ -> ());
-              { n.norm_node with provenance = prov; flags = Trace.Stateful :: n.norm_node.flags }
+              { n.norm_node with provenance = prov; flags = Journal.Stateful :: n.norm_node.flags }
         in
         st.stack <- List.tl st.stack;
         node
@@ -275,7 +275,7 @@ and select st ~gid ~depth ~prov pred probed : Trace.goal_node =
     | [], _ :: _ :: _ ->
         Telemetry.incr c_ambiguous;
         Jlog.ambiguity ~id:gid ~succeeded:(List.length yes);
-        (Res.Maybe, [ Trace.Ambiguous_selection ], None)
+        (Res.Maybe, [ Journal.Ambiguous_selection ], None)
     | [], [] ->
         if List.exists (fun (c : Trace.cand_node) -> Res.is_maybe c.cand_result) candidates
         then (Res.Maybe, [], None)
@@ -339,7 +339,7 @@ and eval_impl_candidate st ~goal ~depth (impl : Decl.impl) (tp : Predicate.trait
           List.mapi
             (fun idx wc ->
               solve_goal st ~depth:(depth + 1)
-                (Trace.Impl_where { impl_id = impl.impl_id; clause_idx = idx })
+                (Journal.Impl_where { impl_id = impl.impl_id; clause_idx = idx })
                 (Subst.predicate subst wc))
             impl.impl_generics.where_clauses
         in
@@ -356,15 +356,15 @@ and eval_impl_candidate st ~goal ~depth (impl : Decl.impl) (tp : Predicate.trait
     the success and failure paths, since the journal (and the trace)
     must account for every node evaluated before a mismatch. *)
 and unify_trait_refs_norm st ~depth (a : Ty.trait_ref) (b : Ty.trait_ref) :
-    (Trace.goal_node list, Trace.goal_node list * Unify.failure) result =
+    (Trace.goal_node list, Trace.goal_node list * Journal.unify_failure) result =
   let manual_failure f =
-    Jlog.unify_failed st.icx (Ty.Dynamic a) (Ty.Dynamic b) f;
+    Unify.journal_attempt st.icx (Ty.Dynamic a) (Ty.Dynamic b) (Error f);
     f
   in
   if not (Path.equal a.trait b.trait) then
-    Error ([], manual_failure (Unify.Head_mismatch (Ty.Dynamic a, Ty.Dynamic b)))
+    Error ([], manual_failure (Journal.Head_mismatch (Ty.Dynamic a, Ty.Dynamic b)))
   else if List.length a.args <> List.length b.args then
-    Error ([], manual_failure (Unify.Arity (Ty.Dynamic a, Ty.Dynamic b)))
+    Error ([], manual_failure (Journal.Arity (Ty.Dynamic a, Ty.Dynamic b)))
   else
     let rec go acc xs ys =
       match (xs, ys) with
@@ -380,8 +380,8 @@ and unify_trait_refs_norm st ~depth (a : Ty.trait_ref) (b : Ty.trait_ref) :
               | Ok () -> go acc xs ys
               | Error f -> Error (List.rev acc, f))
           | _ ->
-              Error (List.rev acc, manual_failure (Unify.Arity (Ty.Dynamic a, Ty.Dynamic b))))
-      | _ -> Error (List.rev acc, manual_failure (Unify.Arity (Ty.Dynamic a, Ty.Dynamic b)))
+              Error (List.rev acc, manual_failure (Journal.Arity (Ty.Dynamic a, Ty.Dynamic b))))
+      | _ -> Error (List.rev acc, manual_failure (Journal.Arity (Ty.Dynamic a, Ty.Dynamic b)))
     in
     go [] a.args b.args
 
@@ -439,9 +439,9 @@ and builtin_fn st ~goal ~depth (tp : Predicate.trait_pred) (inputs : Ty.t list) 
         (n.norm_nodes, Unify.unify st.icx n.norm_ty' expected)
     | [] -> ([], Ok ())
     | _ ->
-        let f = Unify.Arity (tp.self_ty, expected) in
-        Jlog.unify_failed st.icx tp.self_ty expected f;
-        ([], Error f)
+        let r = Error (Journal.Arity (tp.self_ty, expected)) in
+        Unify.journal_attempt st.icx tp.self_ty expected r;
+        ([], r)
   in
   let sub_result =
     Res.conj (List.map (fun (g : Trace.goal_node) -> g.result) norm_nodes)
@@ -543,8 +543,8 @@ and eval_proj_impl_candidate st ~goal ~depth (impl : Decl.impl) (proj : Ty.proje
     | Ok extra -> (
         match binding_of_impl st impl subst proj.assoc with
         | None ->
-            let f = Unify.Projection_ambiguous (proj, pp.term) in
-            Jlog.unify_failed st.icx (Ty.Proj proj) pp.term f;
+            let f = Journal.Projection_ambiguous (proj, pp.term) in
+            Unify.journal_attempt st.icx (Ty.Proj proj) pp.term (Error f);
             {
               Trace.cid;
               source = Trace.Cand_impl impl;
@@ -557,7 +557,7 @@ and eval_proj_impl_candidate st ~goal ~depth (impl : Decl.impl) (proj : Ty.proje
               List.mapi
                 (fun idx wc ->
                   solve_goal st ~depth:(depth + 1)
-                    (Trace.Impl_where { impl_id = impl.impl_id; clause_idx = idx })
+                    (Journal.Impl_where { impl_id = impl.impl_id; clause_idx = idx })
                     (Subst.predicate subst wc))
                 impl.impl_generics.where_clauses
             in
@@ -649,11 +649,11 @@ and deep_normalize st ~depth (ty : Ty.t) : norm_result =
           let fresh = Infer_ctx.fresh st.icx in
           let gid = Journal.fresh_id () in
           let pred = Predicate.NormalizesTo (p, fresh) in
-          Jlog.goal_enter ~id:gid ~depth Trace.Normalization pred;
+          Jlog.goal_enter ~id:gid ~depth Journal.Normalization pred;
           Jlog.overflow ~id:gid ~depth_limited:true;
           let node =
-            leaf ~gid ~depth ~prov:Trace.Normalization
-              ~flags:[ Trace.Stateful; Trace.Depth_limit; Trace.Overflow ]
+            leaf ~gid ~depth ~prov:Journal.Normalization
+              ~flags:[ Journal.Stateful; Journal.Depth_limit; Journal.Overflow ]
               pred Res.No
           in
           Jlog.goal_exit node;
@@ -661,7 +661,7 @@ and deep_normalize st ~depth (ty : Ty.t) : norm_result =
           unchanged ()
         end
         else begin
-          let n = normalize_proj st ~depth ~prov:Trace.Normalization p in
+          let n = normalize_proj st ~depth ~prov:Journal.Normalization p in
           nodes := !nodes @ [ n.norm_node ];
           match n.norm_ty with Some t -> go (depth + 1) t | None -> unchanged ()
         end
@@ -694,7 +694,7 @@ and normalize_proj st ?id ~depth ~prov (proj : Ty.projection) : proj_norm =
   in
   if not (head_known st.icx proj.self_ty) then
     finish
-      { norm_ty = None; norm_node = leaf ~gid ~depth ~prov ~flags:[ Trace.Stateful ] pred Res.Maybe }
+      { norm_ty = None; norm_node = leaf ~gid ~depth ~prov ~flags:[ Journal.Stateful ] pred Res.Maybe }
   else if cycles st pred then begin
     Telemetry.incr c_overflow;
     Jlog.cycle ~id:gid pred;
@@ -702,7 +702,7 @@ and normalize_proj st ?id ~depth ~prov (proj : Ty.projection) : proj_norm =
     finish
       {
         norm_ty = None;
-        norm_node = leaf ~gid ~depth ~prov ~flags:[ Trace.Stateful; Trace.Overflow ] pred Res.No;
+        norm_node = leaf ~gid ~depth ~prov ~flags:[ Journal.Stateful; Journal.Overflow ] pred Res.No;
       }
   end
   else begin
@@ -735,7 +735,7 @@ and normalize_proj st ?id ~depth ~prov (proj : Ty.projection) : proj_norm =
                     candidates = [ cand ];
                     depth;
                     provenance = prov;
-                    flags = [ Trace.Stateful ];
+                    flags = [ Journal.Stateful ];
                   };
               }
         | _ -> None
@@ -787,7 +787,7 @@ and normalize_via_impls st ~gid ~depth ~prov pred (proj : Ty.projection) : proj_
             candidates = [];
             depth;
             provenance = prov;
-            flags = [ Trace.Stateful ];
+            flags = [ Journal.Stateful ];
           };
       }
   | _ :: _ :: _ as matching ->
@@ -797,7 +797,7 @@ and normalize_via_impls st ~gid ~depth ~prov pred (proj : Ty.projection) : proj_
       {
         norm_ty = None;
         norm_node =
-          leaf ~gid ~depth ~prov ~flags:[ Trace.Stateful; Trace.Ambiguous_selection ] pred
+          leaf ~gid ~depth ~prov ~flags:[ Journal.Stateful; Journal.Ambiguous_selection ] pred
             Res.Maybe;
       }
   | [ (impl, subst) ] ->
@@ -814,7 +814,7 @@ and normalize_via_impls st ~gid ~depth ~prov pred (proj : Ty.projection) : proj_
         List.mapi
           (fun idx wc ->
             solve_goal st ~depth:(depth + 1)
-              (Trace.Impl_where { impl_id = impl.impl_id; clause_idx = idx })
+              (Journal.Impl_where { impl_id = impl.impl_id; clause_idx = idx })
               (Subst.predicate subst wc))
           impl.impl_generics.where_clauses
       in
@@ -838,7 +838,7 @@ and normalize_via_impls st ~gid ~depth ~prov pred (proj : Ty.projection) : proj_
           candidates = [ cand ];
           depth;
           provenance = prov;
-          flags = [ Trace.Stateful ];
+          flags = [ Journal.Stateful ];
         }
       in
       { norm_ty = binding; norm_node = node }
@@ -848,7 +848,7 @@ and normalize_via_impls st ~gid ~depth ~prov pred (proj : Ty.projection) : proj_
 (** Solve a single predicate as a root goal. *)
 let solve st ?(origin = "this expression") ?(span = Span.dummy) pred =
   let tok = Telemetry.begin_ sp_root in
-  let node = solve_goal st ~depth:0 (Trace.Root { origin; span }) pred in
+  let node = solve_goal st ~depth:0 (Journal.Root { origin; span }) pred in
   Telemetry.end_ sp_root tok;
   node
 
@@ -903,7 +903,7 @@ let solve_probe st ?(origin = "method resolution") ?(span = Span.dummy)
     | pred :: rest ->
         Telemetry.incr c_probe_roots;
         let snap = Infer_ctx.snapshot st.icx in
-        let node = solve_goal st ~depth:0 (Trace.Root { origin; span }) pred in
+        let node = solve_goal st ~depth:0 (Journal.Root { origin; span }) pred in
         if Res.is_yes node.result then begin
           Infer_ctx.commit st.icx snap;
           Jlog.probe_end ~committed:(Some idx);
@@ -913,8 +913,8 @@ let solve_probe st ?(origin = "method resolution") ?(span = Span.dummy)
           Infer_ctx.rollback_to st.icx snap;
           (* the flag is stamped after the goal already exited; replay
              applies it post-hoc, exactly as we do here *)
-          Jlog.goal_flag ~id:node.gid Trace.Speculative;
-          let node = { node with flags = Trace.Speculative :: node.flags } in
+          Jlog.goal_flag ~id:node.gid Journal.Speculative;
+          let node = { node with flags = Journal.Speculative :: node.flags } in
           go (idx + 1) (node :: acc) rest
         end
   in

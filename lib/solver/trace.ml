@@ -12,32 +12,14 @@
 
 open Trait_lang
 
-(** Where a subgoal came from — the CtxtLinks auxiliary data. *)
-type provenance =
-  | Root of { origin : string; span : Span.t }
-      (** a top-level obligation from the user's code *)
-  | Impl_where of { impl_id : int; clause_idx : int }
-      (** the [clause_idx]-th where-clause of impl [impl_id] *)
-  | Param_env of int  (** the n-th in-scope where-clause *)
-  | Supertrait of Path.t
-  | Builtin_req of string  (** requirement of a built-in impl *)
-  | Normalization  (** generated while normalizing a projection *)
-
-type flag =
-  | Overflow  (** E0275: cyclic requirement *)
-  | Depth_limit  (** recursion limit reached *)
-  | Stateful  (** a [NormalizesTo] node: value captured after its subtree *)
-  | Speculative  (** probing predicate from method resolution *)
-  | Ambiguous_selection  (** several candidates succeeded *)
-
 type goal_node = {
   gid : int;  (** stable journal node ID ({!Journal.fresh_id}) *)
   pred : Predicate.t;  (** resolved as of evaluation start *)
   result : Res.t;
   candidates : cand_node list;
   depth : int;
-  provenance : provenance;
-  flags : flag list;
+  provenance : Journal.prov;
+  flags : Journal.flag list;
 }
 
 and cand_source =
@@ -50,14 +32,14 @@ and cand_node = {
   source : cand_source;
   cand_result : Res.t;
   subgoals : goal_node list;
-  failure : Unify.failure option;
+  failure : Journal.unify_failure option;
       (** why this candidate was rejected before/after its subgoals:
           head mismatch or associated-type term mismatch *)
 }
 
 let has_flag f (g : goal_node) = List.mem f g.flags
 
-let is_overflow g = has_flag Overflow g || has_flag Depth_limit g
+let is_overflow g = has_flag Journal.Overflow g || has_flag Journal.Depth_limit g
 
 (** Total number of goal nodes in the tree (the paper's Fig. 12b measures
     tree size in nodes). *)

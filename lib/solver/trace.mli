@@ -9,30 +9,14 @@
 
 open Trait_lang
 
-(** Where a subgoal came from — the CtxtLinks auxiliary data. *)
-type provenance =
-  | Root of { origin : string; span : Span.t }
-  | Impl_where of { impl_id : int; clause_idx : int }
-  | Param_env of int
-  | Supertrait of Path.t
-  | Builtin_req of string
-  | Normalization
-
-type flag =
-  | Overflow  (** E0275: cyclic requirement *)
-  | Depth_limit
-  | Stateful  (** a [NormalizesTo] node: value captured after its subtree *)
-  | Speculative  (** probing predicate from method resolution *)
-  | Ambiguous_selection  (** several candidates succeeded *)
-
 type goal_node = {
   gid : int;  (** stable journal node ID ({!Journal.fresh_id}) *)
   pred : Predicate.t;  (** resolved as of evaluation start *)
   result : Res.t;
   candidates : cand_node list;
   depth : int;
-  provenance : provenance;
-  flags : flag list;
+  provenance : Journal.prov;
+  flags : Journal.flag list;
 }
 
 and cand_source =
@@ -45,11 +29,11 @@ and cand_node = {
   source : cand_source;
   cand_result : Res.t;
   subgoals : goal_node list;
-  failure : Unify.failure option;
+  failure : Journal.unify_failure option;
       (** head or associated-type-term mismatch, when rejected outright *)
 }
 
-val has_flag : flag -> goal_node -> bool
+val has_flag : Journal.flag -> goal_node -> bool
 val is_overflow : goal_node -> bool
 
 (** Total goal-node count (the Fig. 12b size metric). *)

@@ -8,36 +8,7 @@
 
 open Trait_lang
 
-type failure =
-  | Head_mismatch of Ty.t * Ty.t  (** different rigid constructors *)
-  | Arity of Ty.t * Ty.t
-  | Region_mismatch of Region.t * Region.t
-  | Occurs of int * Ty.t  (** [?i] occurs in the type it would bind to *)
-  | Projection_ambiguous of Ty.projection * Ty.t
-      (** a projection met a non-projection; needs normalization *)
-
-type 'a result = ('a, failure) Stdlib.result
-
-let failure_to_string ?(cfg = Pretty.default) = function
-  | Head_mismatch (a, b) ->
-      Printf.sprintf "expected `%s`, found `%s`" (Pretty.ty ~cfg a) (Pretty.ty ~cfg b)
-  | Arity (a, b) ->
-      Printf.sprintf "`%s` and `%s` differ in arity" (Pretty.ty ~cfg a) (Pretty.ty ~cfg b)
-  | Region_mismatch (a, b) ->
-      Printf.sprintf "lifetime mismatch: `%s` vs `%s`" (Region.to_string a)
-        (Region.to_string b)
-  | Occurs (i, t) ->
-      Printf.sprintf "cyclic type: ?%d occurs in `%s`" i (Pretty.ty ~cfg t)
-  | Projection_ambiguous (p, t) ->
-      Printf.sprintf "cannot relate `%s` to `%s` without normalizing"
-        (Pretty.projection ~cfg p) (Pretty.ty ~cfg t)
-
-let to_journal : failure -> Journal.unify_failure = function
-  | Head_mismatch (a, b) -> Journal.Head_mismatch (a, b)
-  | Arity (a, b) -> Journal.Arity (a, b)
-  | Region_mismatch (a, b) -> Journal.Region_mismatch (a, b)
-  | Occurs (i, t) -> Journal.Occurs (i, t)
-  | Projection_ambiguous (p, t) -> Journal.Projection_ambiguous (p, t)
+type 'a result = ('a, Journal.unify_failure) Stdlib.result
 
 let ( let* ) = Result.bind
 
@@ -55,7 +26,7 @@ let c_failures = Telemetry.counter "unify.failures"
 let unify_region (a : Region.t) (b : Region.t) : unit result =
   match (a, b) with
   | Region.Erased, _ | _, Region.Erased | Region.Infer _, _ | _, Region.Infer _ -> Ok ()
-  | _ -> if Region.equal a b then Ok () else Error (Region_mismatch (a, b))
+  | _ -> if Region.equal a b then Ok () else Error (Journal.Region_mismatch (a, b))
 
 let rec unify (icx : Infer_ctx.t) (a : Ty.t) (b : Ty.t) : unit result =
   let a = shallow icx a and b = shallow icx b in
@@ -64,7 +35,7 @@ let rec unify (icx : Infer_ctx.t) (a : Ty.t) (b : Ty.t) : unit result =
       else Ok (Infer_ctx.link icx i j)
   | Ty.Infer i, other | other, Ty.Infer i ->
       let other = Infer_ctx.resolve icx other in
-      if Ty.mentions_infer (Infer_ctx.root icx i) other then Error (Occurs (i, other))
+      if Ty.mentions_infer (Infer_ctx.root icx i) other then Error (Journal.Occurs (i, other))
       else Ok (Infer_ctx.bind icx i other)
   | Ty.Unit, Ty.Unit | Ty.Bool, Ty.Bool | Ty.Int, Ty.Int | Ty.Uint, Ty.Uint
   | Ty.Float, Ty.Float | Ty.Str, Ty.Str ->
@@ -74,24 +45,24 @@ let rec unify (icx : Infer_ctx.t) (a : Ty.t) (b : Ty.t) : unit result =
       let* () = unify_region r1 r2 in
       unify icx t1 t2
   | Ty.Ctor (p1, a1), Ty.Ctor (p2, a2) ->
-      if not (Path.equal p1 p2) then Error (Head_mismatch (a, b))
+      if not (Path.equal p1 p2) then Error (Journal.Head_mismatch (a, b))
       else unify_args icx a b a1 a2
   | Ty.Tuple t1, Ty.Tuple t2 ->
-      if List.length t1 <> List.length t2 then Error (Arity (a, b))
+      if List.length t1 <> List.length t2 then Error (Journal.Arity (a, b))
       else unify_list icx t1 t2
   | Ty.FnPtr (a1, r1), Ty.FnPtr (a2, r2) ->
-      if List.length a1 <> List.length a2 then Error (Arity (a, b))
+      if List.length a1 <> List.length a2 then Error (Journal.Arity (a, b))
       else
         let* () = unify_list icx a1 a2 in
         unify icx r1 r2
   | Ty.FnItem (p1, a1, r1), Ty.FnItem (p2, a2, r2) ->
-      if not (Path.equal p1 p2) then Error (Head_mismatch (a, b))
-      else if List.length a1 <> List.length a2 then Error (Arity (a, b))
+      if not (Path.equal p1 p2) then Error (Journal.Head_mismatch (a, b))
+      else if List.length a1 <> List.length a2 then Error (Journal.Arity (a, b))
       else
         let* () = unify_list icx a1 a2 in
         unify icx r1 r2
   | Ty.Dynamic tr1, Ty.Dynamic tr2 ->
-      if not (Path.equal tr1.trait tr2.trait) then Error (Head_mismatch (a, b))
+      if not (Path.equal tr1.trait tr2.trait) then Error (Journal.Head_mismatch (a, b))
       else unify_args icx a b tr1.args tr2.args
   | Ty.Proj p1, Ty.Proj p2 ->
       if
@@ -101,16 +72,16 @@ let rec unify (icx : Infer_ctx.t) (a : Ty.t) (b : Ty.t) : unit result =
         let* () = unify icx p1.self_ty p2.self_ty in
         let* () = unify_args icx a b p1.proj_trait.args p2.proj_trait.args in
         unify_args icx a b p1.assoc_args p2.assoc_args
-      else Error (Projection_ambiguous (p1, b))
-  | Ty.Proj p, other -> Error (Projection_ambiguous (p, other))
-  | other, Ty.Proj p -> Error (Projection_ambiguous (p, other))
-  | _ -> Error (Head_mismatch (a, b))
+      else Error (Journal.Projection_ambiguous (p1, b))
+  | Ty.Proj p, other -> Error (Journal.Projection_ambiguous (p, other))
+  | other, Ty.Proj p -> Error (Journal.Projection_ambiguous (p, other))
+  | _ -> Error (Journal.Head_mismatch (a, b))
 
 and unify_list icx xs ys =
   List.fold_left2 (fun acc x y -> let* () = acc in unify icx x y) (Ok ()) xs ys
 
 and unify_args icx a b (xs : Ty.arg list) (ys : Ty.arg list) : unit result =
-  if List.length xs <> List.length ys then Error (Arity (a, b))
+  if List.length xs <> List.length ys then Error (Journal.Arity (a, b))
   else
     List.fold_left2
       (fun acc x y ->
@@ -118,7 +89,7 @@ and unify_args icx a b (xs : Ty.arg list) (ys : Ty.arg list) : unit result =
         match (x, y) with
         | Ty.Ty tx, Ty.Ty ty -> unify icx tx ty
         | Ty.Lifetime rx, Ty.Lifetime ry -> unify_region rx ry
-        | _ -> Error (Arity (a, b)))
+        | _ -> Error (Journal.Arity (a, b)))
       (Ok ()) xs ys
 
 (** Resolve just the head of a type: follow inference-variable bindings
@@ -129,9 +100,9 @@ and shallow icx (t : Ty.t) : Ty.t =
       match Infer_ctx.probe icx i with Some t' -> shallow icx t' | None -> t)
   | _ -> t
 
-(* Journal: one event per top-level unification operation, carrying the
-   operand types (resolved against the context) and the structured
-   failure, attached to the innermost open goal/candidate. *)
+(* Journal: one event per unification attempt, carrying the operand
+   types (resolved against the context) and the structured failure,
+   attached to the innermost open goal/candidate. *)
 let journal_attempt icx a b (r : unit result) =
   if Journal.enabled () then
     Journal.emit
@@ -140,7 +111,7 @@ let journal_attempt icx a b (r : unit result) =
            node = Journal.current_node ();
            left = Infer_ctx.resolve icx a;
            right = Infer_ctx.resolve icx b;
-           failure = (match r with Ok () -> None | Error f -> Some (to_journal f));
+           failure = (match r with Ok () -> None | Error f -> Some f);
          })
 
 (* Counting wrapper around the recursive core: shadows [unify] so every
@@ -157,7 +128,7 @@ let unify_trait_refs icx (a : Ty.trait_ref) (b : Ty.trait_ref) : unit result =
   Telemetry.incr c_attempts;
   let r =
     if not (Path.equal a.trait b.trait) then
-      Error (Head_mismatch (Ty.Dynamic a, Ty.Dynamic b))
+      Error (Journal.Head_mismatch (Ty.Dynamic a, Ty.Dynamic b))
     else unify_args icx (Ty.Dynamic a) (Ty.Dynamic b) a.args b.args
   in
   (match r with Error _ -> Telemetry.incr c_failures | Ok () -> ());

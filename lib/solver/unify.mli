@@ -7,20 +7,15 @@
 
 open Trait_lang
 
-type failure =
-  | Head_mismatch of Ty.t * Ty.t  (** different rigid constructors *)
-  | Arity of Ty.t * Ty.t
-  | Region_mismatch of Region.t * Region.t
-  | Occurs of int * Ty.t  (** [?i] occurs in the type it would bind to *)
-  | Projection_ambiguous of Ty.projection * Ty.t
-      (** a projection met a non-projection; needs normalization *)
+type 'a result = ('a, Journal.unify_failure) Stdlib.result
 
-type 'a result = ('a, failure) Stdlib.result
-
-val failure_to_string : ?cfg:Pretty.config -> failure -> string
-
-(** The journal's structural mirror of [failure]. *)
-val to_journal : failure -> Journal.unify_failure
+(** Journal one unification attempt and its outcome, attached to the
+    innermost open goal/candidate: every call through {!unify} and
+    {!unify_trait_refs}, and the failures the solver constructs itself
+    (head/arity checks and missing associated-type bindings that
+    short-circuit before reaching {!unify}).  A no-op while the journal
+    is disabled. *)
+val journal_attempt : Infer_ctx.t -> Ty.t -> Ty.t -> unit result -> unit
 
 (** Unify two regions.  Erased and inference regions unify with anything;
     the trait solver never fails on regions alone. *)

@@ -82,7 +82,7 @@ let unify_or_error cx span ~what expected actual =
   match Solver.Unify.unify cx.st.icx expected actual with
   | Ok () -> ()
   | Error f ->
-      error cx span "mismatched types in %s: %s" what (Solver.Unify.failure_to_string f)
+      error cx span "mismatched types in %s: %s" what (Journal.failure_to_string f)
 
 (** Instantiate a declaration's generics and emit its where-clauses. *)
 let instantiate_and_obligate cx (g : Decl.generics) ~origin ~span : Subst.t =

@@ -53,7 +53,7 @@ let test_dedup_attempts () =
       result = Solver.Res.Maybe;
       candidates = [];
       depth = 0;
-      provenance = Solver.Trace.Root { origin = "x"; span = Span.dummy };
+      provenance = Journal.Root { origin = "x"; span = Span.dummy };
       flags = [];
     }
   in

@@ -292,6 +292,31 @@ let test_jsonl_header_errors () =
      ignore (Argus_json.Journal_codec.of_jsonl "");
      Alcotest.fail "empty stream accepted"
    with Argus_json.Decode.Decode_error _ -> ());
+  (* an entry that fails to decode is reported at its line, numbered as
+     for malformed JSON (the header is line 1) *)
+  let lines =
+    let _, entries = record_solve (parse "struct A; trait T {} impl T for A {} goal A: T;") in
+    Array.of_list (String.split_on_char '\n' (Argus_json.Journal_codec.to_jsonl entries))
+  in
+  List.iter
+    (fun (n, key, value, path, message) ->
+      let ls = Array.copy lines in
+      (match Argus_json.Json.of_string ls.(n - 1) with
+      | Argus_json.Json.Obj kvs ->
+          ls.(n - 1) <-
+            Argus_json.Json.to_string
+              (Argus_json.Json.Obj (List.map (fun (k, v) -> (k, if k = key then value else v)) kvs))
+      | _ -> Alcotest.fail "journal line is not an object");
+      match Argus_json.Journal_codec.of_jsonl (String.concat "\n" (Array.to_list ls)) with
+      | _ -> Alcotest.failf "corrupt %s on line %d accepted" key n
+      | exception Argus_json.Decode.Decode_error e ->
+          Alcotest.(check (pair string string))
+            (Printf.sprintf "corrupt %s on line %d" key n)
+            (path, message) (e.path, e.message))
+    [
+      (4, "kind", Argus_json.Json.String "bogus", "$.line[4]", "unknown event kind bogus");
+      (5, "seq", Argus_json.Json.String "x", "$.line[5].seq", "expected an integer");
+    ];
   try
     ignore (Argus_json.Journal_codec.of_jsonl "not json at all\n");
     Alcotest.fail "garbage accepted"

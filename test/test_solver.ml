@@ -116,7 +116,7 @@ let test_unify_occurs_check () =
   let icx = Solver.Infer_ctx.create ~first_var:10 () in
   let r = Solver.Unify.unify icx (Ty.Infer 0) (Ty.tuple [ Ty.Infer 0; Ty.Int ]) in
   (match r with
-  | Error (Solver.Unify.Occurs _) -> ()
+  | Error (Journal.Occurs _) -> ()
   | _ -> Alcotest.fail "expected occurs failure");
   check_bool "still unbound" true (Solver.Infer_ctx.probe icx 0 = None)
 
@@ -139,7 +139,7 @@ let test_unify_structural () =
 let test_unify_projection_vs_rigid () =
   let proj = Ty.proj (Ty.projection a_ty (Ty.trait_ref (Path.local [ "T" ])) "Out") in
   match snd (icx_unify proj b_ty) with
-  | Error (Solver.Unify.Projection_ambiguous _) -> ()
+  | Error (Journal.Projection_ambiguous _) -> ()
   | _ -> Alcotest.fail "expected projection_ambiguous"
 
 let test_unify_infer_infer_link () =
@@ -284,7 +284,7 @@ let test_solve_ambiguous_two_impls () =
       "struct A; struct B; trait T<X> {} impl T<A> for A {} impl T<B> for A {} goal A: T<_>;"
   in
   Alcotest.check res "ambiguous" Solver.Res.Maybe node.result;
-  check_bool "flagged" true (List.mem Solver.Trace.Ambiguous_selection node.flags)
+  check_bool "flagged" true (List.mem Journal.Ambiguous_selection node.flags)
 
 let test_solve_param_env_candidate () =
   let program = resolve "struct A; trait T {} goal A: T;" in
@@ -395,7 +395,7 @@ let test_solve_stateful_normalizes_to () =
   Alcotest.check res "normalizes and proves" Solver.Res.Yes node.result;
   let stateful = ref 0 in
   let rec count (g : Solver.Trace.goal_node) =
-    if Solver.Trace.has_flag Solver.Trace.Stateful g then incr stateful;
+    if Solver.Trace.has_flag Journal.Stateful g then incr stateful;
     List.iter (fun (c : Solver.Trace.cand_node) -> List.iter count c.subgoals) g.candidates
   in
   count node;
@@ -501,11 +501,11 @@ let test_probe_commits_first_success () =
   let first = List.hd nodes in
   Alcotest.check res "first failed" Solver.Res.No first.result;
   check_bool "first flagged speculative" true
-    (List.mem Solver.Trace.Speculative first.flags);
+    (List.mem Journal.Speculative first.flags);
   let second = List.nth nodes 1 in
   Alcotest.check res "second succeeded" Solver.Res.Yes second.result;
   check_bool "second not speculative" false
-    (List.mem Solver.Trace.Speculative second.flags)
+    (List.mem Journal.Speculative second.flags)
 
 let test_probe_all_fail () =
   let program = resolve "struct A; trait T {} trait U {}" in
@@ -517,7 +517,7 @@ let test_probe_all_fail () =
   check_bool "no choice" true (chosen = None);
   check_bool "all speculative failures" true
     (List.for_all
-       (fun (n : Solver.Trace.goal_node) -> List.mem Solver.Trace.Speculative n.flags)
+       (fun (n : Solver.Trace.goal_node) -> List.mem Journal.Speculative n.flags)
        nodes)
 
 let test_probe_rollback_between_alternatives () =

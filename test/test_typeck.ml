@@ -191,7 +191,7 @@ let test_method_probing () =
   check_bool "custom chosen" true (p1.p_chosen = Some 1);
   check_int "both alternatives probed" 2 (List.length p1.p_nodes);
   check_bool "failed alternative is speculative" true
-    (Solver.Trace.has_flag Solver.Trace.Speculative (List.hd p1.p_nodes));
+    (Solver.Trace.has_flag Journal.Speculative (List.hd p1.p_nodes));
   let p2 = List.nth fr.fr_probes 1 in
   check_bool "i32 commits ToString directly" true (p2.p_chosen = Some 0)
 

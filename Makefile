@@ -1,4 +1,4 @@
-.PHONY: build test bench bench-json bench-journal bench-fuzz bench-scale bench-serve bench-diff fuzz perf profile serve-smoke perfbench-smoke lint-single-domain lint-one-vocabulary loc ci clean
+.PHONY: build test bench bench-json bench-journal bench-fuzz bench-scale bench-serve bench-diff fuzz perf profile serve-smoke perfbench-smoke test-journal-hermetic lint-single-domain lint-one-vocabulary loc ci clean
 
 build:
 	dune build @all
@@ -105,6 +105,18 @@ perfbench-smoke:
 perf:
 	dune exec bench/main.exe -- --cache-only
 
+# The journal suite runs from any working directory and leaves nothing
+# behind: run its executable from the repository root and fail, printing
+# `git status --porcelain`, if that added or changed a file git sees.
+test-journal-hermetic:
+	dune build ./test/test_journal.exe ./bin/argus_cli.exe
+	@before=$$(git status --porcelain); \
+	./_build/default/test/test_journal.exe || exit 1; \
+	after=$$(git status --porcelain); \
+	if [ "$$before" != "$$after" ]; then \
+	  echo "test_journal.exe changed the checkout:"; printf '%s\n' "$$after"; exit 1; \
+	fi
+
 # argus runs on one domain: no module under lib/, bin/ or bench/ may use
 # the multicore primitives.  Fails on, and prints, any line that names
 # Domain, Atomic, Mutex or Condition.
@@ -137,9 +149,10 @@ loc:
 	done
 
 # What CI runs (.github/workflows/ci.yml, step for step): full build,
-# full test suite, the single-domain and one-vocabulary lints, the
+# full test suite, the journal suite run from the repository root
+# (hermetic), the single-domain and one-vocabulary lints, the
 # line-count metric, a corpus smoke (every
-# bundled program, one verdict line each), a 200-iteration fuzz smoke at the pinned seed (all seven
+# bundled program, one verdict line each), a 200-iteration fuzz smoke at the pinned seed (all six
 # oracles, serve included), a non-interactive
 # `argus watch --once` smoke, the serve stdio-transport smoke, the
 # end-to-end benchmark's correctness smoke, the bench smokes that
@@ -149,6 +162,7 @@ loc:
 ci:
 	dune build @all
 	dune runtest
+	$(MAKE) test-journal-hermetic
 	$(MAKE) lint-single-domain
 	$(MAKE) lint-one-vocabulary
 	$(MAKE) loc

@@ -420,11 +420,8 @@ let bench_cache_entries () =
         Telemetry.enable ();
         ignore (Solver.Obligations.solve_program program);
         Telemetry.disable ();
-        let tree_hits = Telemetry.counter_value "cache.tree.hits" in
-        let tree_misses = Telemetry.counter_value "cache.tree.misses" in
-        let result_hits = Telemetry.counter_value "cache.result.hits" in
-        let result_misses = Telemetry.counter_value "cache.result.misses" in
-        let hits = tree_hits + result_hits and misses = tree_misses + result_misses in
+        let hits = Telemetry.counter_value "cache.tree.hits" in
+        let misses = Telemetry.counter_value "cache.tree.misses" in
         let hit_rate =
           if hits + misses = 0 then 0.0
           else float_of_int hits /. float_of_int (hits + misses)
@@ -439,10 +436,8 @@ let bench_cache_entries () =
               ("ns_cache_off", Json.Float ns_off);
               ("ns_cache_on", Json.Float ns_on);
               ("speedup", Json.Float speedup);
-              ("tree_hits", Json.Int tree_hits);
-              ("tree_misses", Json.Int tree_misses);
-              ("result_hits", Json.Int result_hits);
-              ("result_misses", Json.Int result_misses);
+              ("tree_hits", Json.Int hits);
+              ("tree_misses", Json.Int misses);
               ("hit_rate", Json.Float hit_rate);
             ])
       Corpus.Suite.entries

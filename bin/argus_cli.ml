@@ -86,9 +86,10 @@ let no_cache_arg =
     value & flag
     & info [ "no-cache" ]
         ~doc:
-          "Disable the solver's evaluation cache (hash-consed canonical-goal \
-           memoization). Every goal is re-evaluated from scratch; useful for \
-           timing comparisons and for isolating cache-related behavior.")
+          "Disable the solver's evaluation cache (per-run memoization of \
+           ground goals' proof trees). Every goal is re-evaluated from \
+           scratch; useful for timing comparisons and for isolating \
+           cache-related behavior.")
 
 let trace_buffer_arg =
   Arg.(
@@ -1156,11 +1157,11 @@ let serve_cmd =
        ~doc:
          "Run the persistent session daemon: newline-delimited JSON-RPC 2.0 \
           over stdio (default), a Unix socket, or TCP. Verbs: open, reload, \
-          solve, tree, expand, hover, explain, profile, shutdown. The \
-          interner stays warm across requests; every solve records the \
-          search journal and so runs without the evaluation cache; \
-          solve/tree/explain responses are byte-identical to the \
-          equivalent one-shot subcommand. See docs/SERVE.md.")
+          solve, tree, expand, hover, explain, profile, shutdown. Every \
+          solve records the search journal and so runs without the \
+          evaluation cache; solve/tree/explain responses are \
+          byte-identical to the equivalent one-shot subcommand. See \
+          docs/SERVE.md.")
     Term.(const run $ observability_term $ socket_arg $ tcp_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -1242,7 +1243,7 @@ let fuzz_cmd =
       & info [ "oracle" ] ~docv:"NAME"
           ~doc:
             "Oracle(s) to run (repeatable; default: all). Known: wellformed, \
-             cache, journal, roundtrip, intern, determinism, serve.")
+             cache, journal, roundtrip, determinism, serve.")
   in
   let shrink_arg =
     Arg.(
@@ -1277,7 +1278,7 @@ let fuzz_cmd =
        ~doc:
          "Generative differential testing: random well-formed L_TRAIT programs \
           solved several ways (cache on/off, journal replay, \
-          print/re-parse, interning, repeated runs) that must agree. Writes a \
+          print/re-parse, repeated runs, live serve) that must agree. Writes a \
           replayable $(i,.trait) repro and exits 1 on a counterexample.")
     Term.(
       const run $ observability_term $ iters_arg $ seed_arg $ oracle_arg $ shrink_arg

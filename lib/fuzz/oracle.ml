@@ -10,7 +10,6 @@ type name =
   | Cache
   | Journal
   | Roundtrip
-  | Intern
   | Determinism
   | Serve
 
@@ -20,7 +19,6 @@ let all =
     Cache;
     Journal;
     Roundtrip;
-    Intern;
     Determinism;
     Serve;
   ]
@@ -30,7 +28,6 @@ let to_string = function
   | Cache -> "cache"
   | Journal -> "journal"
   | Roundtrip -> "roundtrip"
-  | Intern -> "intern"
   | Determinism -> "determinism"
   | Serve -> "serve"
 
@@ -44,7 +41,6 @@ let describe = function
        rounds, journal)"
   | Journal -> "journal replay rebuilds the solver's direct trace forest"
   | Roundtrip -> "pretty-print, re-parse, re-solve reaches the same result"
-  | Intern -> "structural copies intern to physically identical terms"
   | Determinism -> "two cold runs of the same source are byte-identical"
   | Serve ->
       "live serve-protocol responses byte-match fresh one-shot runs across \
@@ -189,8 +185,6 @@ let cache_counters () =
       "cache.tree.misses";
       "cache.tree.inserts";
       "cache.tree.rejects";
-      "cache.result.hits";
-      "cache.result.misses";
     ]
 
 (* A journaled run, with telemetry on for its duration: does it move a
@@ -341,87 +335,6 @@ let check_roundtrip source =
             in
             (match mismatch with None -> Pass | Some m -> Fail m)
     end
-
-(* A structural deep copy that shares nothing with its input, defeating
-   the resolver's pre-interning so the canonicality check is real. *)
-let rec copy_ty (t : Ty.t) : Ty.t =
-  match t with
-  | Unit | Bool | Int | Uint | Float | Str -> t
-  | Param s -> Param (String.init (String.length s) (String.get s))
-  | Infer i -> Infer i
-  | Ref (r, t') -> Ref (r, copy_ty t')
-  | RefMut (r, t') -> RefMut (r, copy_ty t')
-  | Ctor (p, args) -> Ctor (p, List.map copy_arg args)
-  | Tuple ts -> Tuple (List.map copy_ty ts)
-  | FnPtr (ins, out) -> FnPtr (List.map copy_ty ins, copy_ty out)
-  | FnItem (p, ins, out) -> FnItem (p, List.map copy_ty ins, copy_ty out)
-  | Dynamic tr -> Dynamic (copy_trait_ref tr)
-  | Proj p -> Proj (copy_projection p)
-
-and copy_arg = function
-  | Ty.Ty t -> Ty.Ty (copy_ty t)
-  | Ty.Lifetime r -> Ty.Lifetime r
-
-and copy_trait_ref (tr : Ty.trait_ref) : Ty.trait_ref =
-  { trait = tr.trait; args = List.map copy_arg tr.args }
-
-and copy_projection (p : Ty.projection) : Ty.projection =
-  {
-    self_ty = copy_ty p.self_ty;
-    proj_trait = copy_trait_ref p.proj_trait;
-    assoc = p.assoc;
-    assoc_args = List.map copy_arg p.assoc_args;
-  }
-
-let copy_pred (p : Predicate.t) : Predicate.t =
-  match p with
-  | Trait { self_ty; trait_ref } ->
-      Trait { self_ty = copy_ty self_ty; trait_ref = copy_trait_ref trait_ref }
-  | Projection { projection; term } ->
-      Projection { projection = copy_projection projection; term = copy_ty term }
-  | TypeOutlives (t, r) -> TypeOutlives (copy_ty t, r)
-  | other -> other
-
-let check_intern source =
-  match load source with
-  | Error m -> Fail m
-  | Ok program ->
-      let check_ty acc t =
-        match acc with
-        | Some _ -> acc
-        | None ->
-            let a = Interner.ty t and b = Interner.ty (copy_ty t) in
-            if not (a == b) then
-              Some
-                (Printf.sprintf "intern: structural copy of %s is not physically canonical"
-                   (Pretty.ty t))
-            else if not (Interner.ty a == a) then
-              Some (Printf.sprintf "intern: interning %s is not idempotent" (Pretty.ty t))
-            else None
-      in
-      let check_pred acc p =
-        match acc with
-        | Some _ -> acc
-        | None ->
-            let a = Interner.predicate p and b = Interner.predicate (copy_pred p) in
-            if not (a == b) then
-              Some
-                (Printf.sprintf
-                   "intern: structural copy of pred %s is not physically canonical"
-                   (Pretty.predicate p))
-            else Predicate.fold_tys check_ty None p
-      in
-      let mismatch =
-        List.fold_left
-          (fun acc (g : Program.goal) -> check_pred acc g.goal_pred)
-          None (Program.goals program)
-      in
-      let mismatch =
-        List.fold_left
-          (fun acc (i : Decl.impl) -> check_ty acc i.impl_self)
-          mismatch (Program.impls program)
-      in
-      (match mismatch with None -> Pass | Some m -> Fail m)
 
 (* Serve-protocol equivalence.  Drive the generated program through a
    live in-process server and byte-compare every response payload
@@ -647,7 +560,6 @@ let check name ~source =
     | Cache -> check_cache source
     | Journal -> check_journal source
     | Roundtrip -> check_roundtrip source
-    | Intern -> check_intern source
     | Determinism -> check_determinism source
     | Serve -> check_serve source
   in

@@ -22,9 +22,6 @@ type name =
   | Roundtrip
       (** pretty-print → re-parse → re-resolve → re-solve reaches the
           same verdicts and (span-insensitively) the same trees *)
-  | Intern
-      (** interner canonicality: a structural copy interns to the
-          physically identical term; interning is idempotent *)
   | Determinism
       (** two cold runs of the same source are byte-identical *)
   | Serve

@@ -39,7 +39,7 @@ let cache_lookups () =
   List.fold_left
     (fun acc name -> acc + Telemetry.counter_value name)
     0
-    [ "cache.tree.hits"; "cache.tree.misses"; "cache.result.hits"; "cache.result.misses" ]
+    [ "cache.tree.hits"; "cache.tree.misses" ]
 
 let percentile sorted p =
   let n = Array.length sorted in

@@ -128,8 +128,8 @@ let predicate p j : Predicate.t =
         (projection (p ^ ".proj") (field p "proj" j), int_ (p ^ ".into") (field p "into" j))
   | k -> fail p ("unknown predicate kind " ^ k)
 
-let ty_of_json j = ty "$" j
-let predicate_of_json j = predicate "$" j
-let path_of_json j = path_ "$" j
-let region_of_json j = region "$" j
-let projection_of_json j = projection "$" j
+let ty_of_json ?(path = "$") j = ty path j
+let predicate_of_json ?(path = "$") j = predicate path j
+let path_of_json ?(path = "$") j = path_ path j
+let region_of_json ?(path = "$") j = region path j
+let projection_of_json ?(path = "$") j = projection path j

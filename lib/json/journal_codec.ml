@@ -24,6 +24,11 @@ let str path = function Json.String s -> s | _ -> fail path "expected a string"
 let int_ path = function Json.Int i -> i | _ -> fail path "expected an integer"
 let bool_ path = function Json.Bool b -> b | _ -> fail path "expected a boolean"
 
+(* A type-system payload in field [key], decoded with its own path so an
+   error inside it names the line and field it sits in. *)
+let payload (decode : ?path:string -> Json.t -> 'a) path key j =
+  decode ~path:(path ^ "." ^ key) (field path key j)
+
 let opt f path = function Json.Null -> None | j -> Some (f path j)
 
 let int_opt path j = opt int_ path j
@@ -113,7 +118,7 @@ let prov_of_json path j : Journal.prov =
           clause_idx = int_ (path ^ ".clause_idx") (field path "clause_idx" j);
         }
   | "param_env" -> Journal.Param_env (int_ (path ^ ".index") (field path "index" j))
-  | "supertrait" -> Journal.Supertrait (Decode.path_of_json (field path "trait" j))
+  | "supertrait" -> Journal.Supertrait (payload Decode.path_of_json path "trait" j)
   | "builtin_req" -> Journal.Builtin_req (str (path ^ ".what") (field path "what" j))
   | "normalization" -> Journal.Normalization
   | s -> fail path ("unknown provenance " ^ s)
@@ -134,7 +139,7 @@ let source_of_json path j : Journal.source =
           impl_id = int_ (path ^ ".impl_id") (field path "impl_id" j);
           header = str (path ^ ".header") (field path "header" j);
         }
-  | "param_env" -> Journal.Param_env_clause (Decode.predicate_of_json (field path "clause" j))
+  | "param_env" -> Journal.Param_env_clause (payload Decode.predicate_of_json path "clause" j)
   | "builtin" -> Journal.Builtin (str (path ^ ".name") (field path "name" j))
   | s -> fail path ("unknown candidate source " ^ s)
 
@@ -160,21 +165,21 @@ let failure_of_json path j : Journal.unify_failure =
   match str (path ^ ".f") (field path "f" j) with
   | "head_mismatch" ->
       Journal.Head_mismatch
-        (Decode.ty_of_json (field path "left" j), Decode.ty_of_json (field path "right" j))
+        (payload Decode.ty_of_json path "left" j, payload Decode.ty_of_json path "right" j)
   | "arity" ->
       Journal.Arity
-        (Decode.ty_of_json (field path "left" j), Decode.ty_of_json (field path "right" j))
+        (payload Decode.ty_of_json path "left" j, payload Decode.ty_of_json path "right" j)
   | "region_mismatch" ->
       Journal.Region_mismatch
-        ( Decode.region_of_json (field path "left" j),
-          Decode.region_of_json (field path "right" j) )
+        ( payload Decode.region_of_json path "left" j,
+          payload Decode.region_of_json path "right" j )
   | "occurs" ->
       Journal.Occurs
-        (int_ (path ^ ".var") (field path "var" j), Decode.ty_of_json (field path "ty" j))
+        (int_ (path ^ ".var") (field path "var" j), payload Decode.ty_of_json path "ty" j)
   | "projection_ambiguous" ->
       Journal.Projection_ambiguous
-        ( Decode.projection_of_json (field path "proj" j),
-          Decode.ty_of_json (field path "ty" j) )
+        ( payload Decode.projection_of_json path "proj" j,
+          payload Decode.ty_of_json path "ty" j )
   | s -> fail path ("unknown unify failure " ^ s)
 
 let failure_opt_to_json = function None -> Json.Null | Some f -> failure_to_json f
@@ -268,7 +273,7 @@ let event_of_json path kind j : Journal.event =
         {
           id = id ();
           parent = int_opt (path ^ ".parent") (field path "parent" j);
-          pred = Decode.predicate_of_json (field path "pred" j);
+          pred = payload Decode.predicate_of_json path "pred" j;
           depth = int_ (path ^ ".depth") (field path "depth" j);
           prov = prov_of_json (path ^ ".prov") (field path "prov" j);
         }
@@ -276,7 +281,7 @@ let event_of_json path kind j : Journal.event =
       Journal.Goal_exit
         {
           id = id ();
-          pred = Decode.predicate_of_json (field path "pred" j);
+          pred = payload Decode.predicate_of_json path "pred" j;
           result = res_of_json (path ^ ".result") (field path "result" j);
           flags = flags_of_json (path ^ ".flags") (field path "flags" j);
         }
@@ -314,8 +319,8 @@ let event_of_json path kind j : Journal.event =
       Journal.Unify
         {
           node = int_opt (path ^ ".node") (field path "node" j);
-          left = Decode.ty_of_json (field path "left" j);
-          right = Decode.ty_of_json (field path "right" j);
+          left = payload Decode.ty_of_json path "left" j;
+          right = payload Decode.ty_of_json path "right" j;
           failure = failure_opt_of_json (path ^ ".failure") (field path "failure" j);
         }
   | "snapshot_open" ->
@@ -335,11 +340,11 @@ let event_of_json path kind j : Journal.event =
           resolved =
             (match field path "resolved" j with
             | Json.Null -> None
-            | t -> Some (Decode.ty_of_json t));
+            | t -> Some (Decode.ty_of_json ~path:(path ^ ".resolved") t));
         }
   | "cycle_detected" ->
       Journal.Cycle_detected
-        { id = id (); pred = Decode.predicate_of_json (field path "pred" j) }
+        { id = id (); pred = payload Decode.predicate_of_json path "pred" j }
   | "overflow_hit" ->
       Journal.Overflow_hit
         {
@@ -361,10 +366,10 @@ let event_of_json path kind j : Journal.event =
   | "overlap_detected" ->
       Journal.Overlap_detected
         {
-          trait_ = Decode.path_of_json (field path "trait" j);
+          trait_ = payload Decode.path_of_json path "trait" j;
           impl_a = int_ (path ^ ".impl_a") (field path "impl_a" j);
           impl_b = int_ (path ^ ".impl_b") (field path "impl_b" j);
-          witness = Decode.ty_of_json (field path "witness" j);
+          witness = payload Decode.ty_of_json path "witness" j;
         }
   | k -> fail path ("unknown event kind " ^ k)
 

@@ -183,42 +183,17 @@ let check_impl_wf ?(cfg = Solve.default_config) (program : Program.t) : wf_failu
                         Solve.create ~cfg ~env:impl.impl_generics.where_clauses ~cache
                           program
                       in
-                      (* Result-tier fast path: bounds already proved under
-                         this where-clause context, earlier in this pass, skip the
-                         tree-building solve entirely; a miss or a cached
-                         failure re-derives the full tree, which a failure
-                         keeps as [wf_tree]. *)
-                      let key =
-                        if Eval_cache.enabled () then
-                          Some
-                            (Eval_cache.result_key st.Solve.cache_ctx
-                               (Canonical.canonicalize st.Solve.icx pred))
-                        else None
+                      let node =
+                        Solve.solve st
+                          ~origin:
+                            (Printf.sprintf "the `type %s` binding in this impl"
+                               assoc.assoc_name)
+                          ~span:impl.impl_span pred
                       in
-                      let cached = Option.bind key (Eval_cache.find_result st.cache_ctx) in
-                      let skip = match cached with Some r -> Res.is_yes r | None -> false in
-                      if not skip then begin
-                        let node =
-                          Solve.solve st
-                            ~origin:
-                              (Printf.sprintf "the `type %s` binding in this impl"
-                                 assoc.assoc_name)
-                            ~span:impl.impl_span pred
-                        in
-                        (match (key, cached) with
-                        | Some k, None ->
-                            let clean =
-                              Trace.fold_goals
-                                (fun acc g -> acc && not (Trace.is_overflow g))
-                                true node
-                            in
-                            if clean then Eval_cache.insert_result st.cache_ctx k node.result
-                        | _ -> ());
-                        if not (Res.is_yes node.result) then
-                          failures :=
-                            { wf_impl = impl; wf_assoc = assoc.assoc_name; wf_bound = bound; wf_tree = node }
-                            :: !failures
-                      end)
+                      if not (Res.is_yes node.result) then
+                        failures :=
+                          { wf_impl = impl; wf_assoc = assoc.assoc_name; wf_bound = bound; wf_tree = node }
+                          :: !failures)
                     assoc.assoc_bounds)
             tr.tr_assocs)
     (Program.impls program);

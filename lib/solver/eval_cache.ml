@@ -4,20 +4,13 @@
     every impl's bounds, the obligation engine re-runs [Maybe] goals to a
     fixpoint, method-resolution probes re-ask receiver predicates, and
     deep where-clause trees share subgoals.  rustc memoizes evaluations
-    per canonical query; this module does the same for L_TRAIT, in two
-    tiers:
-
-    {ul
-    {- the {b tree tier} memoizes whole proof-tree fragments for {e
-       ground} [Trait]/[Projection] goals, capturing everything a real
-       evaluation would have produced — the trace subtree, the journal-ID
-       range it consumed, the inference variables it allocated and the
-       bindings it left behind — so a hit replays to a {e bit-identical}
-       solver state (same gids, same variable numbers, same undo log);}
-    {- the {b result tier} memoizes bare verdicts ([yes]/[maybe]/[no])
-       for canonicalized goals evaluated from an empty stack — the
-       shape coherence and speculative method probes consume when they
-       only need the answer, not the tree.}}
+    per canonical query; this module does the same for L_TRAIT.  It
+    memoizes whole proof-tree fragments for {e ground}
+    [Trait]/[Projection] goals, capturing everything a real evaluation
+    would have produced — the trace subtree, the journal-ID range it
+    consumed, the inference variables it allocated and the bindings it
+    left behind — so a hit replays to a {e bit-identical} solver state
+    (same gids, same variable numbers, same undo log).
 
     {2 Cycle safety}
 
@@ -63,8 +56,6 @@ let c_tree_hit = Telemetry.counter "cache.tree.hits"
 let c_tree_miss = Telemetry.counter "cache.tree.misses"
 let c_tree_insert = Telemetry.counter "cache.tree.inserts"
 let c_tree_reject = Telemetry.counter "cache.tree.rejects"
-let c_result_hit = Telemetry.counter "cache.result.hits"
-let c_result_miss = Telemetry.counter "cache.result.misses"
 
 (* ------------------------------------------------------------------ *)
 (* Entries *)
@@ -82,7 +73,7 @@ type tree_entry = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Keys and tables *)
+(* Keys and the table *)
 
 (* Everything an evaluation's outcome depends on besides the goal and
    the program: one per solver, shared by all its keys. *)
@@ -94,8 +85,7 @@ type scope = {
 
 type key = {
   k_scope : scope;
-  k_pred : Predicate.t;  (** canonical when [k_vars > 0] *)
-  k_vars : int;
+  k_pred : Predicate.t;
   k_hash : int;
 }
 
@@ -103,7 +93,7 @@ module Tbl = Hashtbl.Make (struct
   type t = key
 
   let equal a b =
-    a.k_hash = b.k_hash && a.k_vars = b.k_vars
+    a.k_hash = b.k_hash
     && Predicate.equal a.k_pred b.k_pred
     && (a.k_scope == b.k_scope
        || a.k_scope.s_depth_limit = b.k_scope.s_depth_limit
@@ -112,10 +102,10 @@ module Tbl = Hashtbl.Make (struct
   let hash k = k.k_hash
 end)
 
-type t = { tree : tree_entry Tbl.t; result : Res.t Tbl.t }
+type t = tree_entry Tbl.t
 
 (* A corpus run inserts about six entries: start small. *)
-let create () = { tree = Tbl.create 8; result = Tbl.create 8 }
+let create () : t = Tbl.create 8
 
 type ctx = { x_cache : t; x_scope : scope }
 
@@ -129,16 +119,7 @@ let make_ctx cache ~depth_limit (env : Predicate.t list) : ctx =
 
 let tree_key ctx (pred : Predicate.t) : key =
   let sc = ctx.x_scope in
-  { k_scope = sc; k_pred = pred; k_vars = 0; k_hash = sc.s_hash lxor (hash_pred pred * 65599) }
-
-let result_key ctx (c : Canonical.canonical) : key =
-  let sc = ctx.x_scope in
-  {
-    k_scope = sc;
-    k_pred = c.c_pred;
-    k_vars = c.c_vars;
-    k_hash = sc.s_hash lxor (hash_pred c.c_pred * 65599) lxor (c.c_vars * 7919);
-  }
+  { k_scope = sc; k_pred = pred; k_hash = sc.s_hash lxor (hash_pred pred * 65599) }
 
 let enabled_flag = ref true
 let set_enabled b = enabled_flag := b
@@ -146,17 +127,15 @@ let set_enabled b = enabled_flag := b
 (* The one rule: the switch is on and no journal is recording.  A
    recording solve must emit every event of the search, so it neither
    reads nor fills the cache.  Every caller asks this before a lookup;
-   the tier functions below check only the switch. *)
+   the functions below check only the switch. *)
 let enabled () = !enabled_flag && not (Journal.enabled ())
 
 let clear () = ()
 
-type stats = { cs_tree : int; cs_result : int }
-
-let stats c = { cs_tree = Tbl.length c.tree; cs_result = Tbl.length c.result }
+let length = Tbl.length
 
 (* ------------------------------------------------------------------ *)
-(* Tree tier: lookup *)
+(* Lookup *)
 
 (** A usable memoized subtree for [key] at [depth] under [stack], if any.
     Guards: the replayed subtree must clear the depth limit everywhere
@@ -167,7 +146,7 @@ let find_tree ctx key ~depth ~(stack : Predicate.t list) : tree_entry option =
   if not !enabled_flag then None
   else
     let hit =
-      match Tbl.find_opt ctx.x_cache.tree key with
+      match Tbl.find_opt ctx.x_cache key with
       | Some e
         when depth + e.e_max_depth_off <= key.k_scope.s_depth_limit
              && not
@@ -180,7 +159,7 @@ let find_tree ctx key ~depth ~(stack : Predicate.t list) : tree_entry option =
     hit
 
 (* ------------------------------------------------------------------ *)
-(* Tree tier: insertion *)
+(* Insertion *)
 
 (** Everything {!try_insert} needs to reconstruct (and validate) what an
     evaluation consumed; opened by the solver right before dispatching a
@@ -260,7 +239,7 @@ let try_insert ctx icx (f : frame) (node : Trace.goal_node) =
       Telemetry.incr c_tree_insert;
       (* [replace], not [add]: re-insertion after an unusable hit (e.g.
          insufficient depth headroom) keeps the freshest entry. *)
-      Tbl.replace ctx.x_cache.tree f.f_key
+      Tbl.replace ctx.x_cache f.f_key
         {
           e_node = node;
           e_root_gid = f.f_gid;
@@ -277,7 +256,7 @@ let try_insert ctx icx (f : frame) (node : Trace.goal_node) =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Tree tier: replay *)
+(* Replay *)
 
 (** Reconstruct the exact post-evaluation solver state from a memoized
     entry: reserve the journal-ID range the evaluation consumed,
@@ -291,9 +270,21 @@ let replay icx ~gid ~depth ~prov (e : tree_entry) : Trace.goal_node =
   let vd = var_start - e.e_var_start in
   let gd = gid - e.e_root_gid in
   let dd = depth - e.e_depth in
+  (* Variable shifting preserves sharing ({!Ty.map_infer}): a term whose
+     variables all predate the evaluation comes back physically. *)
   let sv v = if v >= e.e_var_start then v + vd else v in
-  let sty t = Canonical.shift_ty ~start:e.e_var_start ~delta:vd t in
-  let spred p = Canonical.shift_predicate ~start:e.e_var_start ~delta:vd p in
+  let snode node v = if v >= e.e_var_start then Ty.Infer (v + vd) else node in
+  let sty t = if vd = 0 then t else Ty.map_infer snode t in
+  let spred (p : Predicate.t) : Predicate.t =
+    if vd = 0 then p
+    else
+      match p with
+      | NormalizesTo (pr, v) ->
+          (* the output variable shifts too *)
+          let pr' = Ty.map_infer_projection snode pr and v' = sv v in
+          if pr' == pr && v' = v then p else NormalizesTo (pr', v')
+      | _ -> Predicate.map_infer snode p
+  in
   Array.iteri
     (fun k (b : Infer_ctx.binding) ->
       match b with
@@ -312,8 +303,7 @@ let replay icx ~gid ~depth ~prov (e : tree_entry) : Trace.goal_node =
         | Region_mismatch _ as r -> r
         | Occurs (i, t) -> Occurs (sv i, sty t)
         | Projection_ambiguous (p, t) ->
-            Projection_ambiguous
-              (Canonical.shift_projection ~start:e.e_var_start ~delta:vd p, sty t)
+            Projection_ambiguous (Ty.map_infer_projection snode p, sty t)
     in
     let rec goal (g : Trace.goal_node) : Trace.goal_node =
       {
@@ -334,15 +324,3 @@ let replay icx ~gid ~depth ~prov (e : tree_entry) : Trace.goal_node =
     let root = goal e.e_node in
     { root with provenance = prov }
   end
-
-(* ------------------------------------------------------------------ *)
-(* Result tier *)
-
-let find_result ctx key : Res.t option =
-  if not !enabled_flag then None
-  else
-    let hit = Tbl.find_opt ctx.x_cache.result key in
-    Telemetry.incr (if Option.is_some hit then c_result_hit else c_result_miss);
-    hit
-
-let insert_result ctx key res = if !enabled_flag then Tbl.replace ctx.x_cache.result key res

@@ -1,14 +1,10 @@
 (** The trait-solver evaluation cache (see the implementation header for
     the full design and cycle-safety argument).
 
-    Two tiers, both keyed by a solver scope (elaborated param-env and
-    depth limit) and a predicate:
-
-    - {b tree tier}: memoized proof-tree fragments for ground
-      [Trait]/[Projection] goals, replayed bit-identically (journal IDs,
-      inference variables, bindings);
-    - {b result tier}: bare verdicts for canonicalized goals evaluated
-      from an empty stack ({!Solve.evaluate}).
+    It memoizes proof-tree fragments for ground [Trait]/[Projection]
+    goals, keyed by a solver scope (elaborated param-env and depth
+    limit) and the predicate, and replays them bit-identically (journal
+    IDs, inference variables, bindings).
 
     A cache is a value scoped to one run: the run creates it, its
     solvers share it, and nothing in it outlives the run.  Keys are
@@ -16,14 +12,14 @@
 
 open Trait_lang
 
-(** One run's tables. *)
+(** One run's table. *)
 type t
 
 val create : unit -> t
 
 (** {1 Global switches} *)
 
-(** Disable ([--no-cache]) or re-enable both tiers; when disabled,
+(** Disable ([--no-cache]) or re-enable the cache; when disabled,
     lookups miss silently (without counting) and inserts are dropped. *)
 val set_enabled : bool -> unit
 
@@ -38,10 +34,8 @@ val enabled : unit -> bool
     runs. *)
 val clear : unit -> unit
 
-type stats = { cs_tree : int; cs_result : int }
-
-(** Entries held by one run's tables. *)
-val stats : t -> stats
+(** Entries held by one run's table. *)
+val length : t -> int
 
 (** {1 Keys} *)
 
@@ -53,13 +47,10 @@ val make_ctx : t -> depth_limit:int -> Predicate.t list -> ctx
 
 type key
 
-(** Key for a {e ground} goal (tree tier). *)
+(** Key for a {e ground} goal. *)
 val tree_key : ctx -> Predicate.t -> key
 
-(** Key for a canonicalized goal (result tier). *)
-val result_key : ctx -> Canonical.canonical -> key
-
-(** {1 Tree tier} *)
+(** {1 Lookup, insertion, replay} *)
 
 type tree_entry
 
@@ -81,8 +72,3 @@ val try_insert : ctx -> Infer_ctx.t -> frame -> Trace.goal_node -> unit
     subtree. *)
 val replay :
   Infer_ctx.t -> gid:int -> depth:int -> prov:Journal.prov -> tree_entry -> Trace.goal_node
-
-(** {1 Result tier} *)
-
-val find_result : ctx -> key -> Res.t option
-val insert_result : ctx -> key -> Res.t -> unit

@@ -852,29 +852,6 @@ let solve st ?(origin = "this expression") ?(span = Span.dummy) pred =
   Telemetry.end_ sp_root tok;
   node
 
-(** Evaluate a predicate for its verdict only, through the result tier
-    of the evaluation cache.  Contract: [st] must be quiescent — empty
-    evaluation stack, and an inference context whose unresolved
-    variables are unconstrained (a freshly created solver qualifies) —
-    since a cached verdict stands for evaluation from exactly that
-    state.  Coherence well-formedness checks and speculative probes
-    consume this; callers needing the proof tree use {!solve}. *)
-let evaluate st ?(origin = "evaluate") ?(span = Span.dummy) pred : Res.t =
-  assert (st.stack = []);
-  if not (Eval_cache.enabled ()) then (solve st ~origin ~span pred).result
-  else begin
-    let key = Eval_cache.result_key st.cache_ctx (Canonical.canonicalize st.icx pred) in
-    match Eval_cache.find_result st.cache_ctx key with
-    | Some r -> r
-    | None ->
-        let node = solve st ~origin ~span pred in
-        let clean =
-          Trace.fold_goals (fun acc g -> acc && not (Trace.is_overflow g)) true node
-        in
-        if clean then Eval_cache.insert_result st.cache_ctx key node.result;
-        node.result
-  end
-
 (** Deep-normalize a type outside any goal (depth 0): the normalized type,
     physically the input when it has no projection and nothing bound,
     and the [NormalizesTo] nodes evaluated for it. *)

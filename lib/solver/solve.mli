@@ -36,11 +36,6 @@ val create :
     candidates persist in [t]'s inference context. *)
 val solve : t -> ?origin:string -> ?span:Span.t -> Predicate.t -> Trace.goal_node
 
-(** Evaluate a predicate for its verdict only, through the result tier
-    of the evaluation cache.  Contract: empty evaluation stack and an
-    unconstrained inference context (a fresh solver qualifies). *)
-val evaluate : t -> ?origin:string -> ?span:Span.t -> Predicate.t -> Res.t
-
 (** Deep-normalize a type outside any goal (depth 0): the normalized
     type — physically the input when it has no projection and nothing
     bound — and the [NormalizesTo] nodes evaluated for it. *)

@@ -322,7 +322,7 @@ let lower_bound env (self : Ty.t) (b : Ast.raw_bound) : Predicate.t list =
   in
   head :: bindings
 
-let lower_pred_raw env (p : Ast.raw_pred) : Predicate.t list =
+let lower_pred env (p : Ast.raw_pred) : Predicate.t list =
   match p with
   | Ast.RPTrait (self, bnds) ->
       let self = lower_ty env self in
@@ -342,10 +342,6 @@ let lower_pred_raw env (p : Ast.raw_pred) : Predicate.t list =
           in
           raise (Error (Projection_expected sp)))
 
-(* Predicates flow straight into the solver (where-clauses, goals), so
-   hash-cons them — and transitively every type they mention — on the way
-   out of lowering.  Downstream code then compares them by pointer. *)
-let lower_pred env p = List.map Interner.predicate (lower_pred_raw env p)
 
 (* ------------------------------------------------------------------ *)
 (* Expressions (fn bodies) *)
@@ -419,7 +415,7 @@ let lower (items : Ast.t) : Program.t =
         | Ast.RStruct { name; generics; repr; span } ->
             let path = Path.v ~crate (List.rev (name :: rev_mods)) in
             let g, env = lower_generics base_env generics in
-            let repr = Option.map (fun t -> Interner.ty (lower_ty env t)) repr in
+            let repr = Option.map (lower_ty env) repr in
             decls :=
               Decl.Type { Decl.ty_path = path; ty_generics = g; ty_repr = repr; ty_span = span }
               :: !decls
@@ -430,8 +426,7 @@ let lower (items : Ast.t) : Program.t =
             let supers =
               List.map
                 (fun (b : Ast.raw_bound) ->
-                  Interner.trait_ref
-                    (lower_trait_ref env b.bound_name b.bound_args b.bound_span))
+                  lower_trait_ref env b.bound_name b.bound_args b.bound_span)
                 supertraits
             in
             let lower_assoc (a : Ast.raw_assoc_decl) : Decl.assoc_ty_decl =
@@ -439,16 +434,14 @@ let lower (items : Ast.t) : Program.t =
               let bounds =
                 List.map
                   (fun (b : Ast.raw_bound) ->
-                    Interner.trait_ref
-                      (lower_trait_ref aenv b.bound_name b.bound_args b.bound_span))
+                    lower_trait_ref aenv b.bound_name b.bound_args b.bound_span)
                   a.ra_bounds
               in
               {
                 Decl.assoc_name = a.ra_name;
                 assoc_generics = ag;
                 assoc_bounds = bounds;
-                assoc_default =
-                  Option.map (fun t -> Interner.ty (lower_ty aenv t)) a.ra_default;
+                assoc_default = Option.map (lower_ty aenv) a.ra_default;
               }
             in
             let on_unimpl =
@@ -459,10 +452,8 @@ let lower (items : Ast.t) : Program.t =
               {
                 Decl.m_name = m.rm_name;
                 m_generics = mg;
-                m_inputs = List.map (fun t -> Interner.ty (lower_ty menv t)) m.rm_inputs;
-                m_output =
-                  Interner.ty
-                    (Option.fold ~none:Ty.Unit ~some:(lower_ty menv) m.rm_output);
+                m_inputs = List.map (lower_ty menv) m.rm_inputs;
+                m_output = Option.fold ~none:Ty.Unit ~some:(lower_ty menv) m.rm_output;
                 m_span = m.rm_span;
               }
             in
@@ -486,10 +477,9 @@ let lower (items : Ast.t) : Program.t =
                 {
                   Decl.fn_path = path;
                   fn_generics = g;
-                  fn_inputs = List.map (fun t -> Interner.ty (lower_ty env t)) inputs;
+                  fn_inputs = List.map (lower_ty env) inputs;
                   fn_param_names = param_names;
-                  fn_output =
-                    Interner.ty (Option.fold ~none:Ty.Unit ~some:(lower_ty env) output);
+                  fn_output = Option.fold ~none:Ty.Unit ~some:(lower_ty env) output;
                   fn_body = Option.map (List.map (lower_stmt env)) body;
                   fn_span = span;
                 }
@@ -500,12 +490,11 @@ let lower (items : Ast.t) : Program.t =
             let env_params =
               { base_env with bound_params = generics.rg_params @ base_env.bound_params }
             in
-            let self = Interner.ty (lower_ty env_params self_ty) in
+            let self = lower_ty env_params self_ty in
             let env_self = { env_params with self_ty = Some self } in
             let g, env = lower_generics env_self generics in
             let tr =
-              Interner.trait_ref
-                (lower_trait_ref env trait_.bound_name trait_.bound_args trait_.bound_span)
+              lower_trait_ref env trait_.bound_name trait_.bound_args trait_.bound_span
             in
             let bindings =
               List.map
@@ -514,7 +503,7 @@ let lower (items : Ast.t) : Program.t =
                   {
                     Decl.bind_name = bname;
                     bind_generics = bgen;
-                    bind_ty = Interner.ty (lower_ty benv bt);
+                    bind_ty = lower_ty benv bt;
                   })
                 assoc_bindings
             in

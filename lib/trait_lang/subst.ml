@@ -34,8 +34,8 @@ let region_subst s = function
    occurring in the term, and rebuilds only the spine above actual
    changes otherwise.  The unify path substitutes against mostly-ground
    terms constantly, so the unchanged case is the common one; returning
-   the original allocation keeps interned terms canonical and lets the
-   [==] fast path in {!Ty.equal} keep firing downstream. *)
+   the original allocation lets the [==] fast path in {!Ty.equal} keep
+   firing downstream. *)
 
 let rec ty s (t : Ty.t) : Ty.t =
   match t with

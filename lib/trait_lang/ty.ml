@@ -76,9 +76,9 @@ let projection ?(assoc_args = []) self_ty proj_trait assoc =
 
 (* ------------------------------------------------------------------ *)
 (* Structural equality (no unification; inference vars compare by id).
-   Physical equality short-circuits every case: interned terms
-   ({!Interner}) are maximally shared, so on the hot solver paths the
-   deep walk below rarely runs. *)
+   Physical equality short-circuits every case: resolution and the maps
+   below hand the program's own terms back unchanged, so on the hot
+   solver paths the deep walk below rarely runs. *)
 
 let rec equal a b =
   a == b
@@ -126,9 +126,8 @@ let compare = Stdlib.compare
 
 (* ------------------------------------------------------------------ *)
 (* Sharing-preserving maps: a term comes back physically when nothing in
-   it changes, and only the spine above a change is rebuilt, so
-   interned terms stay canonical and the [==] fast paths above keep
-   firing downstream. *)
+   it changes, and only the spine above a change is rebuilt, so the
+   [==] fast paths above keep firing downstream. *)
 
 let rec map_sharing f l =
   match l with

@@ -58,10 +58,6 @@ let qcheck_journal =
   oracle_property "journal replay rebuilds the direct trees (journal oracle)"
     ~count:25 ~oracle:Fuzz.Oracle.Journal
 
-let qcheck_intern =
-  oracle_property "interning is canonical over generated programs (intern oracle)"
-    ~count:40 ~oracle:Fuzz.Oracle.Intern
-
 let qcheck_determinism =
   oracle_property "two cold runs are bit-identical (determinism oracle)" ~count:25
     ~oracle:Fuzz.Oracle.Determinism
@@ -368,7 +364,6 @@ let () =
             qcheck_roundtrip;
             qcheck_cache;
             qcheck_journal;
-            qcheck_intern;
             qcheck_determinism;
           ] );
       ( "corpus",

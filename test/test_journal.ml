@@ -293,7 +293,16 @@ let test_jsonl_header_errors () =
      Alcotest.fail "empty stream accepted"
    with Argus_json.Decode.Decode_error _ -> ());
   (* an entry that fails to decode is reported at its line, numbered as
-     for malformed JSON (the header is line 1) *)
+     for malformed JSON (the header is line 1), and at the field inside
+     it; [key] is a dotted field path within the line's object *)
+  let rec set keys value (j : Argus_json.Json.t) =
+    match (keys, j) with
+    | [], _ -> value
+    | k :: rest, Argus_json.Json.Obj kvs ->
+        Argus_json.Json.Obj
+          (List.map (fun (k', v) -> (k', if k' = k then set rest value v else v)) kvs)
+    | _ -> Alcotest.fail "journal line has no such field"
+  in
   let lines =
     let _, entries = record_solve (parse "struct A; trait T {} impl T for A {} goal A: T;") in
     Array.of_list (String.split_on_char '\n' (Argus_json.Journal_codec.to_jsonl entries))
@@ -301,12 +310,9 @@ let test_jsonl_header_errors () =
   List.iter
     (fun (n, key, value, path, message) ->
       let ls = Array.copy lines in
-      (match Argus_json.Json.of_string ls.(n - 1) with
-      | Argus_json.Json.Obj kvs ->
-          ls.(n - 1) <-
-            Argus_json.Json.to_string
-              (Argus_json.Json.Obj (List.map (fun (k, v) -> (k, if k = key then value else v)) kvs))
-      | _ -> Alcotest.fail "journal line is not an object");
+      ls.(n - 1) <-
+        Argus_json.Json.to_string
+          (set (String.split_on_char '.' key) value (Argus_json.Json.of_string ls.(n - 1)));
       match Argus_json.Journal_codec.of_jsonl (String.concat "\n" (Array.to_list ls)) with
       | _ -> Alcotest.failf "corrupt %s on line %d accepted" key n
       | exception Argus_json.Decode.Decode_error e ->
@@ -316,6 +322,11 @@ let test_jsonl_header_errors () =
     [
       (4, "kind", Argus_json.Json.String "bogus", "$.line[4]", "unknown event kind bogus");
       (5, "seq", Argus_json.Json.String "x", "$.line[5].seq", "expected an integer");
+      ( 2,
+        "pred.kind",
+        Argus_json.Json.String "bogus",
+        "$.line[2].pred",
+        "unknown predicate kind bogus" );
     ];
   try
     ignore (Argus_json.Journal_codec.of_jsonl "not json at all\n");
@@ -432,10 +443,23 @@ let test_wire_golden () =
     entries back
 
 (* ------------------------------------------------------------------ *)
-(* CLI observability contract.  Tests run in _build/default/test, with
-   the CLI declared as a test dependency at ../bin/argus_cli.exe. *)
+(* CLI observability contract.  The CLI is a test dependency built next
+   to this executable's directory, found from its absolute path so the
+   suite runs from any working directory; every file a case writes lives
+   in a temporary directory removed after it. *)
 
-let cli = Filename.concat ".." (Filename.concat "bin" "argus_cli.exe")
+let cli =
+  Filename.concat
+    (Filename.dirname (Filename.dirname Sys.executable_name))
+    (Filename.concat "bin" "argus_cli.exe")
+
+let with_temp_dir f =
+  let dir = Filename.temp_dir "argus_test_journal" "" in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun n -> Sys.remove (Filename.concat dir n)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () -> f dir)
 
 let write_file path contents =
   let oc = open_out path in
@@ -451,46 +475,52 @@ let read_file path =
    the input fails to load (exit 2): the header and telemetry flush run
    through at_exit. *)
 let test_cli_outputs_on_load_failure () =
-  write_file "bad.trait" "struct A; trait T { goal A: T;";
+  with_temp_dir @@ fun dir ->
+  let file name = Filename.quote (Filename.concat dir name) in
+  write_file (Filename.concat dir "bad.trait") "struct A; trait T { goal A: T;";
   let code =
     Sys.command
-      (Printf.sprintf
-         "%s check --profile --trace-out bad_trace.json --events-out bad_events.jsonl \
-          bad.trait > bad.out 2> bad.err"
-         cli)
+      (Printf.sprintf "%s check --profile --trace-out %s --events-out %s %s > %s 2> %s"
+         cli (file "bad_trace.json") (file "bad_events.jsonl") (file "bad.trait")
+         (file "bad.out") (file "bad.err"))
   in
   Alcotest.(check int) "load failure exits 2" 2 code;
-  let entries = Argus_json.Journal_codec.of_jsonl (read_file "bad_events.jsonl") in
+  let read name = read_file (Filename.concat dir name) in
+  let entries = Argus_json.Journal_codec.of_jsonl (read "bad_events.jsonl") in
   Alcotest.(check int) "events file is valid and empty" 0 (List.length entries);
-  (match Argus_json.Json.of_string (read_file "bad_trace.json") with
+  (match Argus_json.Json.of_string (read "bad_trace.json") with
   | Argus_json.Json.List _ | Argus_json.Json.Obj _ -> ()
   | _ -> Alcotest.fail "trace output is not a JSON document");
-  let err = read_file "bad.err" in
+  let err = read "bad.err" in
   Alcotest.(check bool) "telemetry report printed to stderr" true
     (String.length err > 0)
 
 let test_cli_events_roundtrip () =
   (* the impl must share the goal's self head to survive fast-reject
      and leave a rejecting unify event for [explain] to name *)
-  write_file "failing.trait"
+  with_temp_dir @@ fun dir ->
+  let file name = Filename.quote (Filename.concat dir name) in
+  write_file (Filename.concat dir "failing.trait")
     "struct A; struct B<X>; trait T {} impl T for B<A> {} goal B<B<A>>: T;";
   let code =
     Sys.command
-      (Printf.sprintf "%s check --events-out run_events.jsonl failing.trait > run.out 2>&1"
-         cli)
+      (Printf.sprintf "%s check --events-out %s %s > %s 2>&1" cli (file "run_events.jsonl")
+         (file "failing.trait") (file "run.out"))
   in
   Alcotest.(check int) "trait error exits 1" 1 code;
-  let entries = Argus_json.Journal_codec.of_jsonl (read_file "run_events.jsonl") in
+  let read name = read_file (Filename.concat dir name) in
+  let entries = Argus_json.Journal_codec.of_jsonl (read "run_events.jsonl") in
   Alcotest.(check bool) "events streamed" true (List.length entries > 0);
   let tree = replay_ok entries in
   Alcotest.(check bool) "stream replays to at least one root" true
     (List.length tree.Journal.rt_roots >= 1);
   let code =
     Sys.command
-      (Printf.sprintf "%s explain --failures run_events.jsonl > explain.out 2>&1" cli)
+      (Printf.sprintf "%s explain --failures %s > %s 2>&1" cli (file "run_events.jsonl")
+         (file "explain.out"))
   in
   Alcotest.(check int) "explain exits 0" 0 code;
-  let out = read_file "explain.out" in
+  let out = read "explain.out" in
   Alcotest.(check bool) "explain names the rejecting unify event" true
     (String.length out > 0
     &&

@@ -1,4 +1,4 @@
-.PHONY: build test bench bench-json bench-journal bench-fuzz bench-scale bench-serve bench-diff fuzz perf profile serve-smoke perfbench-smoke test-journal-hermetic lint-single-domain lint-one-vocabulary loc ci clean
+.PHONY: build test bench bench-json bench-journal bench-fuzz bench-scale bench-serve bench-diff fuzz perf profile serve-smoke perfbench-smoke test-hermetic lint-single-domain lint-one-vocabulary loc ci clean
 
 build:
 	dune build @all
@@ -105,17 +105,23 @@ perfbench-smoke:
 perf:
 	dune exec bench/main.exe -- --cache-only
 
-# The journal suite runs from any working directory and leaves nothing
-# behind: run its executable from the repository root and fail, printing
-# `git status --porcelain`, if that added or changed a file git sees.
-test-journal-hermetic:
-	dune build ./test/test_journal.exe ./bin/argus_cli.exe
+# The suites that drive the CLI and the bench run from any working
+# directory and leave nothing behind: run each executable from the
+# repository root and fail, printing `git status --porcelain`, if one
+# fails or adds or changes a file git sees.
+HERMETIC_SUITES = test_journal test_serve test_fuzz test_profile
+
+test-hermetic:
+	dune build ./bin/argus_cli.exe ./bench/main.exe \
+	  $(foreach t,$(HERMETIC_SUITES),./test/$(t).exe)
 	@before=$$(git status --porcelain); \
-	./_build/default/test/test_journal.exe || exit 1; \
-	after=$$(git status --porcelain); \
-	if [ "$$before" != "$$after" ]; then \
-	  echo "test_journal.exe changed the checkout:"; printf '%s\n' "$$after"; exit 1; \
-	fi
+	for t in $(HERMETIC_SUITES); do \
+	  ./_build/default/test/$$t.exe || exit 1; \
+	  after=$$(git status --porcelain); \
+	  if [ "$$before" != "$$after" ]; then \
+	    echo "$$t.exe changed the checkout:"; printf '%s\n' "$$after"; exit 1; \
+	  fi; \
+	done
 
 # argus runs on one domain: no module under lib/, bin/ or bench/ may use
 # the multicore primitives.  Fails on, and prints, any line that names
@@ -149,8 +155,8 @@ loc:
 	done
 
 # What CI runs (.github/workflows/ci.yml, step for step): full build,
-# full test suite, the journal suite run from the repository root
-# (hermetic), the single-domain and one-vocabulary lints, the
+# full test suite, the four suites that drive the CLI run from the
+# repository root (hermetic), the single-domain and one-vocabulary lints, the
 # line-count metric, a corpus smoke (every
 # bundled program, one verdict line each), a 200-iteration fuzz smoke at the pinned seed (all six
 # oracles, serve included), a non-interactive
@@ -162,7 +168,7 @@ loc:
 ci:
 	dune build @all
 	dune runtest
-	$(MAKE) test-journal-hermetic
+	$(MAKE) test-hermetic
 	$(MAKE) lint-single-domain
 	$(MAKE) lint-one-vocabulary
 	$(MAKE) loc

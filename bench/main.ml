@@ -663,16 +663,10 @@ let bench_sections =
 
 let pipeline_path = "BENCH_pipeline.json"
 
-let read_whole_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 (** The existing BENCH_pipeline.json (an empty object if it is missing
     or unreadable), so a partial re-run keeps the other sections. *)
 let existing_doc () =
-  try Json.of_string (read_whole_file pipeline_path)
+  try Json.of_string (In_channel.with_open_bin pipeline_path In_channel.input_all)
   with Sys_error _ | Json.Parse_error _ -> Json.Obj []
 
 (** Re-measure the sections [selected] picks and rewrite
@@ -737,7 +731,7 @@ let run_sections selected =
 
 let bench_diff ~warn_above ~fail_above old_path new_path =
   let load which path =
-    try Json.of_string (read_whole_file path) with
+    try Json.of_string (In_channel.with_open_bin path In_channel.input_all) with
     | Sys_error m ->
         Printf.eprintf "error: cannot read %s file: %s\n" which m;
         exit 2

@@ -19,23 +19,10 @@
 
 open Cmdliner
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let load_program path =
-  try Ok (Trait_lang.Resolve.program_of_string ~file:path (read_file path)) with
-  | Trait_lang.Parser.Error e ->
-      Error
-        (Printf.sprintf "%s: parse error: %s" (Trait_lang.Span.to_string e.span) e.message)
-  | Trait_lang.Resolve.Error e ->
-      Error
-        (Printf.sprintf "%s: %s"
-           (Trait_lang.Span.to_string (Trait_lang.Resolve.error_span e))
-           (Trait_lang.Resolve.error_message e))
-  | Sys_error m -> Error m
+  match In_channel.with_open_bin path In_channel.input_all with
+  | source -> Trait_lang.Resolve.load ~file:path source
+  | exception Sys_error m -> Error m
 
 (* Load failures (parse / name-resolution / IO) exit with 2, leaving 1
    for "the file loaded but has trait or type errors" — so scripts can
@@ -418,37 +405,32 @@ let corpus_cmd =
     List.iter
       (fun (e : Corpus.Harness.entry) ->
         Printf.printf "%-28s %-12s %s\n" e.id e.library e.title)
-      (Corpus.Suite.entries @ Corpus.Suite.extended @ Corpus.Suite.extras
-             @ Corpus.Suite.extended_ok)
+      Corpus.Suite.all
   in
   (* Solve every bundled program and print a one-line verdict per
      entry, in suite order. *)
   let run_all () =
-    let entries =
-      Corpus.Suite.entries @ Corpus.Suite.extended @ Corpus.Suite.extras
-      @ Corpus.Suite.extended_ok
-    in
     let results =
-      try List.map (Corpus.Harness.solve_unit ~journal:false) entries
+      try List.map (fun e -> (e, snd (Corpus.Harness.solve e))) Corpus.Suite.all
       with Corpus.Harness.Corpus_error m ->
         prerr_endline ("error: " ^ m);
         exit 2
     in
     List.iter
-      (fun (b : Corpus.Harness.unit_result) ->
-        let errors = Solver.Obligations.errors b.b_report in
+      (fun ((e : Corpus.Harness.entry), (report : Solver.Obligations.report)) ->
+        let errors = Solver.Obligations.errors report in
         let ambiguous =
           List.filter
             (fun (r : Solver.Obligations.goal_report) ->
               r.status = Solver.Obligations.Ambiguous)
-            b.b_report.reports
+            report.reports
         in
         let verdict =
           if errors <> [] then Printf.sprintf "%d trait error(s)" (List.length errors)
           else if ambiguous <> [] then Printf.sprintf "%d ambiguous" (List.length ambiguous)
           else "ok"
         in
-        Printf.printf "%-28s %s\n" b.b_entry.id verdict)
+        Printf.printf "%-28s %s\n" e.id verdict)
       results
   in
   let run () id_opt all =
@@ -456,12 +438,7 @@ let corpus_cmd =
     | _, true -> run_all ()
     | None, false -> list_all ()
     | Some id, false -> (
-        match
-          List.find_opt
-            (fun (e : Corpus.Harness.entry) -> e.id = id)
-            (Corpus.Suite.entries @ Corpus.Suite.extended @ Corpus.Suite.extras
-             @ Corpus.Suite.extended_ok)
-        with
+        match Corpus.Suite.find id with
         | None ->
             prerr_endline ("unknown corpus entry: " ^ id);
             exit 1
@@ -517,7 +494,7 @@ let explain_cmd =
      this offline path by construction. *)
   let run () file node_id failures timings =
     let text =
-      try read_file file
+      try In_channel.with_open_bin file In_channel.input_all
       with Sys_error m ->
         prerr_endline ("error: " ^ m);
         exit 2
@@ -604,10 +581,6 @@ let explain_cmd =
 (* profile *)
 
 let profile_cmd =
-  let all_corpus () =
-    Corpus.Suite.entries @ Corpus.Suite.extended @ Corpus.Suite.extras
-    @ Corpus.Suite.extended_ok
-  in
   let write_file path contents =
     try
       let oc = open_out path in
@@ -647,9 +620,7 @@ let profile_cmd =
     let input =
       match (corpus, file) with
       | Some id, _ -> (
-          match
-            List.find_opt (fun (e : Corpus.Harness.entry) -> e.id = id) (all_corpus ())
-          with
+          match Corpus.Suite.find id with
           | None ->
               prerr_endline ("error: unknown corpus entry: " ^ id);
               exit 2
@@ -660,7 +631,7 @@ let profile_cmd =
                 exit 2))
       | None, Some path ->
           let text =
-            try read_file path
+            try In_channel.with_open_bin path In_channel.input_all
             with Sys_error m ->
               prerr_endline ("error: " ^ m);
               exit 2

@@ -53,8 +53,6 @@ let () =
   Printf.printf "overflow nodes in the tree: %d\n\n" (List.length overflow_leaves);
 
   print_endline "--- after the fix (a concrete impl for EmptyNode) ---";
-  let fixed =
-    List.find (fun (e : Corpus.Harness.entry) -> e.id = "ast-fixed") Corpus.Suite.extras
-  in
+  let fixed = Option.get (Corpus.Suite.find "ast-fixed") in
   let _, report = Corpus.Harness.solve fixed in
   Printf.printf "all goals proved: %b\n" (Solver.Obligations.all_proved report)

@@ -64,10 +64,6 @@ let () =
   print_newline ();
 
   print_endline "--- after the fix (ResMut<Timer>) ---";
-  let fixed =
-    List.find
-      (fun (e : Corpus.Harness.entry) -> e.id = "bevy-correct-param")
-      Corpus.Suite.extras
-  in
+  let fixed = Option.get (Corpus.Suite.find "bevy-correct-param") in
   let _, report = Corpus.Harness.solve fixed in
   Printf.printf "all goals proved: %b\n" (Solver.Obligations.all_proved report)

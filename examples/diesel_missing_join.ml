@@ -54,6 +54,6 @@ let () =
 
   (* The fix: the same query over an inner join type-checks. *)
   print_endline "--- after the fix (.inner_join(posts::table)) ---";
-  let fixed = Option.get (List.find_opt (fun (e : Corpus.Harness.entry) -> e.id = "diesel-with-join") Corpus.Suite.extras) in
+  let fixed = Option.get (Corpus.Suite.find "diesel-with-join") in
   let _, report = Corpus.Harness.solve fixed in
   Printf.printf "all goals proved: %b\n" (Solver.Obligations.all_proved report)

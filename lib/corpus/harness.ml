@@ -70,35 +70,6 @@ let failed_tree (e : entry) : Program.t * Argus.Proof_tree.t =
   | r :: _ -> (program, Argus.Extract.of_report r)
   | [] -> raise (Corpus_error (e.id ^ ": expected a trait error but all goals proved"))
 
-(* ------------------------------------------------------------------ *)
-(* One journalled solve *)
-
-type unit_result = {
-  b_entry : entry;
-  b_program : Program.t;
-  b_report : Solver.Obligations.report;
-  b_journal : Journal.entry list;
-}
-
-(* Load + solve (+ optional journal recording), with the
-   journal/snapshot state reset first, so the unit's output does not
-   depend on anything that ran before it in the process.
-   Timestamps are the one stream field wall-clock-dependent by nature,
-   so the journal normalizes them to 0. *)
-let solve_unit ~journal (e : entry) : unit_result =
-  Journal.reset ();
-  Solver.Infer_ctx.reset_snapshot_serial ();
-  let (program, report), entries =
-    if journal then Journal.with_memory_sink (fun () -> solve e)
-    else (solve e, [])
-  in
-  {
-    b_entry = e;
-    b_program = program;
-    b_report = report;
-    b_journal = List.map (fun (en : Journal.entry) -> { en with Journal.ts_ns = 0 }) entries;
-  }
-
 (** Does the ground-truth predicate appear among the tree's failing
     leaves?  (Sanity invariant for every suite entry.) *)
 let root_cause_is_leaf (e : entry) : bool =

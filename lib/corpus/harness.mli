@@ -35,18 +35,3 @@ val failed_tree : entry -> Program.t * Argus.Proof_tree.t
 (** Sanity invariant for suite entries: the ground truth appears among
     the failing leaves. *)
 val root_cause_is_leaf : entry -> bool
-
-(** {1 One journalled solve} *)
-
-type unit_result = {
-  b_entry : entry;
-  b_program : Program.t;
-  b_report : Solver.Obligations.report;
-  b_journal : Journal.entry list;
-      (** recorded only when [~journal:true]; timestamps normalized
-          to 0 so the stream is wall-clock-independent *)
-}
-
-(** Solve one entry with the journal/snapshot state reset first, so its trace IDs and journal stream are a pure function of
-    the entry. *)
-val solve_unit : journal:bool -> entry -> unit_result

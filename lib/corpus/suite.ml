@@ -205,8 +205,6 @@ let entries : Harness.entry list =
 
 let size = List.length entries
 
-let find id = List.find_opt (fun (e : Harness.entry) -> e.id = id) entries
-
 (** Extended corpus: error classes beyond the paper's dataset, covering
     the other great generators of trait errors in the wild — serde derive
     chains and async [Future]/[Send] bounds.  Kept out of the ranked
@@ -509,3 +507,10 @@ let extras : Harness.entry list =
       fix_hint = "newtype wrapper";
     };
   ]
+
+(** Every bundled program, 35 in suite order: the ranked suite, the
+    extended corpus, the extras and the extended corpus's well-typed
+    counterparts. *)
+let all = entries @ extended @ extras @ extended_ok
+
+let find id = List.find_opt (fun (e : Harness.entry) -> e.id = id) all

@@ -45,9 +45,9 @@ let write_repro ~out_dir ~seed ~iter ~oracle ~message ~source =
 (* Count declarations of a source text by re-loading it — the shrunk
    program is reported by its surface size. *)
 let decls_of_source source =
-  match Corpus.Harness.load (Oracle.entry source) with
-  | p -> Trait_lang.Program.decl_count p + List.length (Trait_lang.Program.goals p)
-  | exception _ -> 0
+  match Oracle.load source with
+  | Ok p -> Trait_lang.Program.decl_count p + List.length (Trait_lang.Program.goals p)
+  | Error _ | (exception _) -> 0
 
 let run ?out_dir ?(shrink = true) ?(size = Gen.default_size)
     ?(progress = fun _ -> ()) ~oracles ~iters ~seed () : outcome =
@@ -113,10 +113,5 @@ let run ?out_dir ?(shrink = true) ?(size = Gen.default_size)
   { o_iters = !i; o_checks = !checks; o_counterexample = !found }
 
 let replay ~oracles ~path () =
-  let ic = open_in_bin path in
-  let source =
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
+  let source = In_channel.with_open_bin path In_channel.input_all in
   List.map (fun name -> (name, Oracle.check name ~source)) oracles

@@ -1,7 +1,10 @@
 (** The differential oracles: solve one L_TRAIT source several ways and
-    demand agreement.  Each oracle is a self-contained property of the
-    whole pipeline; the campaign driver runs a set of them over every
-    generated program.
+    demand agreement.  Each oracle lists the runs it observes (cache on
+    or off, journal recording or not, goals doubled or not) and which of
+    them must agree under one comparator: statuses, rounds, every
+    attempt's proof tree, then the bytes a user sees.  The campaign
+    driver runs a set of oracles over every generated program; the
+    corpus tests run all of them over every bundled program.
 
     Failure messages carry a stable [kind:] prefix (the oracle's name,
     or [front-end] for load errors), which the shrinker uses to check a
@@ -14,14 +17,17 @@ type name =
       (** cache-off ≡ cache-on on unjournaled runs, of the program and
           of the program with every goal doubled (whose second copies
           replay in the same run) — statuses, rounds, proof trees,
-          {!fingerprint} — and a journaled cache-on run ≡ the journaled
-          cache-off run, event for event, moving no [cache.*] counter *)
+          report, diagnostics — and a journaled cache-on run ≡ the
+          journaled cache-off run, event for event, moving no [cache.*]
+          counter *)
   | Journal
       (** journal replay rebuilds exactly the solver's direct trace
-          forest *)
+          forest (checked on every recording run of every oracle; this
+          one records a cache-off run) *)
   | Roundtrip
       (** pretty-print → re-parse → re-resolve → re-solve reaches the
-          same verdicts and (span-insensitively) the same trees *)
+          same verdicts, rounds and (with root spans blanked) the same
+          tree on every attempt *)
   | Determinism
       (** two cold runs of the same source are byte-identical *)
   | Serve
@@ -48,15 +54,10 @@ type verdict = Pass | Fail of string
     errors, otherwise the oracle name). *)
 val fail_kind : string -> string
 
-(** Fabricate a corpus-harness entry around a raw source string (id
-    [fuzz-0]), so the corpus harness can solve generated programs. *)
-val entry : string -> Corpus.Harness.entry
+(** Parse and resolve a source as every oracle does; a load error
+    reads [front-end: ...]. *)
+val load : string -> (Trait_lang.Program.t, string) result
 
-(** The byte-level fingerprint of a solved unit: encoded report, trace
-    gids/depths/predicates, rendered diagnostics, journal JSONL. *)
-val fingerprint : Corpus.Harness.unit_result -> string
-
-(** Run one oracle on one source program.  Global evaluation-cache
-    state is saved, used, and restored; the cache is left
-    enabled-as-before and cleared. *)
+(** Run one oracle on one source program.  The global evaluation-cache
+    switch is saved and restored. *)
 val check : name -> source:string -> verdict

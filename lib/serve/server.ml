@@ -86,37 +86,17 @@ let req_int name params =
 let ( let* ) r f = match r with Ok v -> f v | Error e -> Error e
 
 (* ------------------------------------------------------------------ *)
-(* Loading: same error strings as the CLI's load path, so load-failure
-   responses match what `argus check` prints to stderr. *)
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let parse_program ~file source =
-  try Ok (Trait_lang.Resolve.program_of_string ~file source) with
-  | Trait_lang.Parser.Error e ->
-      Error
-        (Printf.sprintf "%s: parse error: %s"
-           (Trait_lang.Span.to_string e.span)
-           e.message)
-  | Trait_lang.Resolve.Error e ->
-      Error
-        (Printf.sprintf "%s: %s"
-           (Trait_lang.Span.to_string (Trait_lang.Resolve.error_span e))
-           (Trait_lang.Resolve.error_message e))
-
-(* [source]/[path] params: inline text wins (with [path] still naming
-   the spans); otherwise the file is read.  Returns (file, source). *)
+(* Loading.  [source]/[path] params: inline text wins (with [path]
+   still naming the spans); otherwise the file is read.  Returns (file,
+   source).  Load errors are {!Trait_lang.Resolve.load}'s, the strings
+   `argus check` prints to stderr. *)
 let source_of_params params =
   let* source = opt_string "source" params in
   let* path = opt_string "path" params in
   match (source, path) with
   | Some src, p -> Ok (Option.value p ~default:"<serve>", src)
   | None, Some p -> (
-      match read_file p with
+      match In_channel.with_open_bin p In_channel.input_all with
       | src -> Ok (p, src)
       | exception Sys_error m -> Error (Rpc.error_obj ~code:Rpc.load_error m))
   | None, None -> Error (invalid "need `source` or `path`")
@@ -189,7 +169,7 @@ let handle_open t params =
         in
         fresh ()
   in
-  match parse_program ~file source with
+  match Trait_lang.Resolve.load ~file source with
   | Error m -> Error (Rpc.error_obj ~code:Rpc.load_error m)
   | Ok program ->
       if Hashtbl.mem t.srv_sessions name then
@@ -221,7 +201,7 @@ let handle_reload t params =
      save skips the parse and reports [noop]. *)
   let program =
     if String.equal source s.ss_source then Ok s.ss_program
-    else parse_program ~file source
+    else Trait_lang.Resolve.load ~file source
   in
   match program with
   | Error m -> Error (Rpc.error_obj ~code:Rpc.load_error m)

@@ -535,3 +535,11 @@ let lower (items : Ast.t) : Program.t =
 
 (** Parse and resolve a source string in one step. *)
 let program_of_string ~file src : Program.t = lower (Parser.parse ~file src)
+
+let load ~file src =
+  match program_of_string ~file src with
+  | p -> Ok p
+  | exception Parser.Error e ->
+      Error (Printf.sprintf "%s: parse error: %s" (Span.to_string e.span) e.message)
+  | exception Error e ->
+      Error (Printf.sprintf "%s: %s" (Span.to_string (error_span e)) (error_message e))

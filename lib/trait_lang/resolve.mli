@@ -28,3 +28,8 @@ val lower : Ast.t -> Program.t
     @raise Parser.Error on syntax errors
     @raise Error on resolution errors *)
 val program_of_string : file:string -> string -> Program.t
+
+(** {!program_of_string} with its errors rendered as the one-line
+    messages every front end prints: [FILE:LINE:COL: parse error: MSG]
+    for syntax errors, [FILE:LINE:COL: MSG] for resolution errors. *)
+val load : file:string -> string -> (Program.t, string) result

@@ -1,9 +1,10 @@
 (** Tests for the performance layer: the substitution and resolution
     sharing fast paths, and the evaluation cache — including the
     load-bearing property that caching is {e observationally
-    invisible}: cache-on and cache-off runs produce structurally
-    identical proof trees and identical journal streams over the whole
-    corpus — and the cache's lifetime: one run, and nothing after it. *)
+    invisible}: cache-on and cache-off runs produce identical proof
+    trees over the whole corpus (the cache fuzz oracle), and a recording
+    run streams the same journal cache on and off, touching no cache —
+    and the cache's lifetime: one run, and nothing after it. *)
 
 open Trait_lang
 
@@ -296,48 +297,17 @@ let test_run_starts_empty () =
 (* ------------------------------------------------------------------ *)
 (* Corpus-wide equivalence: cache on/off produce identical proof trees *)
 
-let check_same_report id (off : Solver.Obligations.report) (on : Solver.Obligations.report) =
-  Alcotest.(check int)
-    (id ^ ": same number of goal reports")
-    (List.length off.reports) (List.length on.reports);
-  Alcotest.(check int) (id ^ ": same fixpoint rounds") off.rounds on.rounds;
-  List.iter2
-    (fun (a : Solver.Obligations.goal_report) (b : Solver.Obligations.goal_report) ->
-      Alcotest.(check bool) (id ^ ": same status") true (a.status = b.status);
-      Alcotest.(check int)
-        (id ^ ": same attempt count")
-        (List.length a.attempts) (List.length b.attempts);
-      List.iter2
-        (fun (ta : Solver.Trace.goal_node) (tb : Solver.Trace.goal_node) ->
-          if
-            not
-              (Journal.equal_goal
-                 (Solver.Jlog.rtree_of_trace ta)
-                 (Solver.Jlog.rtree_of_trace tb))
-          then Alcotest.failf "%s: proof tree differs (gid %d vs %d)" id ta.gid tb.gid)
-        a.attempts b.attempts)
-    off.reports on.reports
-
-(** For every corpus program: solve with the cache off and on, then the
-    program with every goal doubled with the cache off and on (there the
-    second copies exercise replay), resetting the journal id counter
-    each time so gids are comparable.  Each pair must agree on
-    statuses, rounds, and — node for node, id for id — the trees. *)
+(** For every corpus program, the cache oracle: solve it with the cache
+    off and on, then the program with every goal doubled off and on
+    (there the second copies exercise replay).  Each pair must agree on
+    statuses, rounds and, node for node and id for id, the trees. *)
 let test_corpus_equivalence () =
-  let solve ~cache program =
-    Solver.Eval_cache.set_enabled cache;
-    Journal.reset ();
-    Solver.Obligations.solve_program program
-  in
-  Fun.protect ~finally:cache_on @@ fun () ->
   List.iter
     (fun (e : Corpus.Harness.entry) ->
-      let program = Corpus.Harness.load e in
-      check_same_report (e.id ^ " (on)") (solve ~cache:false program) (solve ~cache:true program);
-      let program = doubled program in
-      check_same_report (e.id ^ " (doubled)") (solve ~cache:false program)
-        (solve ~cache:true program))
-    (Corpus.Suite.entries @ Corpus.Suite.extended)
+      match Fuzz.Oracle.check Fuzz.Oracle.Cache ~source:e.source with
+      | Fuzz.Oracle.Pass -> ()
+      | Fuzz.Oracle.Fail m -> Alcotest.failf "%s: %s" e.id m)
+    Corpus.Suite.all
 
 (* ------------------------------------------------------------------ *)
 (* Journal streams: a recording solve never touches the cache *)

@@ -1,7 +1,9 @@
 (** Property and regression suite for the lib/fuzz differential-testing
     stack: generator determinism, oracle properties over random
-    programs, the corpus round-trip regression, shrinker convergence,
-    lexer/parser edge cases, and the [argus fuzz] CLI negative paths. *)
+    programs, the corpus round-trip regression, every oracle over every
+    corpus program, shrinker
+    convergence, lexer/parser edge cases, and the [argus fuzz] CLI
+    negative paths. *)
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -63,20 +65,31 @@ let qcheck_determinism =
     ~oracle:Fuzz.Oracle.Determinism
 
 (* ------------------------------------------------------------------ *)
-(* Corpus round-trip regression: every suite program (and every extra)
-   survives print -> re-parse -> re-solve with an identical proof tree.
+(* Corpus round-trip regression: every bundled program survives print ->
+   re-parse -> re-solve with an identical proof tree on every attempt.
    This is the regression net for the fuzzer-found printer/parser bugs
    (shared-hole goal re-sugaring; fn-item back-parse vs impl bodies). *)
 
+let check_corpus oracle =
+  List.iter
+    (fun (e : Corpus.Harness.entry) ->
+      match Fuzz.Oracle.check oracle ~source:e.source with
+      | Fuzz.Oracle.Pass -> ()
+      | Fuzz.Oracle.Fail m -> Alcotest.failf "%s: %s" e.id m)
+    Corpus.Suite.all
+
 let test_corpus_roundtrip () =
-  let run (e : Corpus.Harness.entry) =
-    match Fuzz.Oracle.check Fuzz.Oracle.Roundtrip ~source:e.source with
-    | Fuzz.Oracle.Pass -> ()
-    | Fuzz.Oracle.Fail m -> Alcotest.failf "%s: %s" e.id m
-  in
   check_int "whole suite covered (§5.2.1)" 17 (List.length Corpus.Suite.entries);
-  List.iter run Corpus.Suite.entries;
-  List.iter run Corpus.Suite.extras
+  check_corpus Fuzz.Oracle.Roundtrip
+
+(* The corpus under every oracle: cache on ≡ off (single and doubled),
+   journals replay to the direct trees, print -> re-parse -> re-solve
+   keeps every attempt's tree, two runs are byte-identical, serve
+   matches one-shot runs. *)
+
+let test_corpus_oracles () =
+  check_int "every bundled program" 35 (List.length Corpus.Suite.all);
+  List.iter check_corpus Fuzz.Oracle.all
 
 (* ------------------------------------------------------------------ *)
 (* Driver *)
@@ -202,25 +215,10 @@ let test_parser_edge_cases () =
     edge_cases
 
 (* ------------------------------------------------------------------ *)
-(* CLI negative paths.  Tests run in _build/default/test with the CLI
-   declared as a test dependency at ../bin/argus_cli.exe. *)
+(* CLI negative paths, each run in a temporary directory
+   ({!Cli_fixture}). *)
 
-let cli = Filename.concat ".." (Filename.concat "bin" "argus_cli.exe")
-
-let write_file path contents =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc contents)
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let contains ~needle hay =
-  let n = String.length needle in
-  let rec go i = i + n <= String.length hay && (String.sub hay i n = needle || go (i + 1)) in
-  go 0
+open Cli_fixture
 
 let test_cli_check_unparseable () =
   write_file "fuzz_bad.trait" "struct A; trait T {";
@@ -367,7 +365,11 @@ let () =
             qcheck_determinism;
           ] );
       ( "corpus",
-        [ Alcotest.test_case "all programs round-trip" `Quick test_corpus_roundtrip ] );
+        [
+          Alcotest.test_case "all programs round-trip" `Quick test_corpus_roundtrip;
+          Alcotest.test_case "every oracle holds on every program" `Quick
+            test_corpus_oracles;
+        ] );
       ( "driver",
         [
           Alcotest.test_case "clean campaign" `Quick test_driver_clean_campaign;
@@ -382,16 +384,21 @@ let () =
         [ Alcotest.test_case "table-driven edge cases" `Quick test_parser_edge_cases ] );
       ( "cli",
         [
-          Alcotest.test_case "check: unparseable exits 2" `Quick test_cli_check_unparseable;
+          Alcotest.test_case "check: unparseable exits 2" `Quick
+            (in_temp_dir test_cli_check_unparseable);
           Alcotest.test_case "bench serve: --programs/--clients below 1 exit 2" `Quick
-            test_cli_bench_serve_nonpositive;
-          Alcotest.test_case "fuzz: --iters 0 no-op" `Quick test_cli_fuzz_zero_iters;
-          Alcotest.test_case "fuzz: unknown oracle" `Quick test_cli_fuzz_unknown_oracle;
-          Alcotest.test_case "fuzz: missing replay file" `Quick test_cli_fuzz_replay_missing;
-          Alcotest.test_case "fuzz: smoke campaign" `Quick test_cli_fuzz_smoke;
+            (in_temp_dir test_cli_bench_serve_nonpositive);
+          Alcotest.test_case "fuzz: --iters 0 no-op" `Quick
+            (in_temp_dir test_cli_fuzz_zero_iters);
+          Alcotest.test_case "fuzz: unknown oracle" `Quick
+            (in_temp_dir test_cli_fuzz_unknown_oracle);
+          Alcotest.test_case "fuzz: missing replay file" `Quick
+            (in_temp_dir test_cli_fuzz_replay_missing);
+          Alcotest.test_case "fuzz: smoke campaign" `Quick
+            (in_temp_dir test_cli_fuzz_smoke);
           Alcotest.test_case "check: multi-file output and journal" `Quick
-            test_cli_check_multi_file;
+            (in_temp_dir test_cli_check_multi_file);
           Alcotest.test_case "interactive: non-numeric row" `Quick
-            test_cli_interactive_bad_row;
+            (in_temp_dir test_cli_interactive_bad_row);
         ] );
     ]

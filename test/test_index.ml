@@ -371,7 +371,7 @@ let test_coherence_matches_all_pairs () =
         (e.id ^ ": no E0119 overlap")
         0
         (List.length (Solver.Coherence.check (Corpus.Harness.load e))))
-    Corpus.Suite.(entries @ extended @ extras @ extended_ok)
+    Corpus.Suite.all
 
 (* ------------------------------------------------------------------ *)
 (* Telemetry visibility *)

@@ -1,5 +1,5 @@
-(** Tests for the solver search journal: replay validation over the full
-    corpus, event sequences for the §2 failure modes, JSONL round-trips,
+(** Tests for the solver search journal: replay validation and
+    failed-leaf provenance over the corpus, event sequences for the §2 failure modes, JSONL round-trips,
     and the CLI observability contract (outputs written even on load
     failure). *)
 
@@ -26,37 +26,16 @@ let replay_ok entries =
 
 (* ------------------------------------------------------------------ *)
 (* Replay validator: the event stream rebuilds to exactly the trees the
-   solver returned directly, over the full 17-program corpus. *)
+   solver returned directly (the journal fuzz oracle), over every corpus
+   program. *)
 
 let test_replay_corpus () =
   List.iter
     (fun (e : Corpus.Harness.entry) ->
-      let program = Corpus.Harness.load e in
-      let report, entries = record_solve program in
-      let tree = replay_ok entries in
-      let attempts =
-        List.concat_map
-          (fun (r : Solver.Obligations.goal_report) -> r.attempts)
-          report.reports
-      in
-      Alcotest.(check int)
-        (e.id ^ ": one replayed root per solving attempt")
-        (List.length attempts)
-        (List.length tree.Journal.rt_roots);
-      List.iter
-        (fun (att : Solver.Trace.goal_node) ->
-          match
-            List.find_opt
-              (fun (r : Journal.rgoal) -> r.Journal.rg_id = att.gid)
-              tree.Journal.rt_roots
-          with
-          | None -> Alcotest.failf "%s: no replayed root for trace gid %d" e.id att.gid
-          | Some root ->
-              if not (Journal.equal_goal (Solver.Jlog.rtree_of_trace att) root) then
-                Alcotest.failf "%s: replayed tree for gid %d differs from direct trace"
-                  e.id att.gid)
-        attempts)
-    Corpus.Suite.entries
+      match Fuzz.Oracle.check Fuzz.Oracle.Journal ~source:e.source with
+      | Fuzz.Oracle.Pass -> ()
+      | Fuzz.Oracle.Fail m -> Alcotest.failf "%s: %s" e.id m)
+    Corpus.Suite.all
 
 (* Every failed leaf of the extracted (bottom-up) view carries a stable
    trace_id resolvable in the journal, and every rejected candidate in a
@@ -263,7 +242,7 @@ let test_goals_all_journaled () =
         (e.id ^ ": solver.goals = goal_enter events")
         enters
         (Telemetry.counter_value "solver.goals"))
-    Corpus.Suite.(entries @ extended @ extras @ extended_ok)
+    Corpus.Suite.all
 
 (* ------------------------------------------------------------------ *)
 (* Sink mechanics *)
@@ -443,33 +422,10 @@ let test_wire_golden () =
     entries back
 
 (* ------------------------------------------------------------------ *)
-(* CLI observability contract.  The CLI is a test dependency built next
-   to this executable's directory, found from its absolute path so the
-   suite runs from any working directory; every file a case writes lives
-   in a temporary directory removed after it. *)
+(* CLI observability contract, run in a temporary directory
+   ({!Cli_fixture}). *)
 
-let cli =
-  Filename.concat
-    (Filename.dirname (Filename.dirname Sys.executable_name))
-    (Filename.concat "bin" "argus_cli.exe")
-
-let with_temp_dir f =
-  let dir = Filename.temp_dir "argus_test_journal" "" in
-  Fun.protect
-    ~finally:(fun () ->
-      Array.iter (fun n -> Sys.remove (Filename.concat dir n)) (Sys.readdir dir);
-      Sys.rmdir dir)
-    (fun () -> f dir)
-
-let write_file path contents =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc contents)
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+open Cli_fixture
 
 (* --profile / --trace-out / --events-out outputs are written even when
    the input fails to load (exit 2): the header and telemetry flush run
@@ -522,14 +478,7 @@ let test_cli_events_roundtrip () =
   Alcotest.(check int) "explain exits 0" 0 code;
   let out = read "explain.out" in
   Alcotest.(check bool) "explain names the rejecting unify event" true
-    (String.length out > 0
-    &&
-    let re = "unify event seq" in
-    let rec contains i =
-      i + String.length re <= String.length out
-      && (String.sub out i (String.length re) = re || contains (i + 1))
-    in
-    contains 0)
+    (contains ~needle:"unify event seq" out)
 
 (* ------------------------------------------------------------------ *)
 

@@ -82,21 +82,24 @@ let test_empty_and_singleton () =
   Alcotest.(check (list int)) "singleton batch" [ 42 ] one
 
 (* ------------------------------------------------------------------ *)
-(* A journal recorded for one corpus unit replays on its own: each
-   stream starts at ID 0 and rebuilds a search forest. *)
+(* A journal recorded for one corpus unit, with the journal IDs and
+   snapshot serial reset first, replays on its own: each stream starts
+   at ID 0 and rebuilds a search forest. *)
 
 let test_unit_journals_replay () =
-  let results = List.map (Corpus.Harness.solve_unit ~journal:true) Corpus.Suite.entries in
   List.iter
-    (fun (b : Corpus.Harness.unit_result) ->
-      match Journal.replay b.b_journal with
+    (fun (e : Corpus.Harness.entry) ->
+      Journal.reset ();
+      Solver.Infer_ctx.reset_snapshot_serial ();
+      let _, entries = Journal.with_memory_sink (fun () -> Corpus.Harness.solve e) in
+      match Journal.replay entries with
       | Ok tree ->
           Alcotest.(check bool)
-            (b.b_entry.id ^ ": replayed forest has roots")
+            (e.id ^ ": replayed forest has roots")
             true
             (tree.Journal.rt_roots <> [])
-      | Error m -> Alcotest.fail (b.b_entry.id ^ ": journal does not replay: " ^ m))
-    results
+      | Error m -> Alcotest.fail (e.id ^ ": journal does not replay: " ^ m))
+    Corpus.Suite.entries
 
 let () =
   Alcotest.run "pool"

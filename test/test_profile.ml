@@ -392,35 +392,14 @@ let test_trace_buffer_cap () =
       Telemetry.set_max_events 1024;
       Alcotest.(check int) "cap applies" 1024 (Telemetry.max_events ());
       let report = Telemetry.report_to_string (Telemetry.snapshot ()) in
-      let contains needle haystack =
-        let n = String.length needle and len = String.length haystack in
-        let rec go i = i + n <= len && (String.sub haystack i n = needle || go (i + 1)) in
-        go 0
-      in
       Alcotest.(check bool) "report names the buffer cap" true
-        (contains "buffer cap 1024" report))
+        (Cli_fixture.contains ~needle:"buffer cap 1024" report))
 
 (* ------------------------------------------------------------------ *)
-(* CLI contract.  Tests run in _build/default/test; the CLI and bench
-   executables are declared as test dependencies. *)
+(* CLI contract, each case run in a temporary directory
+   ({!Cli_fixture}). *)
 
-let cli = Filename.concat ".." (Filename.concat "bin" "argus_cli.exe")
-let bench = Filename.concat ".." (Filename.concat "bench" "main.exe")
-
-let write_file path contents =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc contents)
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let contains needle haystack =
-  let n = String.length needle and len = String.length haystack in
-  let rec go i = i + n <= len && (String.sub haystack i n = needle || go (i + 1)) in
-  go 0
+open Cli_fixture
 
 let test_cli_profile_corpus () =
   let code =
@@ -432,9 +411,9 @@ let test_cli_profile_corpus () =
   in
   Alcotest.(check int) "profile exits 0" 0 code;
   let out = read_file "prof.out" in
-  Alcotest.(check bool) "prints the hot-goal table" true (contains "hot goals" out);
+  Alcotest.(check bool) "prints the hot-goal table" true (contains ~needle:"hot goals" out);
   Alcotest.(check bool) "prints the agreement cross-check" true
-    (contains "agreement:" out);
+    (contains ~needle:"agreement:" out);
   (* both artifacts parse, and they attribute the same total *)
   let rows = Argus_json.Flame.parse_folded (read_file "prof.folded") in
   Alcotest.(check bool) "folded file has rows" true (rows <> []);
@@ -464,7 +443,7 @@ let test_cli_explain_timings () =
   in
   Alcotest.(check int) "explain --timings exits 0" 0 code;
   Alcotest.(check bool) "output carries self times" true
-    (contains "self" (read_file "timings.out"));
+    (contains ~needle:"self" (read_file "timings.out"));
   (* the same journal profiles offline *)
   let code =
     Sys.command
@@ -472,7 +451,7 @@ let test_cli_explain_timings () =
   in
   Alcotest.(check int) "offline profile exits 0" 0 code;
   Alcotest.(check bool) "offline table printed" true
-    (contains "hot goals" (read_file "offline.out"))
+    (contains ~needle:"hot goals" (read_file "offline.out"))
 
 (* argus check zeroes journal timestamps so the journal is a pure
    function of the inputs; --timestamps opts back into real ones for
@@ -515,14 +494,14 @@ let test_cli_bench_diff () =
   in
   Alcotest.(check int) "identical files exit 0" 0 code;
   Alcotest.(check bool) "identical files pass" true
-    (contains "verdict: PASS" (read_file "diff_same.out"));
+    (contains ~needle:"verdict: PASS" (read_file "diff_same.out"));
   let code =
     Sys.command
       (Printf.sprintf "%s --diff diff_old.json diff_new.json > diff_reg.out 2>&1" bench)
   in
   Alcotest.(check int) "2x regression exits 1" 1 code;
   Alcotest.(check bool) "regression named in the report" true
-    (contains "REGRESSED" (read_file "diff_reg.out"));
+    (contains ~needle:"REGRESSED" (read_file "diff_reg.out"));
   (* CI's generous threshold downgrades the same 2x to a warning *)
   let code =
     Sys.command
@@ -575,10 +554,11 @@ let () =
       ( "cli",
         [
           Alcotest.test_case "profile --corpus artifacts" `Quick
-            test_cli_profile_corpus;
+            (in_temp_dir test_cli_profile_corpus);
           Alcotest.test_case "explain --timings and offline profile" `Quick
-            test_cli_explain_timings;
-          Alcotest.test_case "check --timestamps" `Quick test_cli_check_timestamps;
-          Alcotest.test_case "bench --diff gate" `Quick test_cli_bench_diff;
+            (in_temp_dir test_cli_explain_timings);
+          Alcotest.test_case "check --timestamps" `Quick
+            (in_temp_dir test_cli_check_timestamps);
+          Alcotest.test_case "bench --diff gate" `Quick (in_temp_dir test_cli_bench_diff);
         ] );
     ]

@@ -7,29 +7,15 @@
     PR 9 regression: reloading an unchanged file is a stamp-equal no-op
     that touches no cache. *)
 
+open Cli_fixture
 module Json = Argus_json.Json
 module Rpc = Argus_json.Rpc
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let write_file path s =
-  let oc = open_out_bin path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc s)
 
 (* Every serve test starts from the same shared state: cache on,
    telemetry off unless the test needs counters. *)
 let fresh_state () =
   Telemetry.disable ();
   Solver.Eval_cache.set_enabled true
-
-let contains ~affix s =
-  let n = String.length affix and m = String.length s in
-  let rec go i = i + n <= m && (String.sub s i n = affix || go (i + 1)) in
-  n = 0 || go 0
 
 let line ?(id = 1) m params =
   Rpc.request_to_line
@@ -164,14 +150,14 @@ let test_golden_transcript () =
   Alcotest.(check int) "one issue" 1 (int_member "issues" solved);
   let out = str "output" solved in
   Alcotest.(check bool) "report shows the proved goal" true
-    (contains ~affix:"[ok] A: T1" out);
+    (contains ~needle:"[ok] A: T1" out);
   Alcotest.(check bool) "report shows the failure" true
-    (contains ~affix:"[ERROR] B: T2" out);
+    (contains ~needle:"[ERROR] B: T2" out);
   (* tree: one page per failing goal *)
   let treed = call server "tree" [ ("session", Json.String "t") ] in
   let tree_out = str "output" treed in
   Alcotest.(check bool) "tree page names the failing goal" true
-    (contains ~affix:"B: T2" tree_out);
+    (contains ~needle:"B: T2" tree_out);
   Alcotest.(check bool) "tree page ends with a blank line" true
     (String.length tree_out >= 2
     && String.sub tree_out (String.length tree_out - 2) 2 = "\n\n");
@@ -202,7 +188,7 @@ let test_golden_transcript () =
     call server "explain" [ ("session", Json.String "t"); ("failures", Json.Bool true) ]
   in
   Alcotest.(check bool) "failure narrative names the failing goal" true
-    (contains ~affix:"B: T2" (str "output" failures));
+    (contains ~needle:"B: T2" (str "output" failures));
   let node =
     call server "explain" [ ("session", Json.String "t"); ("node", Json.Int 0) ]
   in
@@ -318,7 +304,7 @@ let test_oversized_literal_open () =
   Alcotest.(check int) "good open after the bad one" 2 (int_member "goals" opened);
   let solved = call server "solve" [ ("session", Json.String "big") ] in
   Alcotest.(check bool) "solve answers" true
-    (contains ~affix:"error[E0277]" (str "output" solved))
+    (contains ~needle:"error[E0277]" (str "output" solved))
 
 (* An unnamed open skips the [s<n>] names clients already chose. *)
 let test_unnamed_open_skips_taken_names () =
@@ -336,24 +322,6 @@ let test_unnamed_open_skips_taken_names () =
 
 (* ------------------------------------------------------------------ *)
 (* Corpus-wide equivalence with the one-shot CLI *)
-
-(* The CLI binary is a declared test dependency, built next to this
-   test's own directory ([_build/default/bin] beside
-   [_build/default/test]), so it is found from the test executable's
-   absolute path, whatever the working directory. *)
-let cli =
-  Filename.concat
-    (Filename.dirname (Filename.dirname Sys.executable_name))
-    (Filename.concat "bin" "argus_cli.exe")
-
-(* Run [f] on a fresh temporary directory, removed with its files after. *)
-let with_temp_dir f =
-  let dir = Filename.temp_dir "argus_test_serve" "" in
-  Fun.protect
-    ~finally:(fun () ->
-      Array.iter (fun n -> Sys.remove (Filename.concat dir n)) (Sys.readdir dir);
-      Sys.rmdir dir)
-    (fun () -> f dir)
 
 (* For every bundled corpus program: serve [solve] must byte-match
    `argus check FILE`, serve [tree] must byte-match `argus bottom-up
